@@ -204,53 +204,6 @@ func BenchmarkMachineRun(b *testing.B) {
 	}
 }
 
-// benchComputeTrace builds a compute-dominant trace: long ALU batches
-// with sparse memory traffic, the regime where cores spend most cycles
-// in provably core-local work and the epoch-sharded scheduler gets wide
-// parallel windows.
-func benchComputeTrace(threads, opsPerThread int) (*memmap.AddressSpace, *trace.Trace) {
-	const propVerts = 1 << 16
-	sp := memmap.NewAddressSpace()
-	prop := sp.PMRMalloc(propVerts * 8)
-	b := trace.NewBuilder(sp, threads)
-	r := sim.NewRand(43)
-	for t := 0; t < threads; t++ {
-		e := b.Thread(t)
-		for i := 0; i < opsPerThread; i++ {
-			e.Compute(150 + r.Intn(100))
-			if i%8 == 7 {
-				e.Load(prop+memmap.Addr(r.Intn(propVerts)*8), 8, false)
-			}
-		}
-	}
-	b.Barrier()
-	tr := b.Build()
-	sp.Freeze()
-	tr.Freeze()
-	return sp, tr
-}
-
-// BenchmarkMachineRunSharded measures the epoch-sharded scheduler
-// against its own shards=1 serial path on the compute-dominant trace.
-// The shards>1 results only show wall-clock wins on a multi-core host
-// (see num_cpu/gomaxprocs in BENCH_*.json); results are byte-identical
-// at every shard count regardless.
-func BenchmarkMachineRunSharded(b *testing.B) {
-	sp, tr := benchComputeTrace(16, 400)
-	instrs := tr.TotalInstructions()
-	for _, shards := range []int{1, 2, 4, 8} {
-		cfg := machine.Baseline()
-		cfg.Shards = shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				machine.RunTrace(cfg, sp, tr)
-			}
-			b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
-		})
-	}
-}
-
 // BenchmarkSimulatorThroughput measures raw simulation speed: simulated
 // instructions per wall second on a BFS trace, independent of the
 // experiment harness. This is the number to watch when optimizing the

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -232,58 +235,69 @@ func TestRunOutReplayRoundTrip(t *testing.T) {
 	if _, _, badCode := runCLI("replay", "-in", dir, "fig7-speedup"); badCode != 2 {
 		t.Fatalf("replay of unrecorded experiment: exit code %d, want 2", badCode)
 	}
-}
 
-// TestRunJSONDeterministicAcrossShards is the satellite acceptance
-// test for the epoch-sharded scheduler at the CLI boundary: `run
-// -format json` output must be byte-identical at -shards 1, 2, and 8
-// (and at the auto setting, -shards 0).
-func TestRunJSONDeterministicAcrossShards(t *testing.T) {
-	render := func(shards string) string {
-		out, stderr, code := runCLI("run", "-quick", "-q", "-format", "json",
-			"-shards", shards, "ext-dependent-block", "table1-hmc-atomics")
-		if code != 0 {
-			t.Fatalf("-shards %s failed (%d): %s", shards, code, stderr)
-		}
-		return out
+	// Run directories written while the machine still had a sharded
+	// scheduler carry a shard count in the environment and the removed
+	// -shards/-csv flags. They must still load and replay byte for byte.
+	path := filepath.Join(dir, obs.ManifestFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ref := render("1")
-	for _, s := range []string{"2", "8", "0"} {
-		if got := render(s); got != ref {
-			t.Fatalf("-format json differs between -shards 1 and -shards %s:\n--- 1 ---\n%s\n--- %s ---\n%s",
-				s, ref, s, got)
-		}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestRunRejectsNegativeShards(t *testing.T) {
-	_, stderr, code := runCLI("run", "-shards", "-2", "all")
-	if code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
+	doc["env"].(map[string]any)["shards"] = 8
+	doc["flags"].(map[string]any)["shards"] = "8"
+	doc["flags"].(map[string]any)["csv"] = "false"
+	if raw, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(stderr, "-shards must be non-negative") {
-		t.Fatalf("unhelpful message %q", stderr)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	_, stderr, code = runCLI("workload", "-shards", "-2", "bfs")
-	if code != 2 {
-		t.Fatalf("workload: exit code %d, want 2", code)
+	if _, err := obs.LoadManifest(dir); err != nil {
+		t.Fatalf("manifest with a shard count no longer loads: %v", err)
 	}
-	if !strings.Contains(stderr, "-shards must be non-negative") {
-		t.Fatalf("workload: unhelpful message %q", stderr)
+	oldOut, oldErr, oldCode := runCLI("replay", "-in", dir)
+	if oldCode != 0 {
+		t.Fatalf("replay of a sharded-era manifest failed (%d): %s", oldCode, oldErr)
+	}
+	if oldOut != out {
+		t.Fatalf("sharded-era replay differs from the original run:\n--- run ---\n%s\n--- replay ---\n%s", out, oldOut)
 	}
 }
 
-// TestWorkloadShardsIdentity: the workload subcommand's human-readable
-// report is also invariant under sharding.
-func TestWorkloadShardsIdentity(t *testing.T) {
-	render := func(shards string) string {
-		out, stderr, code := runCLI("workload", "-quick", "-shards", shards, "BFS")
-		if code != 0 {
-			t.Fatalf("-shards %s failed (%d): %s", shards, code, stderr)
+// TestVerticesBelowGeneratorMinimumExitsTwo: a -vertices value below
+// the smallest graph the selected generator can build (2 for
+// ldbc/rmat/er, 16 for bitcoin/twitter, and 16 on run, which also sizes
+// the application graphs) is a usage error with a message, never a
+// generator panic. On run, 0 keeps meaning "environment default".
+func TestVerticesBelowGeneratorMinimumExitsTwo(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"workload", "-vertices", "0", "BFS"}, 2, "workload: -vertices must be at least 2 (got 0)"},
+		{[]string{"run", "-quick", "-vertices", "1", "fig1-ipc"}, 2, "run: -vertices must be at least 16 (got 1)"},
+		{[]string{"run", "-vertices", "-5", "fig1-ipc"}, 2, "run: -vertices must be at least 16 (got -5)"},
+		{[]string{"trace", "-vertices", "0", "BFS"}, 2, "trace: -vertices must be at least 2 (got 0)"},
+		{[]string{"graph", "gen", "-vertices", "1"}, 2, "graph gen: -vertices must be at least 2 (got 1)"},
+		{[]string{"graph", "gen", "-kind", "rmat", "-vertices", "1"}, 2, "graph gen: -vertices must be at least 2 (got 1)"},
+		{[]string{"graph", "gen", "-kind", "bitcoin", "-vertices", "15"}, 2, "graph gen: -vertices must be at least 16 (got 15)"},
+		{[]string{"graph", "gen", "-kind", "twitter", "-vertices", "2"}, 2, "graph gen: -vertices must be at least 16 (got 2)"},
+		{[]string{"run", "-quick", "-q", "-vertices", "0", "table1-hmc-atomics"}, 0, ""},
+		{[]string{"graph", "gen", "-kind", "er", "-vertices", "2"}, 0, ""},
+		{[]string{"graph", "gen", "-kind", "twitter", "-vertices", "16", "-raw"}, 0, ""},
+	} {
+		_, stderr, code := runCLI(tc.args...)
+		if code != tc.code {
+			t.Fatalf("%v: exit code %d, want %d: %s", tc.args, code, tc.code, stderr)
 		}
-		return out
-	}
-	if s1, s8 := render("1"), render("8"); s1 != s8 {
-		t.Fatalf("workload output differs between -shards 1 and 8:\n--- 1 ---\n%s\n--- 8 ---\n%s", s1, s8)
+		if !strings.Contains(stderr, tc.want) {
+			t.Fatalf("%v: message %q does not contain %q", tc.args, stderr, tc.want)
+		}
 	}
 }

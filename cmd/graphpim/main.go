@@ -79,11 +79,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "report":
 		return cmdReport(args[1:], stderr)
 	case "trace":
-		cmdTrace(args[1:])
-		return 0
+		return cmdTrace(args[1:], stdout, stderr)
 	case "graph":
-		cmdGraph(args[1:])
-		return 0
+		return cmdGraph(args[1:], stdout, stderr)
 	case "-h", "--help", "help":
 		usage(stderr)
 		return 0
@@ -111,8 +109,6 @@ run/workload flags:
   -vertices N      LDBC graph size (default 16384)
   -seed S          generator seed (default 7)
   -j N             parallel workers for simulation cells (default: all CPUs)
-  -shards N        scheduler shards inside each simulation: 1 serial,
-                   0 auto (all CPUs); results are byte-identical at any N
   -stream          build traces through the bounded-buffer streaming
                    pipeline (spill file + chunked replay): byte-identical
                    tables, peak memory bounded by graph + chunk buffers
@@ -171,13 +167,22 @@ func validFormat(f string) bool {
 	return f == "text" || f == "json" || f == "csv"
 }
 
-// resolveShards maps the -shards flag to a machine shard count: 0 asks
-// for one shard per host CPU (machine.New clamps to the core count).
-func resolveShards(n int) int {
-	if n == 0 {
-		return runtime.NumCPU()
+// Smallest graphs the generators build: LDBC, R-MAT and Erdős–Rényi
+// need two vertices, the bitcoin- and twitter-shaped generators sixteen.
+const (
+	minVertices    = 2
+	minAppVertices = 16
+)
+
+// checkVertices validates a -vertices flag value against the smallest
+// graph the selected generator can build; a smaller value reports a
+// usage (exit 2) error instead of panicking inside the generator.
+func checkVertices(sub string, v, least int, stderr io.Writer) bool {
+	if v >= least {
+		return true
 	}
-	return n
+	fmt.Fprintf(stderr, "%s: -vertices must be at least %d (got %d)\n", sub, least, v)
+	return false
 }
 
 // flagValues snapshots every flag of fs (set or default) for the run
@@ -241,14 +246,12 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	vertices := fs.Int("vertices", 0, "LDBC graph size override")
 	seed := fs.Uint64("seed", 0, "generator seed override")
 	format := fs.String("format", "text", "output format: text|json|csv")
-	csv := fs.Bool("csv", false, "deprecated alias for -format csv")
 	outDir := fs.String("out", "", "write JSONL records + manifest.json to this directory")
 	checkOn := fs.Bool("check", false, "enable simulation sanitizer audits (slower, identical output)")
 	quiet := fs.Bool("q", false, "suppress progress output")
 	cpuprofile := fs.String("cpuprofile", "", "write CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write heap profile to this file")
 	workers := fs.Int("j", runtime.NumCPU(), "parallel workers for simulation cells")
-	shards := fs.Int("shards", 1, "scheduler shards per simulation (1 serial, 0 auto)")
 	stream := fs.Bool("stream", false, "stream traces through a bounded spill file (identical output, lower peak memory)")
 	memKind := fs.String("mem", "hmc", "memory backend kind for every simulation")
 	policy := fs.String("policy", "", "placement policy override for offload cells: auto|host|pim|upei")
@@ -265,12 +268,10 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "run: -j must be at least 1 (got %d); use -j 1 for a serial run\n", *workers)
 		return 2
 	}
-	if *shards < 0 {
-		fmt.Fprintf(stderr, "run: -shards must be non-negative (got %d); use 0 for one shard per CPU\n", *shards)
+	// 0 keeps the environment default; any other value also sizes the
+	// bitcoin/twitter-shaped application graphs.
+	if *vertices != 0 && !checkVertices("run", *vertices, minAppVertices, stderr) {
 		return 2
-	}
-	if *csv {
-		*format = "csv"
 	}
 	if !validFormat(*format) {
 		fmt.Fprintf(stderr, "run: invalid -format %q (valid: text, json, csv)\n", *format)
@@ -289,7 +290,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	env := makeEnv(*quick, *vertices, *seed)
 	env.Parallelism = *workers
 	env.Check = *checkOn
-	env.Shards = resolveShards(*shards)
 	env.Stream = *stream
 	if *memKind != "hmc" {
 		// "hmc" stays "" so manifests and goldens of default runs keep
@@ -492,17 +492,12 @@ func cmdWorkload(args []string, stdout, stderr io.Writer) int {
 	policy := fs.String("policy", "", "placement policy override: auto|host|pim|upei")
 	memKind := fs.String("mem", "hmc", "memory backend kind")
 	checkOn := fs.Bool("check", false, "enable simulation sanitizer audits (slower, identical output)")
-	shards := fs.Int("shards", 1, "scheduler shards per simulation (1 serial, 0 auto)")
 	stream := fs.Bool("stream", false, "stream the trace through a bounded spill file (identical output, lower peak memory)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() != 1 {
 		fmt.Fprintln(stderr, "workload: need exactly one workload name")
-		return 2
-	}
-	if *shards < 0 {
-		fmt.Fprintf(stderr, "workload: -shards must be non-negative (got %d); use 0 for one shard per CPU\n", *shards)
 		return 2
 	}
 	if !checkMemKind("workload", *memKind, stderr) {
@@ -514,6 +509,9 @@ func cmdWorkload(args []string, stdout, stderr io.Writer) int {
 	if *quick {
 		*vertices = 2048
 	}
+	if !checkVertices("workload", *vertices, minVertices, stderr) {
+		return 2
+	}
 	w, err := graphpim.WorkloadByName(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -522,7 +520,6 @@ func cmdWorkload(args []string, stdout, stderr io.Writer) int {
 	opts := graphpim.DefaultOptions()
 	opts.Check = *checkOn
 	opts.Memory = *memKind
-	opts.Shards = resolveShards(*shards)
 	opts.Stream = *stream
 	opts.Policy = *policy
 	if err := opts.Validate(); err != nil {

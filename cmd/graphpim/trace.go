@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"graphpim"
@@ -17,8 +18,9 @@ import (
 // trace under a machine configuration. Traces are expensive to generate
 // (full functional execution), so persisting them lets configuration
 // sweeps replay instead of regenerate.
-func cmdTrace(args []string) {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
+func cmdTrace(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	vertices := fs.Int("vertices", 4096, "LDBC graph size")
 	seed := fs.Uint64("seed", 7, "generator seed")
 	save := fs.String("save", "", "write the trace to this file")
@@ -26,41 +28,45 @@ func cmdTrace(args []string) {
 	replay := fs.String("replay", "", "replay a saved trace file instead of generating")
 	stream := fs.Bool("stream", false, "replay a v2 file chunk-by-chunk without materializing it")
 	config := fs.String("config", "graphpim", "replay config: baseline|upei|graphpim")
-	_ = fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *replay != "" {
-		replayTrace(*replay, *config, *stream)
-		return
+		return replayTrace(*replay, *config, *stream, stdout, stderr)
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "trace: need a workload name (or -replay FILE)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "trace: need a workload name (or -replay FILE)")
+		return 2
+	}
+	if !checkVertices("trace", *vertices, minVertices, stderr) {
+		return 2
 	}
 	w, err := graphpim.WorkloadByName(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	g := graphpim.GenerateLDBC(*vertices, *seed)
 	fw := gframe.New(g, 16, gframe.DefaultCostModel())
 	w.Run(fw)
 	tr := fw.Trace()
 
-	fmt.Printf("workload:     %s on %d vertices / %d edges\n", w.Info().Name, g.NumVertices(), g.NumEdges())
-	fmt.Printf("instructions: %d\n", tr.TotalInstructions())
-	fmt.Printf("loads:        %d\n", tr.CountKind(trace.KindLoad))
-	fmt.Printf("stores:       %d\n", tr.CountKind(trace.KindStore))
-	fmt.Printf("atomics:      %d\n", tr.CountKind(trace.KindAtomic))
-	fmt.Printf("barriers:     %d\n", tr.CountKind(trace.KindBarrier))
+	fmt.Fprintf(stdout, "workload:     %s on %d vertices / %d edges\n", w.Info().Name, g.NumVertices(), g.NumEdges())
+	fmt.Fprintf(stdout, "instructions: %d\n", tr.TotalInstructions())
+	fmt.Fprintf(stdout, "loads:        %d\n", tr.CountKind(trace.KindLoad))
+	fmt.Fprintf(stdout, "stores:       %d\n", tr.CountKind(trace.KindStore))
+	fmt.Fprintf(stdout, "atomics:      %d\n", tr.CountKind(trace.KindAtomic))
+	fmt.Fprintf(stdout, "barriers:     %d\n", tr.CountKind(trace.KindBarrier))
 	for kind, n := range tr.AtomicsByKind() {
-		fmt.Printf("  %-18s %d\n", kind.String(), n)
+		fmt.Fprintf(stdout, "  %-18s %d\n", kind.String(), n)
 	}
 
 	if *save != "" {
 		f, err := os.Create(*save)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer f.Close()
 		// v2 (chunked, delta/varint) is the default on-disk format; it is
@@ -71,19 +77,20 @@ func cmdTrace(args []string) {
 			write = trace.Write
 		}
 		if err := write(f, tr, fw.Space()); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		info, _ := f.Stat()
-		fmt.Printf("saved:        %s (%d bytes)\n", *save, info.Size())
+		fmt.Fprintf(stdout, "saved:        %s (%d bytes)\n", *save, info.Size())
 	}
+	return 0
 }
 
-func replayTrace(path, config string, stream bool) {
+func replayTrace(path, config string, stream bool, stdout, stderr io.Writer) int {
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	defer f.Close()
 	var src trace.Source
@@ -93,15 +100,15 @@ func replayTrace(path, config string, stream bool) {
 		// v1 layout has no chunk index to stream from).
 		st, err := trace.OpenStream(f)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		src, space = st, st.Space()
 	} else {
 		tr, sp, err := trace.Read(f)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		src, space = tr, sp
 	}
@@ -116,17 +123,18 @@ func replayTrace(path, config string, stream bool) {
 		cfg = machine.GraphPIM(true)
 		cfg.POU.PMRActive = true
 	default:
-		fmt.Fprintf(os.Stderr, "unknown config %q\n", config)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown config %q\n", config)
+		return 2
 	}
 	cfg.Cache.L2Size = 128 << 10
 	cfg.Cache.L3Size = 512 << 10
 	res := machine.RunSource(cfg, space, src)
-	fmt.Printf("replayed %s under %s:\n", path, res.Config)
-	fmt.Printf("cycles:     %d\n", res.Cycles)
-	fmt.Printf("instrs:     %d\n", res.Instructions)
-	fmt.Printf("IPC/core:   %s\n", fmtRatio(res.IPC(16), "%.3f"))
-	fmt.Printf("link FLITs: %d\n", res.TotalFlits())
-	fmt.Printf("offloaded:  %d PIM atomics, %d host atomics\n",
+	fmt.Fprintf(stdout, "replayed %s under %s:\n", path, res.Config)
+	fmt.Fprintf(stdout, "cycles:     %d\n", res.Cycles)
+	fmt.Fprintf(stdout, "instrs:     %d\n", res.Instructions)
+	fmt.Fprintf(stdout, "IPC/core:   %s\n", fmtRatio(res.IPC(16), "%.3f"))
+	fmt.Fprintf(stdout, "link FLITs: %d\n", res.TotalFlits())
+	fmt.Fprintf(stdout, "offloaded:  %d PIM atomics, %d host atomics\n",
 		res.Stats["mem.pim_atomics"], res.Stats["mem.host_atomics"])
+	return 0
 }

@@ -205,11 +205,6 @@ type Options struct {
 	// configurations degrade gracefully to the conventional datapath, so
 	// ConfigGraphPIM behaves exactly like ConfigBaseline.
 	Memory string
-	// Shards is the epoch-sharded scheduler's shard count: 0 or 1 runs
-	// the serial scheduler, higher values advance core-local simulation
-	// work on that many goroutines (clamped to the core count). Results
-	// are byte-identical at any value; see DESIGN.md §12.
-	Shards int
 	// Stream builds the trace through the bounded-buffer streaming
 	// pipeline (DESIGN.md §13): instruction records spill to an unlinked
 	// temp file as v2-encoded chunks instead of materializing in memory,
@@ -243,9 +238,6 @@ func (o Options) Validate() error {
 			return fmt.Errorf("graphpim: unknown memory backend %q (valid: %s)",
 				o.Memory, strings.Join(mem.Kinds(), ", "))
 		}
-	}
-	if o.Shards < 0 {
-		return fmt.Errorf("graphpim: shard count %d must be non-negative", o.Shards)
 	}
 	switch o.Policy {
 	case "", "auto", "host", "pim", "upei":
@@ -304,7 +296,6 @@ func (r *Run) machineConfig(cfg Config, w Workload) machine.Config {
 		bc, _ := mem.DefaultConfig(r.opts.Memory)
 		mc.Mem = bc
 	}
-	mc.Shards = r.opts.Shards
 	return mc
 }
 

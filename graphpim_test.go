@@ -62,9 +62,9 @@ func TestExperimentRegistryViaFacade(t *testing.T) {
 
 // TestGNNFamilyExecutionIdentity: every GNN/SpMV-family workload must
 // produce identical timing results AND identical functional output
-// across scheduler shard counts and across the materialized/streamed
-// trace pipelines — the same byte-identity contract the Table III suite
-// holds (DESIGN.md §12-13), extended to the new family.
+// across the materialized/streamed trace pipelines — the same
+// byte-identity contract the Table III suite holds (DESIGN.md §13),
+// extended to the new family.
 func TestGNNFamilyExecutionIdentity(t *testing.T) {
 	g := GenerateLDBC(512, 7)
 	for _, mk := range []func() Workload{
@@ -76,25 +76,14 @@ func TestGNNFamilyExecutionIdentity(t *testing.T) {
 		name := mk().Info().Name
 		refOpts := DefaultOptions()
 		refRes, refOut := NewRun(g, refOpts).ExecuteFull(mk(), ConfigGraphPIM)
-		for _, v := range []struct {
-			label  string
-			shards int
-			stream bool
-		}{
-			{"shards=4", 4, false},
-			{"stream", 0, true},
-			{"shards=4+stream", 4, true},
-		} {
-			opts := refOpts
-			opts.Shards = v.shards
-			opts.Stream = v.stream
-			res, out := NewRun(g, opts).ExecuteFull(mk(), ConfigGraphPIM)
-			if !reflect.DeepEqual(res, refRes) {
-				t.Fatalf("%s/%s: timing result diverges from serial materialized run", name, v.label)
-			}
-			if !reflect.DeepEqual(out, refOut) {
-				t.Fatalf("%s/%s: functional output diverges from serial materialized run", name, v.label)
-			}
+		opts := refOpts
+		opts.Stream = true
+		res, out := NewRun(g, opts).ExecuteFull(mk(), ConfigGraphPIM)
+		if !reflect.DeepEqual(res, refRes) {
+			t.Fatalf("%s: streamed timing result diverges from the materialized run", name)
+		}
+		if !reflect.DeepEqual(out, refOut) {
+			t.Fatalf("%s: streamed functional output diverges from the materialized run", name)
 		}
 	}
 }

@@ -1,18 +1,15 @@
-// Package arena provides slab and freelist allocators for the
-// simulator's hot paths. The timing models allocate nothing per cycle by
-// design; what remains is construction-time garbage (every machine.New
-// builds thousands of small slices for per-core queues and per-vault
-// state) and scheduler scratch that would otherwise be reallocated every
-// epoch. A Slab folds the former into one backing allocation per
-// subsystem; a FreeList recycles the latter without any cross-shard
-// synchronization, because each scheduler shard owns its own list.
+// Package arena provides the slab allocator for the simulator's hot
+// paths. The timing models allocate nothing per cycle by design; what
+// remains is construction-time garbage (every machine.New builds
+// thousands of small slices for per-core queues and per-vault state). A
+// Slab folds that into one backing allocation per subsystem.
 package arena
 
 // Slab is a typed bump allocator: one backing array handed out as
 // full-capacity sub-slices. Sub-slices are never reclaimed individually —
 // the slab exists to turn N small make() calls into one — so Take is the
 // only operation. A Slab is not safe for concurrent use; give each owner
-// (machine, core, shard) its own.
+// (machine, core) its own.
 type Slab[T any] struct {
 	buf []T
 	off int
@@ -41,32 +38,3 @@ func (s *Slab[T]) Take(n int) []T {
 	s.off += n
 	return v
 }
-
-// FreeList recycles values of one type within a single owner. Get pops a
-// recycled value (or returns the zero value with ok=false when empty);
-// Put pushes one back. There is deliberately no locking: the sharded
-// scheduler gives every shard its own FreeList, so reuse never crosses a
-// goroutine boundary and never synchronizes.
-type FreeList[T any] struct {
-	free []T
-}
-
-// Get pops the most recently Put value. ok is false when the list is
-// empty and the caller must construct a fresh value.
-func (f *FreeList[T]) Get() (v T, ok bool) {
-	n := len(f.free)
-	if n == 0 {
-		return v, false
-	}
-	v = f.free[n-1]
-	var zero T
-	f.free[n-1] = zero // do not retain references past Get
-	f.free = f.free[:n-1]
-	return v, true
-}
-
-// Put recycles v for a later Get.
-func (f *FreeList[T]) Put(v T) { f.free = append(f.free, v) }
-
-// Len returns the number of recycled values held.
-func (f *FreeList[T]) Len() int { return len(f.free) }

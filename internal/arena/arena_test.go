@@ -45,26 +45,3 @@ func TestSlabZeroLength(t *testing.T) {
 		t.Fatalf("Take(0) returned len %d", len(v))
 	}
 }
-
-func TestFreeList(t *testing.T) {
-	var f FreeList[[]int]
-	if _, ok := f.Get(); ok {
-		t.Fatal("empty freelist returned a value")
-	}
-	f.Put(make([]int, 4))
-	f.Put(make([]int, 8))
-	if f.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", f.Len())
-	}
-	v, ok := f.Get()
-	if !ok || len(v) != 8 {
-		t.Fatalf("Get = %v (ok=%v), want the last Put (len 8)", v, ok)
-	}
-	v, ok = f.Get()
-	if !ok || len(v) != 4 {
-		t.Fatalf("second Get = %v (ok=%v), want len 4", v, ok)
-	}
-	if f.Len() != 0 {
-		t.Fatalf("Len after draining = %d, want 0", f.Len())
-	}
-}

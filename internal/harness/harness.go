@@ -84,11 +84,9 @@ type Env struct {
 	// results — and therefore tables — are byte-identical either way;
 	// an invariant violation panics with subsystem/cycle/core context.
 	Check bool
-	// Shards is the epoch-sharded scheduler's shard count for every
-	// machine the experiments assemble: 0 or 1 runs the serial
-	// scheduler, higher values advance core-local work on that many
-	// goroutines. Results are byte-identical at any value (see
-	// DESIGN.md §12), so tables never depend on it.
+	// Deprecated: ignored; the machine always runs the serial event
+	// loop. Kept only so existing callers still compile; the next
+	// benchmark change removes it.
 	Shards int
 	// Memory selects the memory backend kind every machine the
 	// experiments assemble runs against ("" or "hmc" keeps the default
@@ -303,7 +301,6 @@ func (e *Env) Config(kind ConfigKind, w workloads.Workload) machine.Config {
 	if e.Check {
 		cfg.Check = check.Periodic
 	}
-	cfg.Shards = e.Shards
 	return e.scaleCaches(cfg)
 }
 

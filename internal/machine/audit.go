@@ -31,9 +31,6 @@ func (m *Machine) registerAuditors() {
 		}
 	}
 	m.checks.Register("stats", check.NoCore, func(uint64) error { return m.auditStats() })
-	if m.shardStats != nil {
-		m.checks.Register("shards", check.NoCore, m.auditShards)
-	}
 }
 
 // auditStats cross-checks counter identities that hold by construction

@@ -84,12 +84,9 @@ type Config struct {
 	// parallelism than ordinary cacheable misses.
 	UCIssueGap uint64
 
-	// Shards is the number of scheduler shards Run uses to advance
-	// cores in parallel inside one simulation (see DESIGN.md §12).
-	// 0 or 1 selects the serial scheduler; values above NumCores are
-	// clamped to NumCores. Results are byte-identical at every shard
-	// count and every GOMAXPROCS — sharding is purely a wall-clock
-	// optimization.
+	// Deprecated: ignored; the machine always runs the serial event
+	// loop. Kept only so existing callers still compile; the next
+	// benchmark change removes it.
 	Shards int
 
 	// Check selects the simulation sanitizer level (internal/check).
@@ -251,18 +248,6 @@ type Machine struct {
 	ucFree []uint64
 	// checks is the sanitizer registry; nil when cfg.Check is Off.
 	checks *check.Registry
-
-	// shardStats holds one counter-replica registry per scheduler shard;
-	// nil when the machine runs serially (Shards <= 1). Core i's
-	// counters resolve against shardStats[shardOf[i]] so parallel local
-	// ticks never share a counter cell; replicas fold into stats at
-	// epoch checkpoints (see sharded.go).
-	shardStats []*sim.Stats
-	// shardOf maps core id to its shard (i % len(shardStats)).
-	shardOf []int
-	// shardDiag records the last parallel epoch's bound and the maximum
-	// wake it processed, for the shard auditor.
-	shardDiag shardDiag
 }
 
 // memConfig resolves the effective backend configuration: Mem when set,
@@ -337,28 +322,12 @@ func NewSource(cfg Config, space *memmap.AddressSpace, src trace.Source) *Machin
 	}
 	m.cache = cache.New(cfg.Cache, m.mem, st)
 	m.ucFree = make([]uint64, cfg.NumCores)
-	shards := cfg.Shards
-	if shards > cfg.NumCores {
-		shards = cfg.NumCores
-	}
-	if shards > 1 {
-		m.shardStats = make([]*sim.Stats, shards)
-		for s := range m.shardStats {
-			m.shardStats[s] = sim.NewStats()
-		}
-		m.shardOf = make([]int, cfg.NumCores)
-	}
 	for c := 0; c < cfg.NumCores; c++ {
 		cur := trace.SliceCursor(nil)
 		if c < src.NumThreads() {
 			cur = src.Cursor(c)
 		}
-		cst := st
-		if m.shardStats != nil {
-			m.shardOf[c] = c % shards
-			cst = m.shardStats[m.shardOf[c]]
-		}
-		m.cores = append(m.cores, cpu.NewCoreCursor(c, cfg.CPU, m, cur, cst))
+		m.cores = append(m.cores, cpu.NewCoreCursor(c, cfg.CPU, m, cur, st))
 	}
 	if cfg.Check != check.Off {
 		m.checks = check.NewRegistry(cfg.Check, cfg.CheckInterval)
@@ -532,18 +501,15 @@ var tickCore = func(c *cpu.Core, now, elapsed uint64) uint64 {
 // returns the result. maxCycles <= 0 means no limit; Cycles never
 // exceeds maxCycles.
 //
-// Run is event-driven: each core's Tick returns the next cycle its state
-// can change, and a wake heap (sim.Wakeups) replays those times in
-// (time, core-id) order — the same order the reference scan loop
-// (runScan, kept as a test shim) visits cores, so the two are
-// cycle-identical. Cores are ticked only at their own wake times; a
-// final flush tick at the last event time settles the cycle-attribution
-// counters for cores that went quiescent earlier (see
-// DESIGN.md, "Event-driven scheduler").
+// Run is the machine's only scheduler, a serial event loop: each core's
+// Tick returns the next cycle its state can change, and a wake heap
+// (sim.Wakeups) replays those times in (time, core-id) order — the same
+// order the reference scan loop visits cores (runScan, the test-only
+// oracle in scan_test.go), so the two are cycle-identical. Cores are
+// ticked only at their own wake times; a final flush tick at the last
+// event time settles the cycle-attribution counters for cores that went
+// quiescent earlier (see DESIGN.md, "Event-driven scheduler").
 func (m *Machine) Run(maxCycles uint64) Result {
-	if m.shardStats != nil {
-		return m.runSharded(maxCycles)
-	}
 	n := len(m.cores)
 	wake := sim.NewWakeups(n)
 	lastTick := make([]uint64, n)
@@ -637,7 +603,6 @@ func (m *Machine) truncate(maxCycles, now uint64, lastTick []uint64) Result {
 	for _, c := range m.cores {
 		c.DrainCompleted(now)
 	}
-	m.mergeShardStats()
 	if m.checks != nil {
 		// End-of-run subsystem audits only: the loop's done/parked
 		// counters are intentionally stale after the truncation drain.
@@ -663,7 +628,6 @@ func (m *Machine) flushTicks(now uint64, lastTick []uint64) {
 }
 
 func (m *Machine) result(now uint64) Result {
-	m.mergeShardStats()
 	var retired uint64
 	for _, c := range m.cores {
 		retired += c.Retired()

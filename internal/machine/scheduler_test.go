@@ -91,11 +91,10 @@ func diffResults(t *testing.T, label string, got, want Result) {
 }
 
 // TestSchedulerEquivalence replays randomized traces through the
-// event-driven scheduler (Run), the reference scan loop (runScan), and
-// the epoch-sharded parallel scheduler (runSharded, at a rotating shard
-// count) and requires bit-identical results from all three: same cycle
-// count, same retired count, and an identical counter snapshot —
-// including the cycle-attribution breakdown. Trials alternate machine
+// event-driven scheduler (Run) and the reference scan loop (runScan)
+// and requires bit-identical results from both: same cycle count, same
+// retired count, and an identical counter snapshot — including the
+// cycle-attribution breakdown. Trials alternate machine
 // configurations so the host-atomic freeze path (Baseline), the UC
 // bypass path (GraphPIM), and the locality-check path (U-PEI) are all
 // exercised, and every third trial truncates with maxCycles.
@@ -106,7 +105,6 @@ func TestSchedulerEquivalence(t *testing.T) {
 		func() Config { return UPEI(false) },
 		func() Config { return GraphPIM(true) },
 	}
-	shardCounts := []int{2, 3, 8}
 	r := sim.NewRand(42)
 	trials := 150
 	if testing.Short() {
@@ -123,12 +121,6 @@ func TestSchedulerEquivalence(t *testing.T) {
 		scan := New(cfg, sp, tr).runScan(maxCycles)
 		diffResults(t, fmt.Sprintf("trial %d (%s, max=%d) event vs scan", trial, cfg.Name, maxCycles),
 			event, scan)
-
-		shardCfg := cfg
-		shardCfg.Shards = shardCounts[trial%len(shardCounts)]
-		sharded := New(shardCfg, sp, tr).Run(maxCycles)
-		diffResults(t, fmt.Sprintf("trial %d (%s, max=%d, shards=%d) sharded vs serial",
-			trial, cfg.Name, maxCycles, shardCfg.Shards), sharded, event)
 	}
 }
 

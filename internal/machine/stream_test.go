@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"graphpim/internal/check"
@@ -56,26 +55,6 @@ func TestStreamedReplayMatchesMaterialized(t *testing.T) {
 	ref := RunTrace(cfg, sp, tr)
 	got := RunSource(cfg, sp, st)
 	diffResults(t, "streamed+periodic-checks", got, ref)
-}
-
-// TestStreamedShardedSweep crosses the streaming axis with the
-// epoch-sharded scheduler and host parallelism: every (shards,
-// GOMAXPROCS) combination replaying from the shared Stream must match
-// the serial materialized reference byte for byte.
-func TestStreamedShardedSweep(t *testing.T) {
-	sp, tr := synthWorkload(8, 2000, 1<<16, 33)
-	st := streamOf(t, tr, sp)
-	ref := RunTrace(Baseline(), sp, tr)
-	for _, p := range []int{1, runtime.NumCPU()} {
-		prev := runtime.GOMAXPROCS(p)
-		for _, shards := range []int{1, 2, 8} {
-			cfg := Baseline()
-			cfg.Shards = shards
-			got := RunSource(cfg, sp, st)
-			diffResults(t, fmt.Sprintf("streamed shards=%d GOMAXPROCS=%d", shards, p), got, ref)
-		}
-		runtime.GOMAXPROCS(prev)
-	}
 }
 
 // TestStreamedCheckpointSuffix replays only the suffix of a stream from

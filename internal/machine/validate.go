@@ -14,9 +14,6 @@ func (c Config) Validate() error {
 	if c.NumCores > 32 {
 		return fmt.Errorf("config: NumCores %d exceeds the 32-core directory limit", c.NumCores)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("config: Shards must be non-negative (got %d)", c.Shards)
-	}
 	if c.CPU.IssueWidth < 1 {
 		return fmt.Errorf("config: CPU issue width must be at least 1 (got %d)", c.CPU.IssueWidth)
 	}

@@ -184,17 +184,13 @@ type EnvInfo struct {
 	SweepSizes   []int  `json:"sweep_sizes"`
 	AppVertices  int    `json:"app_vertices"`
 	Parallelism  int    `json:"parallelism"`
-	// Shards is the in-simulation scheduler shard count (0/1 serial).
-	// Results are byte-identical at any value; recorded for provenance.
-	Shards int `json:"shards,omitempty"`
 	// Stream records whether traces were built through the streaming
 	// spill pipeline (DESIGN.md §13). Results are byte-identical either
-	// way; recorded for provenance like Shards.
+	// way; recorded for provenance.
 	Stream bool `json:"stream,omitempty"`
 	// Memory is the memory backend kind the machines were assembled
-	// against ("" means the default HMC chain). Unlike Shards/Stream it
-	// changes simulated numbers, so replay must rebuild the same
-	// backend.
+	// against ("" means the default HMC chain). Unlike Stream it changes
+	// simulated numbers, so replay must rebuild the same backend.
 	Memory string `json:"memory,omitempty"`
 	// Policy is the placement-policy override applied to every offload
 	// cell ("" none, "auto" tuner-decided, "host"/"pim"/"upei" pinned).

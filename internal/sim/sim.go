@@ -1,11 +1,11 @@
 // Package sim provides the low-level building blocks shared by every timing
 // model in the simulator: the cycle clock, deterministic pseudo-random
-// numbers, and named statistic counters.
+// numbers, named statistic counters, and the wake heap.
 //
-// All components in this repository are cycle-stepped against a single
-// Clock. There is intentionally no event wheel: the machine model calls
-// Tick on each component once per cycle in a fixed order, which keeps the
-// whole simulation deterministic for a given seed and configuration.
+// One serial event loop (machine.Run) drives every component: it pops
+// due cores off a Wakeups heap in (time, core-id) order on a single
+// goroutine, which keeps the whole simulation deterministic for a given
+// seed and configuration.
 package sim
 
 import "fmt"

@@ -78,21 +78,6 @@ func (s *Stats) Get(name string) uint64 {
 // Set overwrites the named counter.
 func (s *Stats) Set(name string, v uint64) { *s.slot(name) = v }
 
-// DrainInto adds every counter into dst and resets this registry to
-// zero. The sharded machine scheduler gives each shard its own replica
-// registry for the cores it advances in parallel and folds them into
-// the base registry at epoch checkpoints; because counters are pure
-// sums, the fold is exact and independent of shard or iteration order.
-// Zero-valued counters still create their slot in dst so that merged
-// snapshots list exactly the same counter names as a serial run.
-func (s *Stats) DrainInto(dst *Stats) {
-	for name, p := range s.counters {
-		q := dst.slot(name)
-		*q += *p
-		*p = 0
-	}
-}
-
 // Names returns all counter names in sorted order.
 func (s *Stats) Names() []string {
 	names := make([]string, 0, len(s.counters))

@@ -36,14 +36,6 @@ func (w *Wakeups) Len() int { return len(w.heap) }
 // Scheduled reports whether id currently has a wake time.
 func (w *Wakeups) Scheduled(id int) bool { return w.pos[id] >= 0 }
 
-// At returns id's scheduled wake time; only meaningful when
-// Scheduled(id) is true.
-func (w *Wakeups) At(id int) uint64 { return w.at[id] }
-
-// MinID returns the actor id of the (time, id)-smallest entry. It
-// panics on an empty queue; guard with Len or Min.
-func (w *Wakeups) MinID() int { return int(w.heap[0]) }
-
 // Schedule sets id's wake time to t, inserting the actor if absent or
 // moving it if already queued.
 func (w *Wakeups) Schedule(id int, t uint64) {
@@ -61,22 +53,6 @@ func (w *Wakeups) Schedule(id int, t uint64) {
 	w.pos[id] = int32(len(w.heap))
 	w.heap = append(w.heap, int32(id))
 	w.up(len(w.heap) - 1)
-}
-
-// Remove unschedules id; removing an unscheduled actor is a no-op.
-func (w *Wakeups) Remove(id int) {
-	i := int(w.pos[id])
-	if i < 0 {
-		return
-	}
-	last := len(w.heap) - 1
-	w.swap(i, last)
-	w.heap = w.heap[:last]
-	w.pos[id] = -1
-	if i < last {
-		w.down(i)
-		w.up(i)
-	}
 }
 
 // Min returns the earliest scheduled wake time; ok is false when the

@@ -50,25 +50,6 @@ func TestWakeupsReschedule(t *testing.T) {
 	}
 }
 
-func TestWakeupsRemove(t *testing.T) {
-	w := NewWakeups(4)
-	w.Schedule(0, 5)
-	w.Schedule(1, 1)
-	w.Schedule(2, 3)
-	w.Remove(1)
-	w.Remove(1) // idempotent
-	if w.Scheduled(1) {
-		t.Fatal("removed actor still scheduled")
-	}
-	if id, tt := w.PopMin(); id != 2 || tt != 3 {
-		t.Fatalf("pop = (%d,%d), want (2,3)", id, tt)
-	}
-	w.Remove(3) // never scheduled: no-op
-	if id, tt := w.PopMin(); id != 0 || tt != 5 {
-		t.Fatalf("pop = (%d,%d), want (0,5)", id, tt)
-	}
-}
-
 // TestWakeupsRandomizedAgainstModel drives the heap and a naive
 // linear-scan model with the same random operation stream and checks
 // every pop agrees, including the (time, id) tie-break.
@@ -93,17 +74,13 @@ func TestWakeupsRandomizedAgainstModel(t *testing.T) {
 	}
 
 	for step := 0; step < 20000; step++ {
-		switch r.Intn(4) {
+		switch r.Intn(3) {
 		case 0, 1: // schedule / reschedule
 			id := r.Intn(n)
 			tt := r.Uint64() % 1000
 			w.Schedule(id, tt)
 			model[id] = tt
-		case 2: // remove
-			id := r.Intn(n)
-			w.Remove(id)
-			delete(model, id)
-		case 3: // pop
+		case 2: // pop
 			mID, mT, mOK := modelMin()
 			if gotT, gotOK := w.Min(); gotOK != mOK || (mOK && gotT != mT) {
 				t.Fatalf("step %d: Min = %d,%v, model %d,%v", step, gotT, gotOK, mT, mOK)
