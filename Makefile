@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench fuzz-short smoke-stream smoke-graph
+.PHONY: build vet test race bench fuzz-short sanitize-sweep smoke-stream smoke-graph
 
 build:
 	$(GO) build ./...
@@ -25,8 +25,12 @@ test: build vet
 race:
 	$(GO) test -race -timeout 40m ./...
 
+# bench runs the repository's one fixed benchmark (bench/README.md);
+# pass its flags through BENCHFLAGS, e.g.
+# make bench BENCHFLAGS='-workload replay-bfs -seconds 20'.
+BENCHFLAGS ?=
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./...
+	bash bench/run.sh $(BENCHFLAGS)
 
 # fuzz-short runs every native fuzz target for a few seconds each,
 # starting from the committed corpora in testdata/fuzz/. It is the CI
@@ -40,6 +44,22 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildStream$$' -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkLaneReserve$$' -fuzztime $(FUZZTIME) ./internal/hmc/
 	$(GO) test -run '^$$' -fuzz '^FuzzTimeq$$' -fuzztime $(FUZZTIME) ./internal/cpu/
+
+# sanitize-sweep runs the quick evaluation on each memory substrate in
+# MEMS twice, plain and under the periodic sanitizer (-check), and
+# requires byte-identical stdout: every audit must pass on real traffic
+# without changing a result.
+MEMS ?= hmc ddr lpddr vault
+SWEEPDIR ?= $(or $(TMPDIR),/tmp)/graphpim-sanitize
+sanitize-sweep:
+	mkdir -p $(SWEEPDIR)
+	$(GO) build -o $(SWEEPDIR)/graphpim ./cmd/graphpim
+	set -e; for m in $(MEMS); do \
+		$(SWEEPDIR)/graphpim run -quick -q -format json -mem $$m all > $(SWEEPDIR)/$$m.json; \
+		$(SWEEPDIR)/graphpim run -quick -q -format json -mem $$m -check all > $(SWEEPDIR)/$$m.check.json; \
+		cmp $(SWEEPDIR)/$$m.json $(SWEEPDIR)/$$m.check.json; \
+		echo "sanitize-sweep: $$m identical under -check"; \
+	done
 
 # smoke-stream runs the million-vertex streaming smoke test under a
 # constrained GC target: a 1M-vertex BFS traced through the spill

@@ -40,30 +40,61 @@ func (s state) String() string {
 	return fmt.Sprintf("state(%d)", uint8(s))
 }
 
-// line is one cache line's metadata. The simulator stores no data bytes;
-// functional values live in the workload layer.
-type line struct {
-	tag   memmap.Addr // line-aligned address; tag==0 means empty slot paired with valid=false
-	valid bool
+// slot is one way's coherence state. The tag and LRU stamp live in
+// their own arrays (see array) so that a probe or a victim scan reads
+// nothing else.
+type slot struct {
 	st    state
 	dirty bool
-	lru   uint64
-	// Directory fields, used only in the L3 array.
-	sharers uint32 // bitmask of cores with the line in a private cache
-	owner   int8   // core holding the line in M/E state, -1 if none
 	// prefetched marks L3 lines brought in by the prefetcher and not
 	// yet touched by a demand access (accuracy accounting).
 	prefetched bool
 }
 
-// array is one set-associative cache structure.
+// dirEntry is the in-L3 directory entry of one slot.
+type dirEntry struct {
+	sharers uint32 // bitmask of cores with the line in a private cache
+	owner   int8   // core holding the line in M/E state, -1 if none
+}
+
+// emptyDir is the directory entry of a line no private cache holds.
+var emptyDir = dirEntry{owner: -1}
+
+// line is a copy of one slot's metadata: what an install hands back for
+// the line it evicted. The simulator stores no data bytes; functional
+// values live in the workload layer.
+type line struct {
+	tag   memmap.Addr
+	valid bool
+	slot
+	dirEntry
+}
+
+// array is one set-associative cache structure, stored as parallel
+// per-slot arrays indexed by set*ways + way:
+//
+//   - keys holds tag|1 for a valid slot and 0 for an empty one (tags are
+//     line-aligned, so bit 0 is free). A probe scans only the set's keys:
+//     128 B for a 16-way set, 64 B for an 8-way one.
+//   - lru holds the last-use stamps, and is 0 exactly when the slot is
+//     empty (useCtr starts at 0 and every stamp is a fresh increment), so
+//     the first minimum stamp of a set is its first empty slot if it has
+//     one, and its least recently used line otherwise.
+//   - meta holds the coherence state; dir the sharer directory, which
+//     only the L3 has (nil in private arrays).
+//
+// That is 8+8+3 bytes per slot in a private array and 27 in the L3.
 type array struct {
-	sets    [][]line
+	keys    []uint64
+	lru     []uint64
+	meta    []slot
+	dir     []dirEntry
+	ways    int
 	setMask uint64
 	useCtr  uint64
 }
 
-func newArray(sizeBytes, ways, lineSize int) *array {
+func newArray(sizeBytes, ways, lineSize int, directory bool) *array {
 	if sizeBytes <= 0 || ways <= 0 || lineSize <= 0 {
 		panic("cache: non-positive geometry")
 	}
@@ -75,101 +106,122 @@ func newArray(sizeBytes, ways, lineSize int) *array {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", numSets))
 	}
-	sets := make([][]line, numSets)
-	backing := make([]line, numSets*ways)
-	for i := range sets {
-		sets[i] = backing[i*ways : (i+1)*ways]
-		for w := range sets[i] {
-			sets[i][w].owner = -1
+	n := numSets * ways
+	a := &array{
+		keys:    make([]uint64, n),
+		lru:     make([]uint64, n),
+		meta:    make([]slot, n),
+		ways:    ways,
+		setMask: uint64(numSets - 1),
+	}
+	if directory {
+		a.dir = make([]dirEntry, n)
+		for i := range a.dir {
+			a.dir[i] = emptyDir
 		}
 	}
-	return &array{sets: sets, setMask: uint64(numSets - 1)}
+	return a
 }
 
-func (a *array) setFor(lineAddr memmap.Addr) []line {
-	return a.sets[(uint64(lineAddr)>>6)&a.setMask]
-}
-
-// probe resolves lineAddr's set once and returns it together with the
-// line holding lineAddr (nil on a miss). Hierarchy.Access reuses the
-// returned set slice for victim choice and install, so one access walks
-// each array's set index a single time. The slice aliases the array's
-// live backing store — later mutations (evictions, back-invalidations)
-// are visible through it, never stale.
-func (a *array) probe(lineAddr memmap.Addr) (set []line, l *line) {
-	set = a.sets[(uint64(lineAddr)>>6)&a.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			return set, &set[i]
+// probe resolves lineAddr's set once and returns the index of its first
+// slot together with the slot holding lineAddr (-1 on a miss).
+// Hierarchy.Access reuses base for victim choice and install, so one
+// access walks each array's set index a single time; evictions and
+// back-invalidations in between are seen, as they change the slots
+// themselves.
+func (a *array) probe(lineAddr memmap.Addr) (base, i int) {
+	base = int((uint64(lineAddr)>>6)&a.setMask) * a.ways
+	key := uint64(lineAddr) | 1
+	for w, k := range a.keys[base : base+a.ways] {
+		if k == key {
+			return base, base + w
 		}
 	}
-	return set, nil
+	return base, -1
 }
 
-// lookup returns the line holding lineAddr, or nil.
-func (a *array) lookup(lineAddr memmap.Addr) *line {
-	_, l := a.probe(lineAddr)
-	return l
+// lookup returns the slot holding lineAddr, or -1.
+func (a *array) lookup(lineAddr memmap.Addr) int {
+	_, i := a.probe(lineAddr)
+	return i
 }
 
-// touch refreshes the LRU stamp of l.
-func (a *array) touch(l *line) {
+// valid reports whether slot i holds a line.
+func (a *array) valid(i int) bool { return a.keys[i] != 0 }
+
+// tag returns the line address slot i holds (0 for an empty slot).
+func (a *array) tag(i int) memmap.Addr { return memmap.Addr(a.keys[i] &^ 1) }
+
+// touch refreshes the LRU stamp of slot i.
+func (a *array) touch(i int) {
 	a.useCtr++
-	l.lru = a.useCtr
+	a.lru[i] = a.useCtr
 }
 
-// victimIn returns the line to replace in a precomputed set: an invalid
-// slot if one exists, otherwise the least recently used line.
-func victimIn(set []line) *line {
-	var lru *line
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
-		}
-		if lru == nil || set[i].lru < lru.lru {
-			lru = &set[i]
+// victim returns the slot to replace in the set starting at base: the
+// first empty slot if one exists, otherwise the least recently used
+// line — both the set's first minimum stamp.
+func (a *array) victim(base int) int {
+	stamps := a.lru[base : base+a.ways]
+	v := 0
+	for w, s := range stamps {
+		if s < stamps[v] {
+			v = w
 		}
 	}
-	return lru
+	return base + v
 }
 
-// installIn replaces the victim slot of a precomputed set with a fresh
-// line for lineAddr, returning the installed line and the evicted
-// metadata (valid=false when the slot was empty). Returning the live
-// pointer saves the lookup-after-install walk the old API forced.
-func (a *array) installIn(set []line, lineAddr memmap.Addr, st state, dirty bool) (l *line, evicted line) {
-	v := victimIn(set)
-	evicted = *v
+// installIn replaces the victim slot of the set starting at base with a
+// fresh line for lineAddr, returning the installed slot and the evicted
+// metadata (valid=false when the slot was empty).
+func (a *array) installIn(base int, lineAddr memmap.Addr, st state, dirty bool) (i int, evicted line) {
+	i = a.victim(base)
+	evicted = line{tag: a.tag(i), valid: a.valid(i), slot: a.meta[i], dirEntry: emptyDir}
 	a.useCtr++
-	*v = line{tag: lineAddr, valid: true, st: st, dirty: dirty, lru: a.useCtr, owner: -1}
-	return v, evicted
-}
-
-// install replaces the victim slot in lineAddr's set and returns the
-// evicted line metadata.
-func (a *array) install(lineAddr memmap.Addr, st state, dirty bool) (evicted line) {
-	_, evicted = a.installIn(a.setFor(lineAddr), lineAddr, st, dirty)
-	return evicted
-}
-
-// invalidate drops lineAddr from the array, returning the old metadata.
-func (a *array) invalidate(lineAddr memmap.Addr) (old line, was bool) {
-	if l := a.lookup(lineAddr); l != nil {
-		old, was = *l, true
-		*l = line{owner: -1}
+	a.keys[i] = uint64(lineAddr) | 1
+	a.lru[i] = a.useCtr
+	a.meta[i] = slot{st: st, dirty: dirty}
+	if a.dir != nil {
+		evicted.dirEntry = a.dir[i]
+		a.dir[i] = emptyDir
 	}
-	return old, was
+	return i, evicted
 }
 
-// countValid returns the number of valid lines (test helper).
-func (a *array) countValid() int {
-	n := 0
-	for _, set := range a.sets {
-		for i := range set {
-			if set[i].valid {
-				n++
-			}
+// invalidate drops lineAddr from the array, reporting whether it was
+// present and whether the dropped copy was dirty.
+func (a *array) invalidate(lineAddr memmap.Addr) (dirty, was bool) {
+	i := a.lookup(lineAddr)
+	if i < 0 {
+		return false, false
+	}
+	dirty = a.meta[i].dirty
+	a.keys[i], a.lru[i], a.meta[i] = 0, 0, slot{}
+	if a.dir != nil {
+		a.dir[i] = emptyDir
+	}
+	return dirty, true
+}
+
+// checkSlot validates the layout invariants of slot i: an empty slot
+// carries no stamp and no state (a stale stamp would skew victim choice,
+// stale state would resurrect on the next install), and a valid slot has
+// a nonzero stamp. Callers prefix the error with the array's name.
+func (a *array) checkSlot(i int) error {
+	d := emptyDir
+	if a.dir != nil {
+		d = a.dir[i]
+	}
+	if !a.valid(i) {
+		if a.lru[i] != 0 || a.meta[i] != (slot{}) || d != emptyDir {
+			return fmt.Errorf("invalid slot %d retains state (lru=%d dirty=%v sharers=%#x owner=%d)",
+				i, a.lru[i], a.meta[i].dirty, d.sharers, d.owner)
 		}
+		return nil
 	}
-	return n
+	if a.lru[i] == 0 {
+		return fmt.Errorf("line %#x is valid with LRU stamp 0", a.tag(i))
+	}
+	return nil
 }

@@ -157,10 +157,10 @@ func New(cfg Config, backend Backend, stats *sim.Stats) *Hierarchy {
 	}
 	h := &Hierarchy{cfg: cfg, backend: backend, stats: stats, ctr: resolveHierCounters(stats)}
 	for c := 0; c < cfg.NumCores; c++ {
-		h.l1 = append(h.l1, newArray(cfg.L1Size, cfg.L1Ways, cfg.LineSize))
-		h.l2 = append(h.l2, newArray(cfg.L2Size, cfg.L2Ways, cfg.LineSize))
+		h.l1 = append(h.l1, newArray(cfg.L1Size, cfg.L1Ways, cfg.LineSize, false))
+		h.l2 = append(h.l2, newArray(cfg.L2Size, cfg.L2Ways, cfg.LineSize, false))
 	}
-	h.l3 = newArray(cfg.L3Size, cfg.L3Ways, cfg.LineSize)
+	h.l3 = newArray(cfg.L3Size, cfg.L3Ways, cfg.LineSize, true)
 	return h
 }
 
@@ -172,30 +172,45 @@ func bit(core int) uint32 { return 1 << uint(core) }
 // dropPrivate removes lineAddr from core's private caches and reports
 // whether any dropped copy was dirty.
 func (h *Hierarchy) dropPrivate(core int, lineAddr memmap.Addr) (dirty bool) {
-	if old, was := h.l1[core].invalidate(lineAddr); was && old.dirty {
-		dirty = true
-	}
-	if old, was := h.l2[core].invalidate(lineAddr); was && old.dirty {
-		dirty = true
-	}
-	return dirty
+	d1, _ := h.l1[core].invalidate(lineAddr)
+	d2, _ := h.l2[core].invalidate(lineAddr)
+	return d1 || d2
 }
 
-// invalidateSharers drops every private copy other than keep's and updates
-// the directory entry. Dirty remote data merges into the L3 copy.
-func (h *Hierarchy) invalidateSharers(l3l *line, keep int) {
+// invalidateSharers drops every private copy of L3 slot i other than
+// keep's and updates its directory entry. Dirty remote data merges into
+// the L3 copy.
+func (h *Hierarchy) invalidateSharers(i, keep int) {
+	d := &h.l3.dir[i]
+	tag := h.l3.tag(i)
 	for c := 0; c < h.cfg.NumCores; c++ {
-		if c == keep || l3l.sharers&bit(c) == 0 {
+		if c == keep || d.sharers&bit(c) == 0 {
 			continue
 		}
-		if h.dropPrivate(c, l3l.tag) {
-			l3l.dirty = true
+		if h.dropPrivate(c, tag) {
+			h.l3.meta[i].dirty = true
 		}
 		h.ctr.invalidations.Inc()
 	}
-	l3l.sharers &= bit(keep)
-	if l3l.owner != int8(keep) {
-		l3l.owner = -1
+	d.sharers &= bit(keep)
+	if d.owner != int8(keep) {
+		d.owner = -1
+	}
+}
+
+// setOwner records core as the M/E owner of lineAddr in the directory.
+func (h *Hierarchy) setOwner(lineAddr memmap.Addr, core int) {
+	if i := h.l3.lookup(lineAddr); i >= 0 {
+		h.l3.dir[i].owner = int8(core)
+	}
+}
+
+// upgrade gives core exclusive ownership of lineAddr, invalidating every
+// other private copy (a write to a Shared line).
+func (h *Hierarchy) upgrade(lineAddr memmap.Addr, core int) {
+	if i := h.l3.lookup(lineAddr); i >= 0 {
+		h.invalidateSharers(i, core)
+		h.l3.dir[i] = dirEntry{sharers: bit(core), owner: int8(core)}
 	}
 }
 
@@ -205,9 +220,10 @@ func (h *Hierarchy) evictL1(core int, ev line) {
 	if !ev.valid || !ev.dirty {
 		return
 	}
-	if l2l := h.l2[core].lookup(ev.tag); l2l != nil {
-		l2l.dirty = true
-		l2l.st = stModified
+	l2 := h.l2[core]
+	if i := l2.lookup(ev.tag); i >= 0 {
+		l2.meta[i].dirty = true
+		l2.meta[i].st = stModified
 	}
 }
 
@@ -219,19 +235,18 @@ func (h *Hierarchy) evictL2(core int, ev line) {
 		return
 	}
 	dirty := ev.dirty
-	if old, was := h.l1[core].invalidate(ev.tag); was {
+	if d1, was := h.l1[core].invalidate(ev.tag); was {
 		h.ctr.l1BackInval.Inc()
-		if old.dirty {
-			dirty = true
-		}
+		dirty = dirty || d1
 	}
-	if l3l := h.l3.lookup(ev.tag); l3l != nil {
+	if i := h.l3.lookup(ev.tag); i >= 0 {
 		if dirty {
-			l3l.dirty = true
+			h.l3.meta[i].dirty = true
 		}
-		l3l.sharers &^= bit(core)
-		if l3l.owner == int8(core) {
-			l3l.owner = -1
+		d := &h.l3.dir[i]
+		d.sharers &^= bit(core)
+		if d.owner == int8(core) {
+			d.owner = -1
 		}
 	}
 }
@@ -259,11 +274,11 @@ func (h *Hierarchy) evictL3(ev line, now uint64) {
 }
 
 // fillPrivate installs lineAddr into core's L2 and L1 with the given
-// state, reusing the set slices the access walk already resolved.
-func (h *Hierarchy) fillPrivate(core int, l1set, l2set []line, lineAddr memmap.Addr, st state) {
-	_, ev2 := h.l2[core].installIn(l2set, lineAddr, st, false)
+// state, into the sets the access walk already resolved.
+func (h *Hierarchy) fillPrivate(core, l1base, l2base int, lineAddr memmap.Addr, st state) {
+	_, ev2 := h.l2[core].installIn(l2base, lineAddr, st, false)
 	h.evictL2(core, ev2)
-	_, ev1 := h.l1[core].installIn(l1set, lineAddr, st, st == stModified)
+	_, ev1 := h.l1[core].installIn(l1base, lineAddr, st, st == stModified)
 	h.evictL1(core, ev1)
 }
 
@@ -272,55 +287,41 @@ func (h *Hierarchy) fillPrivate(core int, l1set, l2set []line, lineAddr memmap.A
 // backend timing.
 //
 // The walk is single-pass: each array's set index is resolved once
-// (probe), and the returned set slice is reused for lookup, victim
-// choice, and install on the way back up. The slices alias live cache
-// storage, so intervening evictions and back-invalidations remain
-// visible through them.
+// (probe), and the returned set base is reused for victim choice and
+// install on the way back up.
 func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) AccessResult {
 	lineAddr := memmap.LineAddr(addr)
+	l1, l2, l3 := h.l1[core], h.l2[core], h.l3
 	res := AccessResult{}
 	res.Latency = h.cfg.L1Lat
 	h.ctr.l1Access.Inc()
 
 	// L1 probe.
-	l1set, l1l := h.l1[core].probe(lineAddr)
-	if l1l != nil {
-		h.l1[core].touch(l1l)
+	l1base, i1 := l1.probe(lineAddr)
+	if i1 >= 0 {
+		l1.touch(i1)
 		h.ctr.l1Hit.Inc()
-		if !write {
-			res.Level = LevelL1
-			res.WalkLatency = res.Latency
-			return res
-		}
-		if l1l.st == stModified || l1l.st == stExclusive {
-			l1l.st = stModified
-			l1l.dirty = true
-			if l2l := h.l2[core].lookup(lineAddr); l2l != nil {
-				l2l.st = stModified
-			}
-			if l3l := h.l3.lookup(lineAddr); l3l != nil {
-				l3l.owner = int8(core)
-			}
-			res.Level = LevelL1
-			res.WalkLatency = res.Latency
-			return res
-		}
-		// Write hit on a Shared line: directory upgrade.
-		up := h.cfg.L2Lat + h.cfg.L3Lat
-		res.Latency += up
-		res.CoherenceExtra += up
-		h.ctr.upgrades.Inc()
-		if l3l := h.l3.lookup(lineAddr); l3l != nil {
-			h.invalidateSharers(l3l, core)
-			l3l.owner = int8(core)
-			l3l.sharers = bit(core)
-		}
-		l1l.st = stModified
-		l1l.dirty = true
-		if l2l := h.l2[core].lookup(lineAddr); l2l != nil {
-			l2l.st = stModified
-		}
 		res.Level = LevelL1
+		if !write {
+			res.WalkLatency = res.Latency
+			return res
+		}
+		m1 := &l1.meta[i1]
+		if m1.st == stModified || m1.st == stExclusive {
+			h.setOwner(lineAddr, core)
+		} else {
+			// Write hit on a Shared line: directory upgrade.
+			up := h.cfg.L2Lat + h.cfg.L3Lat
+			res.Latency += up
+			res.CoherenceExtra += up
+			h.ctr.upgrades.Inc()
+			h.upgrade(lineAddr, core)
+		}
+		m1.st = stModified
+		m1.dirty = true
+		if i := l2.lookup(lineAddr); i >= 0 {
+			l2.meta[i].st = stModified
+		}
 		res.WalkLatency = res.Latency
 		return res
 	}
@@ -329,30 +330,27 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 	// L2 probe.
 	res.Latency += h.cfg.L2Lat
 	h.ctr.l2Access.Inc()
-	l2set, l2l := h.l2[core].probe(lineAddr)
-	if l2l != nil {
-		h.l2[core].touch(l2l)
+	l2base, i2 := l2.probe(lineAddr)
+	if i2 >= 0 {
+		l2.touch(i2)
 		h.ctr.l2Hit.Inc()
-		st := l2l.st
+		m2 := &l2.meta[i2]
+		st := m2.st
 		if write {
 			if st == stShared {
 				up := h.cfg.L3Lat
 				res.Latency += up
 				res.CoherenceExtra += up
 				h.ctr.upgrades.Inc()
-				if l3l := h.l3.lookup(lineAddr); l3l != nil {
-					h.invalidateSharers(l3l, core)
-					l3l.owner = int8(core)
-					l3l.sharers = bit(core)
-				}
-			} else if l3l := h.l3.lookup(lineAddr); l3l != nil {
-				l3l.owner = int8(core)
+				h.upgrade(lineAddr, core)
+			} else {
+				h.setOwner(lineAddr, core)
 			}
 			st = stModified
-			l2l.st = stModified
-			l2l.dirty = true
+			m2.st = stModified
+			m2.dirty = true
 		}
-		_, ev1 := h.l1[core].installIn(l1set, lineAddr, st, st == stModified && write)
+		_, ev1 := l1.installIn(l1base, lineAddr, st, st == stModified && write)
 		h.evictL1(core, ev1)
 		res.Level = LevelL2
 		res.WalkLatency = res.Latency
@@ -363,62 +361,58 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 	// L3 probe.
 	res.Latency += h.cfg.L3Lat
 	h.ctr.l3Access.Inc()
-	l3set, l3l := h.l3.probe(lineAddr)
-	if l3l != nil {
-		h.l3.touch(l3l)
+	l3base, i3 := l3.probe(lineAddr)
+	if i3 >= 0 {
+		l3.touch(i3)
 		h.ctr.l3Hit.Inc()
-		if l3l.prefetched {
-			l3l.prefetched = false
+		m3, d3 := &l3.meta[i3], &l3.dir[i3]
+		if m3.prefetched {
+			m3.prefetched = false
 			h.ctr.pfUseful.Inc()
 		}
 		// Remote owner: cache-to-cache transfer.
-		if l3l.owner >= 0 && int(l3l.owner) != core {
+		if d3.owner >= 0 && int(d3.owner) != core {
 			res.Latency += h.cfg.L3Lat
 			res.CoherenceExtra += h.cfg.L3Lat
 			h.ctr.c2c.Inc()
-			oc := int(l3l.owner)
+			oc := int(d3.owner)
 			if write {
 				if h.dropPrivate(oc, lineAddr) {
-					l3l.dirty = true
+					m3.dirty = true
 				}
-				l3l.sharers &^= bit(oc)
+				d3.sharers &^= bit(oc)
 				h.ctr.invalidations.Inc()
 			} else {
 				// Downgrade owner to Shared; dirty data merges to L3.
-				if ol := h.l1[oc].lookup(lineAddr); ol != nil {
-					if ol.dirty {
-						l3l.dirty = true
-						ol.dirty = false
+				for _, a := range [2]*array{h.l1[oc], h.l2[oc]} {
+					if i := a.lookup(lineAddr); i >= 0 {
+						om := &a.meta[i]
+						if om.dirty {
+							m3.dirty = true
+							om.dirty = false
+						}
+						om.st = stShared
 					}
-					ol.st = stShared
-				}
-				if ol := h.l2[oc].lookup(lineAddr); ol != nil {
-					if ol.dirty {
-						l3l.dirty = true
-						ol.dirty = false
-					}
-					ol.st = stShared
 				}
 			}
-			l3l.owner = -1
+			d3.owner = -1
 		}
 		var st state
 		if write {
-			h.invalidateSharers(l3l, core)
-			l3l.owner = int8(core)
-			l3l.sharers = bit(core)
+			h.invalidateSharers(i3, core)
+			*d3 = dirEntry{sharers: bit(core), owner: int8(core)}
 			st = stModified
 		} else {
-			if l3l.sharers&^bit(core) != 0 {
+			if d3.sharers&^bit(core) != 0 {
 				st = stShared
-				l3l.owner = -1
+				d3.owner = -1
 			} else {
 				st = stExclusive
-				l3l.owner = int8(core)
+				d3.owner = int8(core)
 			}
-			l3l.sharers |= bit(core)
+			d3.sharers |= bit(core)
 		}
-		h.fillPrivate(core, l1set, l2set, lineAddr, st)
+		h.fillPrivate(core, l1base, l2base, lineAddr, st)
 		res.Level = LevelL3
 		res.WalkLatency = res.Latency
 		return res
@@ -438,15 +432,14 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 		h.prefetch(lineAddr, now+res.WalkLatency)
 	}
 
-	l3l, ev := h.l3.installIn(l3set, lineAddr, stInvalid, false)
+	i3, ev := l3.installIn(l3base, lineAddr, stInvalid, false)
 	h.evictL3(ev, now+res.Latency)
-	l3l.sharers = bit(core)
-	l3l.owner = int8(core)
+	l3.dir[i3] = dirEntry{sharers: bit(core), owner: int8(core)}
 	st := stExclusive
 	if write {
 		st = stModified
 	}
-	h.fillPrivate(core, l1set, l2set, lineAddr, st)
+	h.fillPrivate(core, l1base, l2base, lineAddr, st)
 	res.Level = LevelMem
 	return res
 }
@@ -456,42 +449,38 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 // U-PEI configuration uses this as its ideal locality monitor.
 func (h *Hierarchy) Probe(core int, addr memmap.Addr) (Level, bool) {
 	lineAddr := memmap.LineAddr(addr)
-	if h.l1[core].lookup(lineAddr) != nil {
+	if h.l1[core].lookup(lineAddr) >= 0 {
 		return LevelL1, true
 	}
-	if h.l2[core].lookup(lineAddr) != nil {
+	if h.l2[core].lookup(lineAddr) >= 0 {
 		return LevelL2, true
 	}
-	if h.l3.lookup(lineAddr) != nil {
+	if h.l3.lookup(lineAddr) >= 0 {
 		return LevelL3, true
 	}
 	return LevelMem, false
 }
 
-// checkPrivateLine validates the per-line invariants of a private (L1 or
-// L2) array slot: valid lines carry a real MESI state, the dirty bit
-// implies Modified (in particular no dirty Shared line can exist — a
-// Shared line lost write permission, so dirty data in it would be lost
-// silently on eviction), and the directory fields stay untouched, since
-// only the L3 array holds directory state.
-func checkPrivateLine(level string, core int, l line) error {
-	if !l.valid {
-		if l.dirty || l.sharers != 0 || l.owner != -1 {
-			return fmt.Errorf("%s core %d: invalid slot %#x retains state (dirty=%v sharers=%#x owner=%d)",
-				level, core, l.tag, l.dirty, l.sharers, l.owner)
-		}
+// checkPrivateSlot validates slot i of a private (L1 or L2) array: the
+// layout invariants of checkSlot, then for a valid line a real MESI
+// state and a dirty bit that implies Modified (in particular no dirty
+// Shared line can exist — a Shared line lost write permission, so dirty
+// data in it would be lost silently on eviction). Private arrays hold
+// no directory fields at all, so they cannot carry directory state.
+func checkPrivateSlot(level string, core int, a *array, i int) error {
+	if err := a.checkSlot(i); err != nil {
+		return fmt.Errorf("%s core %d: %w", level, core, err)
+	}
+	if !a.valid(i) {
 		return nil
 	}
-	if l.st == stInvalid {
-		return fmt.Errorf("%s line %#x of core %d is valid but in state I", level, l.tag, core)
+	m := a.meta[i]
+	if m.st == stInvalid {
+		return fmt.Errorf("%s line %#x of core %d is valid but in state I", level, a.tag(i), core)
 	}
-	if l.dirty && l.st != stModified {
+	if m.dirty && m.st != stModified {
 		return fmt.Errorf("%s line %#x of core %d is dirty in state %v (dirty implies M)",
-			level, l.tag, core, l.st)
-	}
-	if l.sharers != 0 || l.owner != -1 {
-		return fmt.Errorf("%s line %#x of core %d carries directory state (sharers=%#x owner=%d)",
-			level, l.tag, core, l.sharers, l.owner)
+			level, a.tag(i), core, m.st)
 	}
 	return nil
 }
@@ -501,74 +490,69 @@ func checkPrivateLine(level string, core int, l line) error {
 // "cache" auditor; tests also call it directly after randomized access
 // sequences. It is read-only.
 func (h *Hierarchy) CheckInvariants() error {
-	// Collect every private line and check per-line state consistency,
-	// inclusion, and the directory view.
+	// Check every private slot's state, inclusion, and the directory
+	// view.
 	for c := 0; c < h.cfg.NumCores; c++ {
-		for _, set := range h.l1[c].sets {
-			for i := range set {
-				l := set[i]
-				if err := checkPrivateLine("L1", c, l); err != nil {
-					return err
-				}
-				if !l.valid {
-					continue
-				}
-				l2l := h.l2[c].lookup(l.tag)
-				if l2l == nil {
-					return fmt.Errorf("L1 line %#x of core %d not in L2 (inclusion)", l.tag, c)
-				}
-				if l.st == stModified && l2l.st != stModified {
-					return fmt.Errorf("L1 line %#x of core %d is M but L2 copy is %v", l.tag, c, l2l.st)
-				}
+		l1, l2 := h.l1[c], h.l2[c]
+		for i := range l1.keys {
+			if err := checkPrivateSlot("L1", c, l1, i); err != nil {
+				return err
+			}
+			if !l1.valid(i) {
+				continue
+			}
+			tag := l1.tag(i)
+			j := l2.lookup(tag)
+			if j < 0 {
+				return fmt.Errorf("L1 line %#x of core %d not in L2 (inclusion)", tag, c)
+			}
+			if l1.meta[i].st == stModified && l2.meta[j].st != stModified {
+				return fmt.Errorf("L1 line %#x of core %d is M but L2 copy is %v", tag, c, l2.meta[j].st)
 			}
 		}
-		for _, set := range h.l2[c].sets {
-			for i := range set {
-				l := set[i]
-				if err := checkPrivateLine("L2", c, l); err != nil {
-					return err
-				}
-				if !l.valid {
-					continue
-				}
-				l3l := h.l3.lookup(l.tag)
-				if l3l == nil {
-					return fmt.Errorf("L2 line %#x of core %d not in L3 (inclusion)", l.tag, c)
-				}
-				if l3l.sharers&bit(c) == 0 {
-					return fmt.Errorf("L2 line %#x of core %d missing from directory", l.tag, c)
-				}
-				if (l.st == stModified || l.st == stExclusive) && l3l.sharers&^bit(c) != 0 {
-					return fmt.Errorf("line %#x is %v in core %d but has other sharers %#x",
-						l.tag, l.st, c, l3l.sharers&^bit(c))
-				}
+		for i := range l2.keys {
+			if err := checkPrivateSlot("L2", c, l2, i); err != nil {
+				return err
+			}
+			if !l2.valid(i) {
+				continue
+			}
+			tag := l2.tag(i)
+			j := h.l3.lookup(tag)
+			if j < 0 {
+				return fmt.Errorf("L2 line %#x of core %d not in L3 (inclusion)", tag, c)
+			}
+			sharers := h.l3.dir[j].sharers
+			if sharers&bit(c) == 0 {
+				return fmt.Errorf("L2 line %#x of core %d missing from directory", tag, c)
+			}
+			if st := l2.meta[i].st; (st == stModified || st == stExclusive) && sharers&^bit(c) != 0 {
+				return fmt.Errorf("line %#x is %v in core %d but has other sharers %#x",
+					tag, st, c, sharers&^bit(c))
 			}
 		}
 	}
 	// Directory entries must be backed by actual private copies, and
 	// invalid L3 slots must carry no directory state at all.
-	for _, set := range h.l3.sets {
-		for i := range set {
-			l := set[i]
-			if !l.valid {
-				if l.dirty || l.sharers != 0 || l.owner != -1 {
-					return fmt.Errorf("invalid L3 slot %#x retains state (dirty=%v sharers=%#x owner=%d)",
-						l.tag, l.dirty, l.sharers, l.owner)
-				}
-				continue
+	for i := range h.l3.keys {
+		if err := h.l3.checkSlot(i); err != nil {
+			return fmt.Errorf("L3: %w", err)
+		}
+		if !h.l3.valid(i) {
+			continue
+		}
+		tag, d := h.l3.tag(i), h.l3.dir[i]
+		if d.sharers>>uint(h.cfg.NumCores) != 0 {
+			return fmt.Errorf("directory entry %#x names nonexistent cores (sharers=%#x, %d cores)",
+				tag, d.sharers, h.cfg.NumCores)
+		}
+		for c := 0; c < h.cfg.NumCores; c++ {
+			if d.sharers&bit(c) != 0 && h.l2[c].lookup(tag) < 0 {
+				return fmt.Errorf("directory says core %d shares %#x but L2 has no copy", c, tag)
 			}
-			if l.sharers>>uint(h.cfg.NumCores) != 0 {
-				return fmt.Errorf("directory entry %#x names nonexistent cores (sharers=%#x, %d cores)",
-					l.tag, l.sharers, h.cfg.NumCores)
-			}
-			for c := 0; c < h.cfg.NumCores; c++ {
-				if l.sharers&bit(c) != 0 && h.l2[c].lookup(l.tag) == nil {
-					return fmt.Errorf("directory says core %d shares %#x but L2 has no copy", c, l.tag)
-				}
-			}
-			if l.owner >= 0 && l.sharers&bit(int(l.owner)) == 0 {
-				return fmt.Errorf("owner %d of %#x is not a sharer", l.owner, l.tag)
-			}
+		}
+		if d.owner >= 0 && d.sharers&bit(int(d.owner)) == 0 {
+			return fmt.Errorf("owner %d of %#x is not a sharer", d.owner, tag)
 		}
 	}
 	return nil
@@ -579,21 +563,19 @@ func (h *Hierarchy) CheckInvariants() error {
 // catches directory drift. It reports whether a target line existed.
 // Test-only; never call from simulation code.
 func (h *Hierarchy) CorruptDirectoryForTest() bool {
-	for _, set := range h.l3.sets {
-		for i := range set {
-			l := &set[i]
-			if !l.valid {
-				continue
-			}
-			for c := 0; c < h.cfg.NumCores; c++ {
-				if l.sharers&bit(c) == 0 {
-					l.sharers |= bit(c) // phantom sharer with no private copy
-					return true
-				}
-			}
-			l.sharers &^= bit(0) // every core shares: drop one instead
-			return true
+	for i := range h.l3.keys {
+		if !h.l3.valid(i) {
+			continue
 		}
+		d := &h.l3.dir[i]
+		for c := 0; c < h.cfg.NumCores; c++ {
+			if d.sharers&bit(c) == 0 {
+				d.sharers |= bit(c) // phantom sharer with no private copy
+				return true
+			}
+		}
+		d.sharers &^= bit(0) // every core shares: drop one instead
+		return true
 	}
 	return false
 }

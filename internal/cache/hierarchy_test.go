@@ -302,11 +302,12 @@ func TestDirtySharedLineCaught(t *testing.T) {
 	h, _, _ := newH(2)
 	populate(h)
 	// Force a dirty bit onto a Shared private line.
-	l := h.l1[0].lookup(0x10000)
-	if l == nil || l.st != stShared {
-		t.Fatalf("expected a Shared L1 copy of 0x10000, got %+v", l)
+	l1 := h.l1[0]
+	i := l1.lookup(0x10000)
+	if i < 0 || l1.meta[i].st != stShared {
+		t.Fatalf("expected a Shared L1 copy of 0x10000, got slot %d", i)
 	}
-	l.dirty = true
+	l1.meta[i].dirty = true
 	if err := h.CheckInvariants(); err == nil {
 		t.Fatal("dirty Shared line passed CheckInvariants")
 	}
@@ -317,15 +318,13 @@ func TestInvalidSlotStateCaught(t *testing.T) {
 	populate(h)
 	// An invalid L3 slot that still names a sharer is stale directory
 	// state a future install would resurrect.
-	for _, set := range h.l3.sets {
-		for i := range set {
-			if !set[i].valid {
-				set[i].sharers = bit(0)
-				if err := h.CheckInvariants(); err == nil {
-					t.Fatal("invalid slot with sharers passed CheckInvariants")
-				}
-				return
+	for i := range h.l3.keys {
+		if !h.l3.valid(i) {
+			h.l3.dir[i].sharers = bit(0)
+			if err := h.CheckInvariants(); err == nil {
+				t.Fatal("invalid slot with sharers passed CheckInvariants")
 			}
+			return
 		}
 	}
 	t.Skip("no invalid L3 slot available")
@@ -334,16 +333,14 @@ func TestInvalidSlotStateCaught(t *testing.T) {
 func TestValidLineInStateICaught(t *testing.T) {
 	h, _, _ := newH(1)
 	populate(h)
-	for _, set := range h.l1[0].sets {
-		for i := range set {
-			if set[i].valid {
-				set[i].st = stInvalid
-				set[i].dirty = false
-				if err := h.CheckInvariants(); err == nil {
-					t.Fatal("valid line in state I passed CheckInvariants")
-				}
-				return
+	l1 := h.l1[0]
+	for i := range l1.keys {
+		if l1.valid(i) {
+			l1.meta[i] = slot{st: stInvalid}
+			if err := h.CheckInvariants(); err == nil {
+				t.Fatal("valid line in state I passed CheckInvariants")
 			}
+			return
 		}
 	}
 	t.Fatal("no valid L1 line")

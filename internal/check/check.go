@@ -1,7 +1,7 @@
 // Package check is the simulation sanitizer: a registry of invariant
 // auditors over the redundant state every subsystem keeps (directory
 // bits vs. line states, flit counters vs. per-request reservations,
-// tracked queue minima vs. their backing buffers, wake-heap membership
+// tracked queue minima vs. their backing buffers, wake-table membership
 // vs. core liveness). The simulator is correct only if those redundant
 // views always agree; goldens alone cannot see them drift.
 //

@@ -143,18 +143,14 @@ func (s *rmatStream) Edges(emit func(src, dst VID, w uint32) bool) error {
 	for i := 0; i < numEdges; i++ {
 		src, dst := 0, 0
 		for l := 0; l < s.levels; l++ {
+			// Quadrant q in 0..3 (a, b, c, d) counts the thresholds p
+			// reaches; bit 0 selects the dst half, bit 1 the src half.
+			// The sum compiles to flag materializations instead of the
+			// unpredictable branches of a switch.
 			p := r.Float64()
-			switch {
-			case p < s.ta[l]:
-				// top-left: nothing to add
-			case p < s.tab[l]:
-				dst |= 1 << uint(l)
-			case p < s.tabc[l]:
-				src |= 1 << uint(l)
-			default:
-				src |= 1 << uint(l)
-				dst |= 1 << uint(l)
-			}
+			q := b2i(p >= s.ta[l]) + b2i(p >= s.tab[l]) + b2i(p >= s.tabc[l])
+			dst |= (q & 1) << uint(l)
+			src |= (q >> 1) << uint(l)
 		}
 		src %= s.vertices
 		dst %= s.vertices
@@ -167,6 +163,15 @@ func (s *rmatStream) Edges(emit func(src, dst VID, w uint32) bool) error {
 		}
 	}
 	return nil
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag
+// set, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // ErdosRenyi generates a uniform random graph with the given average

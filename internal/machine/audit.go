@@ -16,7 +16,7 @@ import (
 // byte-identical to an unaudited one.
 
 // registerAuditors installs the per-subsystem auditors. The machine
-// loop's own invariants (wake-heap coverage, barrier partition) depend
+// loop's own invariants (wake-table coverage, barrier partition) depend
 // on Run-local state and are audited inline in Run instead.
 func (m *Machine) registerAuditors() {
 	m.checks.Register("cache", check.NoCore, func(uint64) error { return m.cache.CheckInvariants() })
@@ -101,8 +101,8 @@ func (m *Machine) auditStats() error {
 // auditLoop validates the Run loop's redundant scheduling state after an
 // event-time drain: the done/parked counters must agree with the cores,
 // and every core that is neither done nor parked must have a pending
-// wakeup — a live core missing from the heap would silently never run
-// again until the heap empties.
+// wakeup — a live core missing from the table would silently never run
+// again until the table empties.
 func (m *Machine) auditLoop(wake *sim.Wakeups, done, parked int) error {
 	gotDone, gotParked := 0, 0
 	for i, c := range m.cores {

@@ -19,6 +19,7 @@ package machine
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"graphpim/internal/cache"
 	"graphpim/internal/check"
@@ -502,13 +503,15 @@ var tickCore = func(c *cpu.Core, now, elapsed uint64) uint64 {
 // exceeds maxCycles.
 //
 // Run is the machine's only scheduler, a serial event loop: each core's
-// Tick returns the next cycle its state can change, and a wake heap
-// (sim.Wakeups) replays those times in (time, core-id) order — the same
-// order the reference scan loop visits cores (runScan, the test-only
-// oracle in scan_test.go), so the two are cycle-identical. Cores are
-// ticked only at their own wake times; a final flush tick at the last
-// event time settles the cycle-attribution counters for cores that went
-// quiescent earlier (see DESIGN.md, "Event-driven scheduler").
+// Tick returns the next cycle its state can change, and a wake table
+// (sim.Wakeups) yields, per event time, the set of cores due then. The
+// loop ticks them in ascending id order, which replays events in (time,
+// core-id) order — the same order the reference scan loop visits cores
+// (runScan, the test-only oracle in scan_test.go), so the two are
+// cycle-identical. Cores are ticked only at their own wake times; a
+// final flush tick at the last event time settles the cycle-attribution
+// counters for cores that went quiescent earlier (see DESIGN.md,
+// "Event-driven scheduler").
 func (m *Machine) Run(maxCycles uint64) Result {
 	n := len(m.cores)
 	wake := sim.NewWakeups(n)
@@ -520,8 +523,8 @@ func (m *Machine) Run(maxCycles uint64) Result {
 	done, parked := 0, 0
 
 	for done < n {
-		t, ok := wake.Min()
-		if !ok {
+		t, due := wake.PopDue()
+		if due == 0 {
 			// No wakeups pending. Either every live core is parked at a
 			// barrier — release them all (one global barrier event) —
 			// or no core can ever make progress again.
@@ -532,7 +535,7 @@ func (m *Machine) Run(maxCycles uint64) Result {
 			return m.truncate(maxCycles, now, lastTick)
 		}
 		now = t
-		m.stepAt(now, wake, lastTick, &done, &parked)
+		m.stepAt(now, due, wake, lastTick, &done, &parked)
 		if m.checks != nil && m.checks.Due(now) {
 			m.checkpoint(now, wake, done, parked, false)
 		}
@@ -545,15 +548,13 @@ func (m *Machine) Run(maxCycles uint64) Result {
 	return m.result(now)
 }
 
-// stepAt drains every core due at cycle now in id order (heap ties
-// break on id). A tick only ever schedules its own core at a future
-// time, so the set due at now is fixed before the drain.
-func (m *Machine) stepAt(now uint64, wake *sim.Wakeups, lastTick []uint64, done, parked *int) {
-	for {
-		if tt, ok := wake.Min(); !ok || tt != now {
-			break
-		}
-		id, _ := wake.PopMin()
+// stepAt ticks every core in due (a bitmask of core ids, all due at
+// cycle now) in ascending id order. A tick only ever schedules its own
+// core, at a strictly later time, so the set due at now is fixed before
+// the drain.
+func (m *Machine) stepAt(now, due uint64, wake *sim.Wakeups, lastTick []uint64, done, parked *int) {
+	for ; due != 0; due &= due - 1 {
+		id := bits.TrailingZeros64(due)
 		c := m.cores[id]
 		next := tickCore(c, now, now-lastTick[id])
 		lastTick[id] = now
@@ -570,13 +571,13 @@ func (m *Machine) stepAt(now uint64, wake *sim.Wakeups, lastTick []uint64, done,
 				wake.Schedule(id, next)
 			}
 			// A live, unparked core returning no wake time is left
-			// unscheduled; the empty-heap check reports the deadlock,
+			// unscheduled; the empty-table check reports the deadlock,
 			// as the scan loop did.
 		}
 	}
 }
 
-// releaseBarrier handles an empty wake heap: either every live core is
+// releaseBarrier handles an empty wake table: either every live core is
 // parked at a barrier — release them all (one global barrier event) —
 // or no core can ever make progress again.
 func (m *Machine) releaseBarrier(wake *sim.Wakeups, now uint64, done int, parked *int) {
@@ -616,7 +617,7 @@ func (m *Machine) truncate(maxCycles, now uint64, lastTick []uint64) Result {
 // flushTicks advances every core that last ticked before now up to now,
 // attributing the trailing quiescent stretch to its standing stall
 // reason. The scan loop ticked all cores at every event, so its
-// attribution always reached the final event time; the wake heap skips
+// attribution always reached the final event time; the wake table skips
 // those no-op ticks and settles the difference here in one step.
 func (m *Machine) flushTicks(now uint64, lastTick []uint64) {
 	for i, c := range m.cores {

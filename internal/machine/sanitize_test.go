@@ -181,7 +181,7 @@ func TestFaultInjectionStatsSkew(t *testing.T) {
 	expectFailure(t, "stats", func() { m.Run(0) })
 }
 
-// TestFaultInjectionLostWakeup drops one live core from the wake heap
+// TestFaultInjectionLostWakeup drops one live core from the wake table
 // (its tick claims "no future wake time"): the machine-loop auditor
 // must flag the stranded core at the next checkpoint instead of letting
 // it idle silently until the final deadlock panic.

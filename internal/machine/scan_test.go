@@ -11,7 +11,7 @@ import "fmt"
 // snapshots (see TestSchedulerEquivalence).
 //
 // The scan loop visits the union of all cores' wake times in ascending
-// order, ticking cores in id order within a step; Run's wake heap
+// order, ticking cores in id order within a step; Run's wake table
 // replays exactly that (time, id) order while skipping the no-op ticks
 // of cores whose wake time has not arrived. maxCycles clamping matches
 // Run: steps past the limit are not processed and Cycles reports

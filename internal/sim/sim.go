@@ -1,9 +1,9 @@
 // Package sim provides the low-level building blocks shared by every timing
 // model in the simulator: the cycle clock, deterministic pseudo-random
-// numbers, named statistic counters, and the wake heap.
+// numbers, named statistic counters, and the wake table.
 //
 // One serial event loop (machine.Run) drives every component: it pops
-// due cores off a Wakeups heap in (time, core-id) order on a single
+// due cores off a Wakeups table in (time, core-id) order on a single
 // goroutine, which keeps the whole simulation deterministic for a given
 // seed and configuration.
 package sim

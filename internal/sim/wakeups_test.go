@@ -50,11 +50,12 @@ func TestWakeupsReschedule(t *testing.T) {
 	}
 }
 
-// TestWakeupsRandomizedAgainstModel drives the heap and a naive
+// TestWakeupsRandomizedAgainstModel drives the table and a naive
 // linear-scan model with the same random operation stream and checks
-// every pop agrees, including the (time, id) tie-break.
+// every pop agrees, including the (time, id) tie-break of PopMin and
+// the due mask of PopDue.
 func TestWakeupsRandomizedAgainstModel(t *testing.T) {
-	const n = 24
+	const n = MaxActors
 	r := NewRand(7)
 	w := NewWakeups(n)
 	model := make(map[int]uint64)
@@ -73,14 +74,14 @@ func TestWakeupsRandomizedAgainstModel(t *testing.T) {
 		return bestID, bestT, ok
 	}
 
-	for step := 0; step < 20000; step++ {
-		switch r.Intn(3) {
-		case 0, 1: // schedule / reschedule
+	for step := 0; step < 40000; step++ {
+		switch r.Intn(4) {
+		case 0, 1: // schedule / reschedule; a small time range forces ties
 			id := r.Intn(n)
-			tt := r.Uint64() % 1000
+			tt := r.Uint64() % 64
 			w.Schedule(id, tt)
 			model[id] = tt
-		case 2: // pop
+		case 2: // pop one
 			mID, mT, mOK := modelMin()
 			if gotT, gotOK := w.Min(); gotOK != mOK || (mOK && gotT != mT) {
 				t.Fatalf("step %d: Min = %d,%v, model %d,%v", step, gotT, gotOK, mT, mOK)
@@ -93,9 +94,63 @@ func TestWakeupsRandomizedAgainstModel(t *testing.T) {
 				t.Fatalf("step %d: PopMin = (%d,%d), model (%d,%d)", step, id, tt, mID, mT)
 			}
 			delete(model, id)
+		case 3: // pop every actor due at the earliest time
+			_, mT, mOK := modelMin()
+			var want uint64
+			for id, tt := range model {
+				if tt == mT {
+					want |= 1 << uint(id)
+				}
+			}
+			tt, due := w.PopDue()
+			if due != want || (mOK && tt != mT) {
+				t.Fatalf("step %d: PopDue = (%d,%#x), model (%d,%#x)", step, tt, due, mT, want)
+			}
+			for id := range model {
+				if want&(1<<uint(id)) != 0 {
+					delete(model, id)
+				}
+			}
 		}
 		if w.Len() != len(model) {
 			t.Fatalf("step %d: Len = %d, model %d", step, w.Len(), len(model))
 		}
+		for id := 0; id < n; id++ {
+			if _, in := model[id]; w.Scheduled(id) != in {
+				t.Fatalf("step %d: Scheduled(%d) = %v, model %v", step, id, !in, in)
+			}
+		}
 	}
+}
+
+func TestWakeupsPopDueEmpty(t *testing.T) {
+	w := NewWakeups(3)
+	if _, due := w.PopDue(); due != 0 {
+		t.Fatalf("empty table returned due mask %#x", due)
+	}
+	w.Schedule(1, 5)
+	w.Schedule(2, 5)
+	w.Schedule(0, 9)
+	if tt, due := w.PopDue(); tt != 5 || due != 0b110 {
+		t.Fatalf("PopDue = (%d,%#b), want (5,0b110)", tt, due)
+	}
+	if w.Len() != 1 || w.Scheduled(1) || w.Scheduled(2) || !w.Scheduled(0) {
+		t.Fatalf("after PopDue: Len %d, scheduled %v %v %v", w.Len(), w.Scheduled(0), w.Scheduled(1), w.Scheduled(2))
+	}
+}
+
+func TestWakeupsLimits(t *testing.T) {
+	NewWakeups(MaxActors) // the largest table must construct
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("NewWakeups(65)", func() { NewWakeups(MaxActors + 1) })
+	mustPanic("Schedule at the reserved time", func() { NewWakeups(1).Schedule(0, ^uint64(0)) })
+	mustPanic("PopMin on an empty table", func() { NewWakeups(1).PopMin() })
 }
