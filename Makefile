@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench fuzz-short sanitize-sweep smoke-stream smoke-graph
+.PHONY: build vet test race bench fuzz-short sanitize-sweep equiv smoke-stream smoke-graph
 
 build:
 	$(GO) build ./...
@@ -60,6 +60,17 @@ sanitize-sweep:
 		cmp $(SWEEPDIR)/$$m.json $(SWEEPDIR)/$$m.check.json; \
 		echo "sanitize-sweep: $$m identical under -check"; \
 	done
+
+# equiv is the output-equivalence gate for refactors that must not move
+# a number: it builds BASE (from git archive) and the working tree, runs
+# both on every quick experiment (plain and -check), the quick run on
+# each non-HMC substrate, default-scale workloads and the examples, and
+# cmp's every stdout/stderr pair (scripts/equiv.sh). EQUIVSCOPE=quick
+# stops after the quick-scale part.
+EQUIVSCOPE ?= all
+equiv:
+	@test -n "$(BASE)" || { echo "usage: make equiv BASE=<rev> [EQUIVSCOPE=quick]"; exit 2; }
+	bash scripts/equiv.sh $(BASE) $(EQUIVSCOPE)
 
 # smoke-stream runs the million-vertex streaming smoke test under a
 # constrained GC target: a 1M-vertex BFS traced through the spill

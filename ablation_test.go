@@ -11,6 +11,7 @@ import (
 
 	"graphpim/internal/gframe"
 	"graphpim/internal/machine"
+	"graphpim/internal/trace"
 	"graphpim/internal/workloads"
 )
 
@@ -63,7 +64,7 @@ func BenchmarkAblationFenceSemantics(b *testing.B) {
 		cfg.Cache.L3Size = 128 << 10
 		tr := fw.Trace()
 		with = machine.RunTrace(cfg, fw.Space(), tr).Cycles
-		without = machine.RunTrace(cfg, fw.Space(), tr.StripAtomics()).Cycles
+		without = machine.RunSource(cfg, fw.Space(), trace.StripSource(tr)).Cycles
 	}
 	ablationPrint("fence", "\nablation[fence]: DC baseline %d cycles with atomics, %d without (fence cost %.0f%%)\n",
 		with, without, (1-float64(without)/float64(with))*100)

@@ -301,3 +301,22 @@ func TestVerticesBelowGeneratorMinimumExitsTwo(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceSaveReplay saves a trace (v2, the only format written) and
+// replays it; the removed -v1 and -stream flags are usage errors.
+func TestTraceSaveReplay(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bfs.trc")
+	out, stderr, code := runCLI("trace", "-vertices", "256", "-save", path, "BFS")
+	if code != 0 || !strings.Contains(out, "saved:") {
+		t.Fatalf("trace -save: exit %d: %s%s", code, out, stderr)
+	}
+	out, stderr, code = runCLI("trace", "-replay", path, "-config", "baseline")
+	if code != 0 || !strings.Contains(out, "under Baseline") {
+		t.Fatalf("trace -replay: exit %d: %s%s", code, out, stderr)
+	}
+	for _, flag := range []string{"-v1", "-stream"} {
+		if _, _, code := runCLI("trace", flag, "-replay", path); code != 2 {
+			t.Fatalf("trace %s: exit %d, want 2", flag, code)
+		}
+	}
+}

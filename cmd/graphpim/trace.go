@@ -9,7 +9,6 @@ import (
 	"graphpim"
 	"graphpim/internal/gframe"
 	"graphpim/internal/machine"
-	"graphpim/internal/memmap"
 	"graphpim/internal/trace"
 )
 
@@ -23,17 +22,15 @@ func cmdTrace(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	vertices := fs.Int("vertices", 4096, "LDBC graph size")
 	seed := fs.Uint64("seed", 7, "generator seed")
-	save := fs.String("save", "", "write the trace to this file")
-	v1 := fs.Bool("v1", false, "save in the legacy flat v1 format instead of chunked v2")
-	replay := fs.String("replay", "", "replay a saved trace file instead of generating")
-	stream := fs.Bool("stream", false, "replay a v2 file chunk-by-chunk without materializing it")
+	save := fs.String("save", "", "write the trace to this file (chunked v2 format)")
+	replay := fs.String("replay", "", "replay a saved trace file (v2 or legacy v1) instead of generating")
 	config := fs.String("config", "graphpim", "replay config: baseline|upei|graphpim")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	if *replay != "" {
-		return replayTrace(*replay, *config, *stream, stdout, stderr)
+		return replayTrace(*replay, *config, stdout, stderr)
 	}
 	if fs.NArg() != 1 {
 		fmt.Fprintln(stderr, "trace: need a workload name (or -replay FILE)")
@@ -69,14 +66,7 @@ func cmdTrace(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		defer f.Close()
-		// v2 (chunked, delta/varint) is the default on-disk format; it is
-		// both smaller and replayable without materializing. -v1 keeps the
-		// flat fixed-record format for old tooling.
-		write := trace.WriteV2
-		if *v1 {
-			write = trace.Write
-		}
-		if err := write(f, tr, fw.Space()); err != nil {
+		if err := trace.WriteV2(f, tr, fw.Space()); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -86,31 +76,17 @@ func cmdTrace(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func replayTrace(path, config string, stream bool, stdout, stderr io.Writer) int {
+func replayTrace(path, config string, stdout, stderr io.Writer) int {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	defer f.Close()
-	var src trace.Source
-	var space *memmap.AddressSpace
-	if stream {
-		// Chunk-by-chunk replay straight off the file: v2 only (the flat
-		// v1 layout has no chunk index to stream from).
-		st, err := trace.OpenStream(f)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		src, space = st, st.Space()
-	} else {
-		tr, sp, err := trace.Read(f)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		src, space = tr, sp
+	src, space, err := trace.Open(f)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	var cfg machine.Config
 	switch config {

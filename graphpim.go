@@ -22,20 +22,14 @@ package graphpim
 import (
 	"context"
 	"fmt"
-	"os"
 	"strings"
 
 	"graphpim/internal/analytic"
-	"graphpim/internal/check"
 	"graphpim/internal/energy"
-	"graphpim/internal/gframe"
 	"graphpim/internal/graph"
 	"graphpim/internal/harness"
 	"graphpim/internal/machine"
 	"graphpim/internal/mem"
-	"graphpim/internal/pou"
-	"graphpim/internal/trace"
-	"graphpim/internal/tune"
 	"graphpim/internal/workloads"
 )
 
@@ -186,11 +180,11 @@ type Options struct {
 	// max 16).
 	Threads int
 	// ScaledCaches shrinks L2/L3 to match scaled datasets; see
-	// DESIGN.md. When false, the full Table IV hierarchy is used.
+	// DESIGN.md. When false, the full Table IV hierarchy is used. The
+	// facade scales as the default experiment environment does (128 KB
+	// L2, 512 KB L3) at every graph size, whereas `run -quick` uses a
+	// 128 KB L3 for its graphs of 4096 vertices or fewer.
 	ScaledCaches bool
-	// ExtendedAtomics enables the paper's proposed FP add/sub commands
-	// for offload configurations.
-	ExtendedAtomics bool
 	// Check enables the simulation sanitizer: periodic and end-of-run
 	// audits of the machine's internal invariants. Audits are read-only
 	// (results are identical either way); a violation panics with
@@ -255,10 +249,11 @@ func DefaultOptions() Options {
 // Run binds a graph to the framework so workloads can be simulated under
 // the different system configurations. Each Execute generates the
 // workload's trace functionally (verifying semantics end to end) and
-// replays it on a freshly assembled machine.
+// replays it on a freshly assembled machine, resolved exactly as the
+// experiment harness resolves a cell of the default environment.
 type Run struct {
-	g    *Graph
-	opts Options
+	g   *Graph
+	env *harness.Env
 }
 
 // NewRun prepares a simulation run over g.
@@ -266,89 +261,21 @@ func NewRun(g *Graph, opts Options) *Run {
 	if err := opts.Validate(); err != nil {
 		panic(err.Error())
 	}
-	return &Run{g: g, opts: opts}
+	env := harness.DefaultEnv()
+	env.Threads = opts.Threads
+	env.ScaledCaches = opts.ScaledCaches
+	env.Check = opts.Check
+	env.Memory = opts.Memory
+	env.Stream = opts.Stream
+	env.Policy = opts.Policy
+	return &Run{g: g, env: env}
 }
 
-// machineConfig resolves a Config for one workload.
-func (r *Run) machineConfig(cfg Config, w Workload) machine.Config {
-	ext := r.opts.ExtendedAtomics || w.Info().NeedsFPExtension
-	var mc machine.Config
-	switch cfg {
-	case ConfigBaseline:
-		mc = machine.Baseline()
-	case ConfigUPEI:
-		mc = machine.UPEI(ext)
-	case ConfigGraphPIM:
-		mc = machine.GraphPIM(ext)
-	default:
-		panic(fmt.Sprintf("graphpim: unknown config %q", cfg))
-	}
-	mc.POU.PMRActive = mc.POU.OffloadAtomics && w.Info().ApplicableWith(ext)
-	if r.opts.ScaledCaches {
-		mc.Cache.L2Size = 128 << 10
-		mc.Cache.L3Size = 512 << 10
-	}
-	if r.opts.Check {
-		mc.Check = check.Periodic
-	}
-	if r.opts.Memory != "" && r.opts.Memory != "hmc" {
-		// "hmc" keeps Mem nil so the HMC knobs (HMC/HMCCubes) stay live.
-		bc, _ := mem.DefaultConfig(r.opts.Memory)
-		mc.Mem = bc
-	}
-	return mc
-}
-
-// resolveConfig applies Options.Policy to one execution: static
-// placements remap the config, "auto" profiles the built graph and
-// trace and asks the tuner. ConfigBaseline is never remapped — it stays
-// the speedup denominator. The non-nil Decision carries the features
-// noteDecision folds into the result's stats.
-func (r *Run) resolveConfig(w Workload, cfg Config, fw *gframe.Framework, src trace.Source) (machine.Config, *tune.Decision) {
-	if cfg != ConfigBaseline {
-		switch r.opts.Policy {
-		case "host":
-			cfg = ConfigBaseline
-		case "pim":
-			cfg = ConfigGraphPIM
-		case "upei":
-			cfg = ConfigUPEI
-		case "auto":
-			probe := r.machineConfig(ConfigGraphPIM, w)
-			_, _, propBytes := fw.Space().Footprint()
-			ext := r.opts.ExtendedAtomics || w.Info().NeedsFPExtension
-			f := tune.Profile(fw.Graph(), propBytes, uint64(probe.Cache.L3Size),
-				tune.TotalCounts(src), ext)
-			d := tune.Choose(f, probe.Substrate())
-			chosen := ConfigBaseline
-			switch d.Placement {
-			case tune.PlacePIM:
-				chosen = ConfigGraphPIM
-			case tune.PlaceUPEI:
-				chosen = ConfigUPEI
-			}
-			mc := r.machineConfig(chosen, w)
-			// Freeze the fully-resolved POU configuration (PMR activation
-			// included) into a static policy under the tuner's name, so
-			// the machine executes exactly what the static config would.
-			mc.Name = "Auto(" + mc.Name + ")"
-			mc.Policy = pou.NewStatic(mc.Name, mc.POU)
-			return mc, &d
-		}
-	}
-	return r.machineConfig(cfg, w), nil
-}
-
-// noteDecision folds a tuner decision's counters into a result's stats
-// map, so callers (and the CLI's tuner line) can explain the placement.
-func noteDecision(res Result, d *tune.Decision) Result {
-	if d == nil {
-		return res
-	}
-	for k, v := range d.Counters() {
-		res.Stats[k] = v
-	}
-	return res
+// configKinds maps the facade's configurations onto the harness's.
+var configKinds = map[Config]harness.ConfigKind{
+	ConfigBaseline: harness.KindBaseline,
+	ConfigUPEI:     harness.KindUPEI,
+	ConfigGraphPIM: harness.KindGraphPIM,
 }
 
 // Execute runs w under cfg and returns the timing result. The workload's
@@ -361,50 +288,11 @@ func (r *Run) Execute(w Workload, cfg Config) Result {
 // ExecuteFull runs w under cfg and returns both the timing result and the
 // workload's functional output (e.g. BFS depths, PageRank values).
 func (r *Run) ExecuteFull(w Workload, cfg Config) (Result, any) {
-	if r.opts.Stream {
-		res, out, err := r.executeStreamed(w, cfg)
-		if err != nil {
-			// Trace construction has no error path; a spill-file failure
-			// is an environment fault (unwritable temp dir, disk full).
-			panic("graphpim: streamed execution: " + err.Error())
-		}
-		return res, out
+	kind, ok := configKinds[cfg]
+	if !ok {
+		panic(fmt.Sprintf("graphpim: unknown config %q", cfg))
 	}
-	fw := gframe.New(r.g, r.opts.Threads, gframe.DefaultCostModel())
-	out := w.Run(fw)
-	tr := fw.Trace()
-	mc, dec := r.resolveConfig(w, cfg, fw, tr)
-	res := noteDecision(machine.RunTrace(mc, fw.Space(), tr), dec)
-	return res, out.Output
-}
-
-// executeStreamed is ExecuteFull's Options.Stream path: the workload's
-// records spill to an unlinked temp file as they are emitted, property
-// arrays are released once the functional run finishes (outputs are
-// snapshots, never aliases), and the machine replays chunk-by-chunk.
-func (r *Run) executeStreamed(w Workload, cfg Config) (Result, any, error) {
-	f, err := os.CreateTemp("", "graphpim-spill-*.gpimtrc2")
-	if err != nil {
-		return Result{}, nil, err
-	}
-	defer f.Close()
-	// Unlink now; the open descriptor keeps the inode alive and no crash
-	// can leave a stray spill file behind.
-	os.Remove(f.Name())
-	sw, err := trace.NewStreamWriter(f, r.opts.Threads, trace.DefaultChunkRecords)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	fw := gframe.NewStreaming(r.g, r.opts.Threads, gframe.DefaultCostModel(), sw)
-	out := w.Run(fw)
-	fw.ReleaseProperties()
-	st, err := fw.FinalizeStream()
-	if err != nil {
-		return Result{}, nil, err
-	}
-	mc, dec := r.resolveConfig(w, cfg, fw, st)
-	res := noteDecision(machine.RunSource(mc, fw.Space(), st), dec)
-	return res, out.Output, nil
+	return r.env.Simulate(r.g, w, kind)
 }
 
 // Experiments returns every paper table/figure reproduction.

@@ -79,7 +79,7 @@ func extAutotune() Experiment {
 			t.Notes = append(t.Notes,
 				fmt.Sprintf("the tuner's geomean matches or beats the best static policy on %d/4 substrates", wins),
 				"the tuner never sees simulated cycles: it profiles degree skew, property footprint vs LLC,",
-				"and atomic density from the trace footer, then routes through the same pou.Policy",
+				"and atomic density from the trace footer, then routes through the same pou.Negotiate",
 				"negotiation the static configurations use (ddr degrades every policy to 1.00x wholesale)")
 			return t
 		},

@@ -28,7 +28,6 @@ import (
 	"graphpim/internal/mem"
 	_ "graphpim/internal/mem/backends" // register built-in backend kinds
 	"graphpim/internal/obs"
-	"graphpim/internal/pou"
 	"graphpim/internal/trace"
 	"graphpim/internal/tune"
 	"graphpim/internal/workloads"
@@ -211,17 +210,6 @@ func (t *tracedRun) source() trace.Source {
 		return t.stream
 	}
 	return t.tr
-}
-
-// strippedSource returns the Fig. 4 atomics-stripped view of the run:
-// the materialized path rewrites the trace up front, the streamed path
-// strips on the fly per cursor window. Both expand to the identical
-// record sequence, so replays agree byte-for-byte.
-func (t *tracedRun) strippedSource() trace.Source {
-	if t.stream != nil {
-		return trace.StripSource(t.stream)
-	}
-	return t.tr.StripAtomics()
 }
 
 // DefaultEnv returns the scale used for the recorded results in
@@ -427,9 +415,7 @@ func (e *Env) Close() error {
 // of the given size.
 func (e *Env) Trace(w workloads.Workload, vertices int) *tracedRun {
 	return e.traceCell(traceKey{w.Info().Name, vertices, e.Seed}, func() *tracedRun {
-		return e.buildTraced(e.Graph(vertices), func(fw *gframe.Framework) workloads.Result {
-			return w.Run(fw)
-		})
+		return e.buildTraced(e.Graph(vertices), w.Run)
 	})
 }
 
@@ -473,9 +459,9 @@ func kindForPlacement(p tune.Placement) ConfigKind {
 // through Config (plus the caller's variant adjustment) unchanged;
 // KindAuto profiles the built graph and trace totals, asks the tuner
 // for a placement against the adjusted substrate, and rebuilds the
-// chosen static configuration — wrapped in a pou policy named after the
-// decision so Result.Config records what the tuner picked. The non-nil
-// Decision carries the features for stats injection.
+// chosen static configuration, renamed after the decision so
+// Result.Config records what the tuner picked. The non-nil Decision
+// carries the features for stats injection.
 func (e *Env) configFor(kind ConfigKind, w workloads.Workload, tr *tracedRun,
 	adjust func(*machine.Config)) (machine.Config, *tune.Decision) {
 	if kind != KindAuto {
@@ -500,11 +486,9 @@ func (e *Env) configFor(kind ConfigKind, w workloads.Workload, tr *tracedRun,
 	if adjust != nil {
 		adjust(&cfg)
 	}
-	// Freeze the fully-resolved POU configuration (PMR activation
-	// included) into a static policy so the machine executes exactly the
-	// placement the static kind would, under the tuner's name.
+	// The machine executes exactly what the static kind would; only the
+	// name records that the tuner chose it.
 	cfg.Name = "Auto(" + cfg.Name + ")"
-	cfg.Policy = pou.NewStatic(cfg.Name, cfg.POU)
 	return cfg, &d
 }
 
@@ -525,6 +509,26 @@ func noteDecision(res machine.Result, d *tune.Decision) machine.Result {
 	return res
 }
 
+// replay runs one cell: it resolves kind's machine for w against the
+// built trace (adjust, if non-nil, tweaks it) and replays the trace.
+func (e *Env) replay(kind ConfigKind, w workloads.Workload, tr *tracedRun,
+	adjust func(*machine.Config)) machine.Result {
+	cfg, dec := e.configFor(kind, w, tr, adjust)
+	return noteDecision(machine.RunSource(cfg, tr.fw.Space(), tr.source()), dec)
+}
+
+// Simulate traces w on g and replays the trace under kind (after the
+// Env's placement override), returning the result and the workload's
+// functional output. Nothing is memoized: every call regenerates the
+// trace, and a streamed trace's spill file is closed before returning.
+func (e *Env) Simulate(g *graph.Graph, w workloads.Workload, kind ConfigKind) (machine.Result, any) {
+	tr := e.buildTraced(g, w.Run)
+	if tr.spill != nil {
+		defer tr.spill.Close()
+	}
+	return e.replay(e.policyKind(kind), w, tr, nil), tr.res.Output
+}
+
 // Run simulates w under the given configuration, memoizing results.
 func (e *Env) Run(w workloads.Workload, kind ConfigKind) machine.Result {
 	return e.RunSized(w, e.Vertices, kind)
@@ -535,9 +539,7 @@ func (e *Env) RunSized(w workloads.Workload, vertices int, kind ConfigKind) mach
 	kind = e.policyKind(kind)
 	key := runKey{w.Info().Name, vertices, kind, w.Info().NeedsFPExtension, "", e.Seed}
 	return e.runCell(key, func() machine.Result {
-		tr := e.Trace(w, vertices)
-		cfg, dec := e.configFor(kind, w, tr, nil)
-		return noteDecision(machine.RunSource(cfg, tr.fw.Space(), tr.source()), dec)
+		return e.replay(kind, w, e.Trace(w, vertices), nil)
 	})
 }
 
@@ -548,9 +550,7 @@ func (e *Env) RunVariant(w workloads.Workload, kind ConfigKind, variant string,
 	kind = e.policyKind(kind)
 	key := runKey{w.Info().Name, e.Vertices, kind, w.Info().NeedsFPExtension, variant, e.Seed}
 	return e.runCell(key, func() machine.Result {
-		tr := e.Trace(w, e.Vertices)
-		cfg, dec := e.configFor(kind, w, tr, adjust)
-		return noteDecision(machine.RunSource(cfg, tr.fw.Space(), tr.source()), dec)
+		return e.replay(kind, w, e.Trace(w, e.Vertices), adjust)
 	})
 }
 
@@ -562,9 +562,7 @@ func (e *Env) RunAutoVariant(w workloads.Workload, variant string,
 	adjust func(*machine.Config)) machine.Result {
 	key := runKey{w.Info().Name, e.Vertices, KindAuto, w.Info().NeedsFPExtension, variant, e.Seed}
 	return e.runCell(key, func() machine.Result {
-		tr := e.Trace(w, e.Vertices)
-		cfg, dec := e.configFor(KindAuto, w, tr, adjust)
-		return noteDecision(machine.RunSource(cfg, tr.fw.Space(), tr.source()), dec)
+		return e.replay(KindAuto, w, e.Trace(w, e.Vertices), adjust)
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"graphpim/internal/machine"
+	"graphpim/internal/trace"
 	"graphpim/internal/workloads"
 )
 
@@ -83,7 +84,7 @@ func fig4AtomicOverhead() Experiment {
 				key := runKey{w.Info().Name, e.Vertices, KindBaseline, w.Info().NeedsFPExtension, "strip", e.Seed}
 				withoutRes := e.runCell(key, func() machine.Result {
 					tr := e.Trace(w, e.Vertices)
-					return machine.RunSource(e.Config(KindBaseline, w), tr.fw.Space(), tr.strippedSource())
+					return machine.RunSource(e.Config(KindBaseline, w), tr.fw.Space(), trace.StripSource(tr.source()))
 				})
 				norm := float64(withRes.Cycles) / float64(withoutRes.Cycles)
 				overhead := 1 - float64(withoutRes.Cycles)/float64(withRes.Cycles)

@@ -46,14 +46,9 @@ type Config struct {
 	// HMC tunes the per-cube parameters of the default HMC backend
 	// (ignored when Mem overrides the backend entirely).
 	HMC hmcbackend.CubeConfig
+	// POU is the offload configuration before capability negotiation:
+	// the assembled machine runs pou.Negotiate(POU, substrate).
 	POU pou.Config
-
-	// Policy overrides POU with a placement policy: when non-nil, the
-	// assembled machine's POU configuration is Policy.Place(substrate)
-	// instead of the negotiated POU field. Nil — every static
-	// configuration — wraps POU in pou.NewStatic, which resolves to the
-	// identical configuration by construction (DESIGN.md §16).
-	Policy pou.Policy
 
 	// HMCCubes chains multiple cubes (HMC supports up to 8); addresses
 	// interleave across the chain at page granularity and far cubes pay
@@ -267,7 +262,7 @@ func (c Config) memConfig() mem.Config {
 }
 
 // substrateOf summarizes a constructed backend's capability tiers for
-// placement policies.
+// pou.Negotiate.
 func substrateOf(b mem.Backend) pou.Substrate {
 	sub := pou.Substrate{Caps: b}
 	if bb, ok := b.(mem.BundleBackend); ok && bb.CanOffloadBundle() {
@@ -277,9 +272,9 @@ func substrateOf(b mem.Backend) pou.Substrate {
 }
 
 // Substrate resolves the pou.Substrate a machine assembled from c would
-// negotiate against, constructing only the memory backend. Placement
-// policies (internal/tune) consult it before committing a configuration,
-// so their substrate view is exactly the one machine assembly will use.
+// negotiate against, constructing only the memory backend. The placement
+// tuner (internal/tune) consults it before committing a configuration,
+// so its substrate view is exactly the one machine assembly will use.
 func (c Config) Substrate() pou.Substrate {
 	return substrateOf(c.memConfig().New(sim.NewStats()))
 }
@@ -306,12 +301,7 @@ func NewSource(cfg Config, space *memmap.AddressSpace, src trace.Source) *Machin
 	st := sim.NewStats()
 	memCfg := cfg.memConfig()
 	backend := memCfg.New(st)
-	sub := substrateOf(backend)
-	pol := cfg.Policy
-	if pol == nil {
-		pol = pou.NewStatic(cfg.Name, cfg.POU)
-	}
-	pouCfg := pol.Place(sub)
+	pouCfg := pou.Negotiate(cfg.POU, substrateOf(backend))
 	m := &Machine{
 		cfg:     cfg,
 		stats:   st,

@@ -101,8 +101,8 @@ type Caps interface {
 	CanOffload(op hmcatomic.Op) bool
 }
 
-// Substrate is what a placement policy learns about the memory backend
-// before the machine assembles: the per-command capability interface and
+// Substrate is what capability negotiation learns about the memory
+// backend before the machine assembles: the per-command capability interface and
 // whether the general-purpose bundle tier exists. The machine builds one
 // from the backend it constructed; tests build them by hand.
 type Substrate struct {
@@ -120,20 +120,9 @@ func (s Substrate) CanOffloadBasic() bool {
 	return s.Caps == nil || s.Caps.CanOffload(hmcatomic.Add16)
 }
 
-// Policy decides the POU configuration a machine runs with, given the
-// substrate it assembles against. The three paper configurations are
-// Static instances; the placement autotuner (internal/tune) implements
-// Policy over profiled graph/trace features.
-type Policy interface {
-	// Name labels the policy in results and records.
-	Name() string
-	// Place resolves the concrete POU configuration for a machine whose
-	// memory backend advertises sub.
-	Place(sub Substrate) Config
-}
-
-// Negotiate applies the capability negotiation every placement performs
-// against a substrate, in the order machine assembly historically did:
+// Negotiate resolves a machine's POU configuration against the
+// substrate its memory backend advertises. Machine assembly calls it
+// once; it applies, in order:
 //
 //  1. Wholesale degradation: a substrate without even the basic integer
 //     atomic has no PIM units, so the whole offload policy — UC bypass
@@ -153,41 +142,6 @@ func Negotiate(cfg Config, sub Substrate) Config {
 		cfg.PMRActive = true
 	}
 	return cfg
-}
-
-// Static wraps a fixed Config as a Policy: Place is exactly Negotiate,
-// so a machine assembled from a concrete Config and one assembled from
-// its Static wrapper are identical by construction (the identity
-// argument in DESIGN.md §16).
-type Static struct {
-	name string
-	cfg  Config
-}
-
-// NewStatic returns the static policy for cfg, labelled name.
-func NewStatic(name string, cfg Config) Static { return Static{name: name, cfg: cfg} }
-
-// Name implements Policy.
-func (s Static) Name() string { return s.name }
-
-// Place implements Policy.
-func (s Static) Place(sub Substrate) Config { return Negotiate(s.cfg, sub) }
-
-// The paper's three configurations as policy instances.
-
-// BaselinePolicy returns the conventional-architecture placement.
-func BaselinePolicy() Policy { return NewStatic("Baseline", Baseline()) }
-
-// GraphPIMPolicy returns the paper's proposed placement; extended
-// enables the FP-atomic extension.
-func GraphPIMPolicy(extended bool) Policy {
-	return NewStatic("GraphPIM", GraphPIM(extended))
-}
-
-// UPEIPolicy returns the idealized PEI placement; extended enables the
-// FP-atomic extension.
-func UPEIPolicy(extended bool) Policy {
-	return NewStatic("U-PEI", UPEI(extended))
 }
 
 // BundleCaps is the optional second capability tier: a backend with

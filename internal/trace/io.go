@@ -9,11 +9,9 @@ import (
 	"graphpim/internal/memmap"
 )
 
-// Binary trace format. Traces can be expensive to regenerate (a workload
-// executes functionally over the whole graph), so the harness and CLI can
-// persist them and replay against any machine configuration later.
-//
-// Layout (little endian):
+// Legacy v1 binary trace format. Traces are written in the chunked v2
+// format (WriteV2); Read still accepts v1 files, whose flat layout is
+// (little endian):
 //
 //	magic   [8]byte  "GPIMTRC1"
 //	threads uint32
@@ -50,19 +48,6 @@ func validateInstr(in Instr) error {
 	return nil
 }
 
-// instrBytes encodes one record.
-func instrBytes(in Instr) [16]byte {
-	var b [16]byte
-	binary.LittleEndian.PutUint64(b[0:8], uint64(in.Addr))
-	binary.LittleEndian.PutUint16(b[8:10], in.N)
-	b[10] = in.Size
-	b[11] = byte(in.Kind)
-	b[12] = byte(in.Atomic)
-	b[13] = byte(in.Region)
-	b[14] = in.Flags
-	return b
-}
-
 func instrFromBytes(b []byte) Instr {
 	return Instr{
 		Addr:   memmap.Addr(binary.LittleEndian.Uint64(b[0:8])),
@@ -75,47 +60,7 @@ func instrFromBytes(b []byte) Instr {
 	}
 }
 
-// Write serializes the trace plus the PMR ranges of its address space
-// (needed to route offloading decisions on replay).
-func Write(w io.Writer, tr *Trace, space *memmap.AddressSpace) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(traceMagic[:]); err != nil {
-		return err
-	}
-	ranges := space.UCRanges()
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(tr.NumThreads()))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(ranges)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var u64 [8]byte
-	for _, r := range ranges {
-		binary.LittleEndian.PutUint64(u64[:], uint64(r[0]))
-		if _, err := bw.Write(u64[:]); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint64(u64[:], uint64(r[1]))
-		if _, err := bw.Write(u64[:]); err != nil {
-			return err
-		}
-	}
-	for _, th := range tr.Threads {
-		binary.LittleEndian.PutUint64(u64[:], uint64(len(th)))
-		if _, err := bw.Write(u64[:]); err != nil {
-			return err
-		}
-		for _, in := range th {
-			b := instrBytes(in)
-			if _, err := bw.Write(b[:]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// Read deserializes a trace written by Write or WriteV2 (the magic
+// Read deserializes a v1 file or one written by WriteV2 (the magic
 // selects the format), returning the trace and an address space carrying
 // the original PMR ranges. Every record is validated; a corrupt file
 // yields a positioned error, never an invalid in-memory trace.

@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -127,4 +130,58 @@ func TestReadRejectsImplausibleCounts(t *testing.T) {
 	if _, _, err := Read(&buf); err == nil {
 		t.Fatal("implausible thread count accepted")
 	}
+}
+
+// instrBytes encodes one record.
+func instrBytes(in Instr) [16]byte {
+	var b [16]byte
+	binary.LittleEndian.PutUint64(b[0:8], uint64(in.Addr))
+	binary.LittleEndian.PutUint16(b[8:10], in.N)
+	b[10] = in.Size
+	b[11] = byte(in.Kind)
+	b[12] = byte(in.Atomic)
+	b[13] = byte(in.Region)
+	b[14] = in.Flags
+	return b
+}
+
+// Write serializes the trace plus the PMR ranges of its address space in
+// the legacy v1 layout: the fixture writer for Read's v1 path and the
+// FuzzRead seeds.
+func Write(w io.Writer, tr *Trace, space *memmap.AddressSpace) error {
+	bw := bufio.NewWriterSize(w, 1<<20)
+	if _, err := bw.Write(traceMagic[:]); err != nil {
+		return err
+	}
+	ranges := space.UCRanges()
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(tr.NumThreads()))
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(ranges)))
+	if _, err := bw.Write(hdr[:]); err != nil {
+		return err
+	}
+	var u64 [8]byte
+	for _, r := range ranges {
+		binary.LittleEndian.PutUint64(u64[:], uint64(r[0]))
+		if _, err := bw.Write(u64[:]); err != nil {
+			return err
+		}
+		binary.LittleEndian.PutUint64(u64[:], uint64(r[1]))
+		if _, err := bw.Write(u64[:]); err != nil {
+			return err
+		}
+	}
+	for _, th := range tr.Threads {
+		binary.LittleEndian.PutUint64(u64[:], uint64(len(th)))
+		if _, err := bw.Write(u64[:]); err != nil {
+			return err
+		}
+		for _, in := range th {
+			b := instrBytes(in)
+			if _, err := bw.Write(b[:]); err != nil {
+				return err
+			}
+		}
+	}
+	return bw.Flush()
 }

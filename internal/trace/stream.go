@@ -116,9 +116,10 @@ func (c *sliceCursor) Counts() Counts {
 
 // StripSource returns a Source view of src with every atomic replaced by
 // a plain load followed by a dependent store of the same size — the
-// streaming equivalent of Trace.StripAtomics (the paper's Fig. 4
-// "excluding the atomic operations" methodology). The rewrite happens
-// lazily per window, so a streamed source stays streamed.
+// paper's Fig. 4 micro-benchmark methodology ("including/excluding the
+// atomic operations on the graph property"). The rewrite happens lazily
+// per window and never touches src, so a streamed source stays streamed
+// and a frozen trace stays shareable.
 func StripSource(src Source) Source { return stripSource{src: src} }
 
 type stripSource struct{ src Source }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"graphpim/internal/memmap"
@@ -286,10 +287,50 @@ func TestOpenStreamMatchesRead(t *testing.T) {
 	}
 }
 
-// TestStripSourceMatchesStripAtomics pins the streamed strip adapter to
-// the materialized reference: both views must expand each atomic into
-// the same load+store pair with identical counts.
-func TestStripSourceMatchesStripAtomics(t *testing.T) {
+// TestOpenPicksReaderByMagic saves one trace in both formats and opens
+// each with Open: the v2 file must come back as a *Stream, the v1 file
+// as a materialized *Trace, and both must carry the same records and
+// PMR ranges.
+func TestOpenPicksReaderByMagic(t *testing.T) {
+	tr, sp := buildSampleTrace(3)
+	var v1, v2 bytes.Buffer
+	if err := Write(&v1, tr, sp); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteV2(&v2, tr, sp); err != nil {
+		t.Fatal(err)
+	}
+	src1, sp1, err := Open(bytes.NewReader(v1.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src2, sp2, err := Open(bytes.NewReader(v2.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := src1.(*Trace); !ok {
+		t.Fatalf("v1 file opened as %T, want *Trace", src1)
+	}
+	if _, ok := src2.(*Stream); !ok {
+		t.Fatalf("v2 file opened as %T, want *Stream", src2)
+	}
+	for th := 0; th < tr.NumThreads(); th++ {
+		diffRecords(t, fmt.Sprintf("v1 thread %d", th), drain(src1.Cursor(th)), tr.Threads[th])
+		diffRecords(t, fmt.Sprintf("v2 thread %d", th), drain(src2.Cursor(th)), tr.Threads[th])
+	}
+	if !reflect.DeepEqual(sp1.UCRanges(), sp.UCRanges()) || !reflect.DeepEqual(sp2.UCRanges(), sp.UCRanges()) {
+		t.Fatal("PMR ranges lost on Open")
+	}
+	if _, _, err := Open(bytes.NewReader([]byte("GPIM"))); err == nil {
+		t.Fatal("truncated magic accepted")
+	}
+}
+
+// TestStripSourceStreamMatchesTrace pins the strip adapter across source
+// kinds: over a v2 stream and over the materialized trace it must
+// expand each atomic into the same load+store pair with identical
+// counts.
+func TestStripSourceStreamMatchesTrace(t *testing.T) {
 	tr, sp := buildSampleTrace(5)
 	var buf bytes.Buffer
 	if err := WriteV2(&buf, tr, sp); err != nil {
@@ -299,7 +340,7 @@ func TestStripSourceMatchesStripAtomics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tr.StripAtomics()
+	want := StripSource(tr)
 	got := StripSource(st)
 	if got.NumThreads() != want.NumThreads() {
 		t.Fatalf("threads %d != %d", got.NumThreads(), want.NumThreads())

@@ -248,30 +248,3 @@ func (t *Trace) AtomicsByKind() map[HostAtomic]uint64 {
 	}
 	return m
 }
-
-// StripAtomics returns a copy of the trace with every atomic replaced by a
-// plain load followed by a dependent store of the same size — the paper's
-// Fig. 4 micro-benchmark methodology ("including/excluding the atomic
-// operations on the graph property").
-func (t *Trace) StripAtomics() *Trace {
-	out := &Trace{Threads: make([][]Instr, len(t.Threads))}
-	for ti, th := range t.Threads {
-		dst := make([]Instr, 0, len(th)+8)
-		for _, in := range th {
-			if in.Kind != KindAtomic {
-				dst = append(dst, in)
-				continue
-			}
-			ld := in
-			ld.Kind = KindLoad
-			ld.Atomic = AtomicNone
-			ld.Flags &^= FlagRetUsed | FlagCASFail
-			st := ld
-			st.Kind = KindStore
-			st.Flags |= FlagDepPrev
-			dst = append(dst, ld, st)
-		}
-		out.Threads[ti] = dst
-	}
-	return out
-}

@@ -136,7 +136,7 @@ func TestPIMOpMapping(t *testing.T) {
 	}
 }
 
-func TestStripAtomics(t *testing.T) {
+func TestStripSource(t *testing.T) {
 	sp := newSpace()
 	a := sp.AllocProperty(64)
 	b := NewBuilder(sp, 2)
@@ -145,10 +145,23 @@ func TestStripAtomics(t *testing.T) {
 	e.Atomic(AtomicCAS, a, 8, false, true, true)
 	e.Compute(1)
 	b.Thread(1).Atomic(AtomicAdd, a, 8, false, false, false)
-	tr := b.Build().StripAtomics()
+	src := b.Build()
+	src.Freeze()
+	stripped := StripSource(src)
+	tr := &Trace{Threads: make([][]Instr, stripped.NumThreads())}
+	for th := range tr.Threads {
+		tr.Threads[th] = drain(stripped.Cursor(th))
+		if got, want := stripped.Cursor(th).Counts(), CountRecords(tr.Threads[th]); got != want {
+			t.Fatalf("thread %d: Counts %+v, records count %+v", th, got, want)
+		}
+	}
 
 	if tr.CountKind(KindAtomic) != 0 {
-		t.Fatal("atomics remain after StripAtomics")
+		t.Fatal("atomics remain after StripSource")
+	}
+	// The view reads a frozen trace without writing to it.
+	if src.CountKind(KindAtomic) != 2 {
+		t.Fatal("StripSource modified its source")
 	}
 	// Each atomic becomes load+store, preserving address and region.
 	th0 := tr.Threads[0]
@@ -275,9 +288,5 @@ func TestTraceFreeze(t *testing.T) {
 	tr.Freeze() // idempotent
 	if !tr.Frozen() {
 		t.Fatal("Frozen() false after Freeze")
-	}
-	// StripAtomics hands back a fresh, unfrozen copy.
-	if tr.StripAtomics().Frozen() {
-		t.Fatal("StripAtomics copy must start unfrozen")
 	}
 }

@@ -863,6 +863,29 @@ func (sc *v2Scan) readFooter(cr *countingReader) error {
 	return nil
 }
 
+// Open opens a saved trace for replay, letting the file's magic pick the
+// reader: a v2 file streams chunk by chunk through OpenStream, a legacy
+// v1 file materializes through Read. Replay is byte-identical across
+// the two source kinds.
+func Open(ra io.ReaderAt) (Source, *memmap.AddressSpace, error) {
+	var magic [8]byte
+	if _, err := ra.ReadAt(magic[:], 0); err != nil {
+		return nil, nil, fmt.Errorf("trace: reading magic: %w", err)
+	}
+	if magic == traceMagicV2 {
+		st, err := OpenStream(ra)
+		if err != nil {
+			return nil, nil, err
+		}
+		return st, st.Space(), nil
+	}
+	tr, space, err := Read(io.NewSectionReader(ra, 0, 1<<62))
+	if err != nil {
+		return nil, nil, err
+	}
+	return tr, space, nil
+}
+
 // OpenStream opens a v2 trace file for streamed replay. The whole log is
 // scanned and validated once (every chunk decoded, footer cross-checked)
 // so that replay cursors never see invalid records; only chunk locations
