@@ -121,6 +121,9 @@ func TestSchedulerEquivalence(t *testing.T) {
 		scan := New(cfg, sp, tr).runScan(maxCycles)
 		diffResults(t, fmt.Sprintf("trial %d (%s, max=%d) event vs scan", trial, cfg.Name, maxCycles),
 			event, scan)
+		dense := New(cfg, sp, tr).runDense(maxCycles)
+		diffResults(t, fmt.Sprintf("trial %d (%s, max=%d) event vs dense", trial, cfg.Name, maxCycles),
+			event, dense)
 	}
 }
 
