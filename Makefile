@@ -46,20 +46,25 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzTimeq$$' -fuzztime $(FUZZTIME) ./internal/cpu/
 
 # sanitize-sweep runs the quick evaluation on each memory substrate in
-# MEMS twice, plain and under the periodic sanitizer (-check), and
-# requires byte-identical stdout: every audit must pass on real traffic
-# without changing a result.
+# MEMS under each placement policy in POLICIES twice, plain and under
+# the periodic sanitizer (-check), and requires byte-identical stdout:
+# every audit must pass on real traffic without changing a result, on
+# every substrate x policy cell. Policy "none" passes no -policy flag
+# (each experiment's own configurations).
 MEMS ?= hmc ddr lpddr vault
+POLICIES ?= none auto host pim upei
 SWEEPDIR ?= $(or $(TMPDIR),/tmp)/graphpim-sanitize
 sanitize-sweep:
 	mkdir -p $(SWEEPDIR)
 	$(GO) build -o $(SWEEPDIR)/graphpim ./cmd/graphpim
-	set -e; for m in $(MEMS); do \
-		$(SWEEPDIR)/graphpim run -quick -q -format json -mem $$m all > $(SWEEPDIR)/$$m.json; \
-		$(SWEEPDIR)/graphpim run -quick -q -format json -mem $$m -check all > $(SWEEPDIR)/$$m.check.json; \
-		cmp $(SWEEPDIR)/$$m.json $(SWEEPDIR)/$$m.check.json; \
-		echo "sanitize-sweep: $$m identical under -check"; \
-	done
+	set -e; for m in $(MEMS); do for p in $(POLICIES); do \
+		flag=""; if [ "$$p" != none ]; then flag="-policy $$p"; fi; \
+		out=$(SWEEPDIR)/$$m.$$p; \
+		$(SWEEPDIR)/graphpim run -quick -q -format json -mem $$m $$flag all > $$out.json; \
+		$(SWEEPDIR)/graphpim run -quick -q -format json -mem $$m $$flag -check all > $$out.check.json; \
+		cmp $$out.json $$out.check.json; \
+		echo "sanitize-sweep: $$m/$$p identical under -check"; \
+	done; done
 
 # equiv is the output-equivalence gate for refactors that must not move
 # a number: it builds BASE (from git archive) and the working tree, runs

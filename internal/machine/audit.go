@@ -124,12 +124,12 @@ func (m *Machine) auditLoop(wake *sim.Wakeups, done, parked int) error {
 	return nil
 }
 
-// checkpoint runs the machine-loop audit plus every registered auditor;
-// used by Run when a periodic checkpoint is due and at end of run.
+// checkpoint runs every registered auditor and then the machine-loop
+// audit; used by Run when a periodic checkpoint is due and at end of
+// run. The subsystems go first because the loop's state is derived from
+// theirs: a core whose queues are corrupt can return no wake time, and
+// the failure belongs to the core, not to the wake table it starves.
 func (m *Machine) checkpoint(now uint64, wake *sim.Wakeups, done, parked int, final bool) {
-	if err := m.auditLoop(wake, done, parked); err != nil {
-		panic(&check.Failure{Subsystem: "machine", Core: check.NoCore, Cycle: now, Err: err})
-	}
 	var f *check.Failure
 	if final {
 		f = m.checks.Final(now)
@@ -138,5 +138,8 @@ func (m *Machine) checkpoint(now uint64, wake *sim.Wakeups, done, parked int, fi
 	}
 	if f != nil {
 		panic(f)
+	}
+	if err := m.auditLoop(wake, done, parked); err != nil {
+		panic(&check.Failure{Subsystem: "machine", Core: check.NoCore, Cycle: now, Err: err})
 	}
 }

@@ -233,3 +233,41 @@ func TestNewPanicsOnTooManyThreads(t *testing.T) {
 	}()
 	New(Baseline(), sp, tr)
 }
+
+// TestAtomicRoutedOnceWithoutStaleDecisions pins the route-once contract
+// between AtomicBlocking and Atomic: Atomic uses the decision kept for
+// the record it issues, and a decision kept for a record that was never
+// issued (a core stalled on a full atomic queue) is never applied to a
+// different record.
+func TestAtomicRoutedOnceWithoutStaleDecisions(t *testing.T) {
+	sp := memmap.NewAddressSpace()
+	meta := sp.AllocMeta(4096)
+	prop := sp.PMRMalloc(4096)
+	b := trace.NewBuilder(sp, 1)
+	b.Thread(0).Compute(1)
+	m := New(GraphPIM(false), sp, b.Build())
+	host := trace.Instr{Kind: trace.KindAtomic, Atomic: trace.AtomicCAS, Addr: meta, Size: 8, Region: memmap.RegionMeta}
+	pim := trace.Instr{Kind: trace.KindAtomic, Atomic: trace.AtomicCAS, Addr: prop, Size: 8, Region: memmap.RegionProperty}
+	if !m.AtomicBlocking(0, host) || m.AtomicBlocking(0, pim) {
+		t.Fatal("fixture records do not route to the host and to PIM")
+	}
+	// The kept decision is pim's: issuing host must still route host.
+	m.AtomicBlocking(0, pim)
+	if res := m.Atomic(0, host, 10); !res.Blocking {
+		t.Fatal("host atomic issued with the decision kept for a PIM atomic")
+	}
+	// A decision kept for host and never issued must not survive an
+	// Atomic call for another record.
+	m.AtomicBlocking(0, host)
+	if res := m.Atomic(0, pim, 20); res.Blocking {
+		t.Fatal("PIM atomic issued with the decision kept for a host atomic")
+	}
+	if m.routed[0].valid {
+		t.Fatal("Atomic left a kept decision behind")
+	}
+	// The decision kept on one core is not visible to another.
+	m.AtomicBlocking(0, pim)
+	if res := m.Atomic(1, host, 30); !res.Blocking {
+		t.Fatal("core 1 issued with core 0's kept decision")
+	}
+}
