@@ -42,7 +42,8 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzBuilder$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEdgeList$$' -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildStream$$' -fuzztime $(FUZZTIME) ./internal/graph/
-	$(GO) test -run '^$$' -fuzz '^FuzzLinkLaneReserve$$' -fuzztime $(FUZZTIME) ./internal/hmc/
+	$(GO) test -run '^$$' -fuzz '^FuzzLaneReserve$$' -fuzztime $(FUZZTIME) ./internal/mem/dram/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadRecords$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzTimeq$$' -fuzztime $(FUZZTIME) ./internal/cpu/
 
 # sanitize-sweep runs the quick evaluation on each memory substrate in

@@ -42,6 +42,7 @@ import (
 
 	"graphpim"
 	"graphpim/internal/harness"
+	"graphpim/internal/machine"
 	"graphpim/internal/mem"
 	"graphpim/internal/obs"
 )
@@ -216,6 +217,34 @@ func checkMemKind(sub, kind string, stderr io.Writer) bool {
 	fmt.Fprintf(stderr, "%s: unknown memory backend %q\n", sub, kind)
 	fmt.Fprintf(stderr, "valid backends (registry order): %s\n", strings.Join(mem.Kinds(), ", "))
 	return false
+}
+
+// checkManifestEnv validates a recorded environment with the checks run
+// applies to its flags, so a corrupt or hand-edited manifest exits 2
+// with a message instead of panicking inside a generator or the machine.
+func checkManifestEnv(dir string, env obs.EnvInfo, stderr io.Writer) bool {
+	bad := func(format string, args ...any) bool {
+		fmt.Fprintf(stderr, "replay: manifest in %s: "+format+"\n", append([]any{dir}, args...)...)
+		return false
+	}
+	if env.Vertices < minAppVertices {
+		return bad("vertices must be at least %d (got %d)", minAppVertices, env.Vertices)
+	}
+	for _, v := range env.SweepSizes {
+		if v < minVertices {
+			return bad("sweep size must be at least %d (got %d)", minVertices, v)
+		}
+	}
+	if env.AppVertices < minAppVertices {
+		return bad("app vertices must be at least %d (got %d)", minAppVertices, env.AppVertices)
+	}
+	if cores := machine.Baseline().NumCores; env.Threads < 1 || env.Threads > cores {
+		return bad("threads must be in 1..%d (got %d)", cores, env.Threads)
+	}
+	if env.Memory != "" && !checkMemKind("replay", env.Memory, stderr) {
+		return false
+	}
+	return checkPolicy("replay", env.Policy, stderr)
 }
 
 // resolveExperiments maps requested ids to experiments; "all" selects
@@ -430,6 +459,9 @@ func cmdReplay(args []string, stdout, stderr io.Writer) int {
 	m, err := obs.LoadManifest(*in)
 	if err != nil {
 		fmt.Fprintf(stderr, "replay: cannot load run directory %s: %v\n", *in, err)
+		return 2
+	}
+	if !checkManifestEnv(*in, m.Env, stderr) {
 		return 2
 	}
 

@@ -101,6 +101,55 @@ func TestReplayTruncatedManifestExitsTwo(t *testing.T) {
 	}
 }
 
+// TestReplayBadManifestExitsTwo: a manifest whose environment fails the
+// checks run applies to its flags, or whose records carry no cell key or
+// live outside the run directory, is an input error — exit 2 with a
+// message, never a generator panic or a silent re-simulation.
+func TestReplayBadManifestExitsTwo(t *testing.T) {
+	const env = `"seed":7,"threads":16,"sweep_sizes":[512],"app_vertices":2048,"parallelism":1`
+	const goodRecord = `{"experiment":"fig1-ipc","workload":"BFS","config":"Baseline"}`
+	cases := []struct {
+		name, env, file, records, want string
+	}{
+		{"vertices", `"vertices":-5,` + env, "fig1-ipc.jsonl", goodRecord, "vertices must be at least 16 (got -5)"},
+		{"sweep", `"vertices":2048,"seed":7,"threads":16,"sweep_sizes":[512,1],"app_vertices":2048`,
+			"fig1-ipc.jsonl", goodRecord, "sweep size must be at least 2 (got 1)"},
+		{"app", `"vertices":2048,"seed":7,"threads":16,"app_vertices":15`, "fig1-ipc.jsonl", goodRecord,
+			"app vertices must be at least 16 (got 15)"},
+		{"threads", `"vertices":2048,"seed":7,"threads":0,"app_vertices":2048`, "fig1-ipc.jsonl", goodRecord,
+			"threads must be in 1..16 (got 0)"},
+		{"memory", `"vertices":2048,` + env + `,"memory":"sram"`, "fig1-ipc.jsonl", goodRecord,
+			`replay: unknown memory backend "sram"`},
+		{"policy", `"vertices":2048,` + env + `,"policy":"always"`, "fig1-ipc.jsonl", goodRecord,
+			`replay: unknown placement policy "always"`},
+		{"keyless", `"vertices":2048,` + env, "fig1-ipc.jsonl", `{"bogus":1}`, "corrupt records"},
+		{"escape", `"vertices":2048,` + env, "../fig1-ipc.jsonl", goodRecord, "corrupt records"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			manifest := `{"tool":"graphpim","format":1,"env":{` + c.env + `},` +
+				`"experiments":[{"id":"fig1-ipc","file":"` + c.file + `","cells":1}]}`
+			if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(manifest), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "fig1-ipc.jsonl"), []byte(c.records+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{"replay", "-in", dir, "fig1-ipc"}, &stdout, &stderr); code != 2 {
+				t.Fatalf("exit code = %d, want 2; stderr:\n%s", code, stderr.String())
+			}
+			if msg := stderr.String(); !strings.Contains(msg, c.want) || strings.Contains(msg, "goroutine") {
+				t.Fatalf("stderr %q does not report %q", msg, c.want)
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("a rejected replay printed tables:\n%s", stdout.String())
+			}
+		})
+	}
+}
+
 func TestReplayMissingDirExitsTwo(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"replay", "-in", filepath.Join(t.TempDir(), "nope")}, &stdout, &stderr); code != 2 {

@@ -88,7 +88,7 @@ func (c *Core) Audit(now uint64) error {
 	// fast-forward books a whole stretch of retires at its tick time, so
 	// progress is measured against the fast-forward horizon, within
 	// which those retires architecturally happen.
-	eff := maxu(now, c.ffUntil)
+	eff := max(now, c.ffUntil)
 	if c.auditPrimed {
 		if eff < c.auditPrevAt {
 			return fmt.Errorf("audit time went backwards: %d after %d", eff, c.auditPrevAt)

@@ -372,13 +372,6 @@ func (c *Core) exhausted() bool {
 	return c.computeLeft == 0 && !c.more()
 }
 
-func maxu(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // retire pops completed ROB entries in order, up to IssueWidth per
 // cycle, for every cycle from retireFrom through now: retirement is
 // computed for the cycles since the last evaluation, so it drains at
@@ -438,7 +431,7 @@ func (c *Core) DrainCompleted(now uint64) {
 // Done — so a draining core is woken exactly then instead of at every
 // retirement on the way.
 func (c *Core) drainAt(now uint64) uint64 {
-	t := maxu(now+1, c.wb.maxT())
+	t := max(now+1, c.wb.maxT())
 	at, used := c.retireFrom, 0
 	for i, j := 0, c.robH; i < c.robN; i++ {
 		if used == c.cfg.IssueWidth {
@@ -496,7 +489,7 @@ func (c *Core) attribute(now, elapsed uint64) {
 // chase / value flow); posted atomics never feed addresses.
 func (c *Core) issueTime(in trace.Instr, now uint64) uint64 {
 	if in.DepPrev() {
-		return maxu(now, c.lastLoadDone)
+		return max(now, c.lastLoadDone)
 	}
 	return now
 }
@@ -582,7 +575,7 @@ func (c *Core) pushComputes(now uint64, k int) {
 	for i := 0; i < k; i++ {
 		done := now + 1
 		if c.computeDep {
-			done = maxu(now, c.lastMemDone) + 1
+			done = max(now, c.lastMemDone) + 1
 			c.computeDep = false
 		}
 		c.robPush(done)
@@ -682,7 +675,7 @@ dispatch:
 				// stall; only the extra wait the fence imposes and the
 				// locked RMW itself count as atomic overhead.
 				naturalReady := c.issueTime(in, now)
-				fenceReady := maxu(naturalReady, maxu(c.wb.maxT(), c.lastMemDone))
+				fenceReady := max(naturalReady, c.wb.maxT(), c.lastMemDone)
 				res := c.mem.Atomic(c.id, in, fenceReady)
 				c.ctr.depWait.Add(naturalReady - now)
 				drain := fenceReady - naturalReady
@@ -740,7 +733,7 @@ dispatch:
 				c.lastLoadDone = eff
 			}
 			if res.ChainPenalty > 0 {
-				c.lastLoadDone = maxu(c.lastLoadDone, now) + res.ChainPenalty
+				c.lastLoadDone = max(c.lastLoadDone, now) + res.ChainPenalty
 			}
 			c.robPush(doneAt)
 			c.pc++

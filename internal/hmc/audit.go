@@ -9,25 +9,10 @@ import (
 // Sanitizer support: the cube keeps several redundant views of the same
 // traffic — aggregate FLIT counters next to per-request reservations,
 // FU busy-cycle counters next to per-FU horizon arrays, per-epoch link
-// budgets next to the configured bandwidth. Audit cross-checks them.
+// budgets next to the configured bandwidth, row-buffer outcomes next to
+// the per-request counters. Audit cross-checks them.
 // All methods are read-only so an audited run is byte-identical to an
 // unaudited one.
-
-// audit verifies that no epoch slot was reserved past the lane's FLIT
-// budget. Slots are lazily recycled, so stale slots still hold loads
-// from old epochs — those were validated when written and stay within
-// budget, which keeps the whole-buffer sweep sound.
-func (l *linkLane) audit() error {
-	// reserve accumulates float64 FLIT counts; allow for rounding dust.
-	const eps = 1e-6
-	for slot, load := range l.epochs {
-		if load < -eps || load > l.epochBudget+eps {
-			return fmt.Errorf("link lane epoch slot %d (epoch %d) holds %g FLITs, budget %g",
-				slot, l.epochIdx[slot], load, l.epochBudget)
-		}
-	}
-	return nil
-}
 
 // maxHorizon returns the latest next-free cycle across a [vault][unit]
 // reservation table.
@@ -108,10 +93,10 @@ func (c *Cube) auditFU(now uint64, totalIntFU, totalFPFU int, intBusy, fpBusy ui
 	if fpBusy != wantFP {
 		return fmt.Errorf("hmc.fpfu.busy_cycles = %d but per-op latencies sum to %d", fpBusy, wantFP)
 	}
-	if horizon := maxu(now, maxHorizon(c.intFU)); intBusy > horizon*uint64(totalIntFU) {
+	if horizon := max(now, maxHorizon(c.intFU)); intBusy > horizon*uint64(totalIntFU) {
 		return fmt.Errorf("hmc.fu.busy_cycles = %d exceeds %d FUs x horizon %d", intBusy, totalIntFU, horizon)
 	}
-	if horizon := maxu(now, maxHorizon(c.fpFU)); totalFPFU > 0 && fpBusy > horizon*uint64(totalFPFU) {
+	if horizon := max(now, maxHorizon(c.fpFU)); totalFPFU > 0 && fpBusy > horizon*uint64(totalFPFU) {
 		return fmt.Errorf("hmc.fpfu.busy_cycles = %d exceeds %d FUs x horizon %d", fpBusy, totalFPFU, horizon)
 	}
 	return nil
@@ -123,15 +108,21 @@ func (c *Cube) auditFU(now uint64, totalIntFU, totalFPFU int, intBusy, fpBusy ui
 // (link-lane budgets, FU horizons) is checked per cube.
 func (p *Pool) Audit(now uint64) error {
 	for i, c := range p.cubes {
-		if err := c.reqLink.audit(); err != nil {
+		if err := c.reqLink.Audit(); err != nil {
 			return fmt.Errorf("cube %d request lane: %w", i, err)
 		}
-		if err := c.rspLink.audit(); err != nil {
+		if err := c.rspLink.Audit(); err != nil {
 			return fmt.Errorf("cube %d response lane: %w", i, err)
 		}
 	}
 	c0 := p.cubes[0]
 	if err := c0.auditFlitConservation(); err != nil {
+		return err
+	}
+	// Every read, write, UC access and atomic makes one bank access.
+	ctr := c0.ctr
+	if err := c0.banks.Audit(ctr.reads.Value() + ctr.writes.Value() +
+		ctr.ucReads.Value() + ctr.ucWrites.Value() + ctr.atomics.Value()); err != nil {
 		return err
 	}
 	// FU occupancy bound must account for every unit in the chain; the
@@ -141,7 +132,7 @@ func (p *Pool) Audit(now uint64) error {
 	for _, c := range p.cubes {
 		totalInt += c.cfg.NumVaults * c.cfg.IntFUsPerVault
 		totalFP += c.cfg.NumVaults * c.cfg.FPFUsPerVault
-		horizon = maxu(horizon, maxu(maxHorizon(c.intFU), maxHorizon(c.fpFU)))
+		horizon = max(horizon, maxHorizon(c.intFU), maxHorizon(c.fpFU))
 	}
 	return c0.auditFU(horizon, totalInt, totalFP, c0.ctr.fuBusy.Value(), c0.ctr.fpFUBusy.Value())
 }
@@ -149,8 +140,4 @@ func (p *Pool) Audit(now uint64) error {
 // CorruptLinkLaneForTest over-reserves one request-lane epoch on the
 // first cube so fault-injection tests can prove the lane audit catches
 // budget violations. Test-only; never call from simulation code.
-func (p *Pool) CorruptLinkLaneForTest() {
-	l := p.cubes[0].reqLink
-	l.epochs[0] = 2 * l.epochBudget
-	l.epochIdx[0] = 0
-}
+func (p *Pool) CorruptLinkLaneForTest() { p.cubes[0].reqLink.CorruptForTest() }

@@ -8,14 +8,17 @@
 // the request link, the target bank, the vault's PIM functional units, and
 // the response link, updating those occupancies as it goes. This captures
 // the contention effects the paper studies (FU count, link bandwidth, bank
-// conflicts) while staying fast and deterministic.
+// conflicts) while staying fast and deterministic. The links and banks
+// are the shared DRAM core of internal/mem/dram; the cube adds its vault
+// mapping, Table V FLIT costs and PIM functional units.
 package hmc
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 
 	"graphpim/internal/hmcatomic"
+	"graphpim/internal/mem/dram"
 	"graphpim/internal/memmap"
 	"graphpim/internal/sim"
 )
@@ -92,10 +95,6 @@ type cubeCounters struct {
 	reads, writes     sim.Counter
 	ucReads, ucWrites sim.Counter
 
-	activates    sim.Counter
-	rowHits      sim.Counter
-	rowConflicts sim.Counter
-
 	atomics      sim.Counter
 	atomicByOp   [hmcatomic.NumOps]sim.Counter
 	fuBusy       sim.Counter
@@ -112,9 +111,6 @@ func resolveCubeCounters(stats *sim.Stats) cubeCounters {
 		writes:       stats.Counter("hmc.writes"),
 		ucReads:      stats.Counter("hmc.uc.reads"),
 		ucWrites:     stats.Counter("hmc.uc.writes"),
-		activates:    stats.Counter("hmc.dram.activates"),
-		rowHits:      stats.Counter("hmc.dram.row_hits"),
-		rowConflicts: stats.Counter("hmc.dram.row_conflicts"),
 		atomics:      stats.Counter("hmc.atomics"),
 		fuBusy:       stats.Counter("hmc.fu.busy_cycles"),
 		fpFUBusy:     stats.Counter("hmc.fpfu.busy_cycles"),
@@ -133,19 +129,16 @@ type Cube struct {
 	stats *sim.Stats
 	ctr   cubeCounters
 
-	tRCD, tCL, tRP, tRAS, tRC uint64
-
 	// flitsPerCycle is the serialization rate of the aggregate link in
 	// FLITs per core cycle, each direction.
 	flitsPerCycle float64
+	// vaultBits is the width of the vault field in VaultBank.
+	vaultBits uint
 
-	reqLink *linkLane
-	rspLink *linkLane
-
-	bankFree [][]uint64 // [vault][bank] next free cycle
-	openRow  [][]uint64 // [vault][bank] open row id + 1 (0 = closed)
-	intFU    [][]uint64 // [vault][fu] next free cycle
-	fpFU     [][]uint64
+	reqLink, rspLink *dram.Lane
+	banks            *dram.Banks
+	intFU            [][]uint64 // [vault][fu] next free cycle
+	fpFU             [][]uint64
 
 	mem map[memmap.Addr]hmcatomic.Value // functional store (optional)
 }
@@ -164,33 +157,27 @@ func New(cfg Config, stats *sim.Stats) *Cube {
 	if cfg.IntFUsPerVault <= 0 {
 		panic("hmc: need at least one integer FU per vault")
 	}
-	c := &Cube{
-		cfg:   cfg,
-		stats: stats,
-		ctr:   resolveCubeCounters(stats),
-		tRCD:  sim.NsToCycles(cfg.TRCDNs),
-		tCL:   sim.NsToCycles(cfg.TCLNs),
-		tRP:   sim.NsToCycles(cfg.TRPNs),
-		tRAS:  sim.NsToCycles(cfg.TRASNs),
+	if cfg.RowBytes == 0 {
+		cfg.RowBytes = 4096
 	}
-	c.tRC = c.tRAS + c.tRP
+	c := &Cube{
+		cfg:       cfg,
+		stats:     stats,
+		ctr:       resolveCubeCounters(stats),
+		vaultBits: uint(bits.TrailingZeros(uint(cfg.NumVaults))),
+		banks: dram.NewBanks(stats, "hmc", cfg.NumVaults, cfg.BanksPerVault,
+			dram.Timing{TRCDNs: cfg.TRCDNs, TCLNs: cfg.TCLNs, TRPNs: cfg.TRPNs, TRASNs: cfg.TRASNs}, cfg.OpenPage),
+	}
 	// Bytes per second across all links, one direction.
 	bytesPerSec := cfg.LinkGBs * 1e9 * float64(cfg.NumLinks) * cfg.LinkBWScale
 	bytesPerCycle := bytesPerSec / (sim.CoreClockGHz * 1e9)
 	c.flitsPerCycle = bytesPerCycle / hmcatomic.FlitBytes
-	c.reqLink = newLinkLane(c.flitsPerCycle)
-	c.rspLink = newLinkLane(c.flitsPerCycle)
+	c.reqLink = dram.NewLane(c.flitsPerCycle)
+	c.rspLink = dram.NewLane(c.flitsPerCycle)
 
-	if c.cfg.RowBytes == 0 {
-		c.cfg.RowBytes = 4096
-	}
-	c.bankFree = make([][]uint64, cfg.NumVaults)
-	c.openRow = make([][]uint64, cfg.NumVaults)
 	c.intFU = make([][]uint64, cfg.NumVaults)
 	c.fpFU = make([][]uint64, cfg.NumVaults)
-	for v := range c.bankFree {
-		c.bankFree[v] = make([]uint64, cfg.BanksPerVault)
-		c.openRow[v] = make([]uint64, cfg.BanksPerVault)
+	for v := range c.intFU {
 		c.intFU[v] = make([]uint64, cfg.IntFUsPerVault)
 		if cfg.FPFUsPerVault > 0 {
 			c.fpFU[v] = make([]uint64, cfg.FPFUsPerVault)
@@ -212,132 +199,31 @@ func (c *Cube) Config() Config { return c.cfg }
 func (c *Cube) VaultBank(addr memmap.Addr) (vault, bank int) {
 	block := uint64(addr) >> uint(6+c.cfg.VaultInterleaveShift)
 	vault = int(block & uint64(c.cfg.NumVaults-1))
-	bank = int((block >> uint(log2(c.cfg.NumVaults))) & uint64(c.cfg.BanksPerVault-1))
+	bank = int((block >> c.vaultBits) & uint64(c.cfg.BanksPerVault-1))
 	return
-}
-
-func log2(n int) int {
-	k := 0
-	for 1<<uint(k) < n {
-		k++
-	}
-	return k
-}
-
-// linkLane models one direction of the aggregate SerDes link as a set of
-// fixed-width time epochs with a FLIT budget each. A packet reserves
-// budget starting at the epoch containing its ready time, spilling into
-// later epochs when the link is saturated. Unlike a single next-free
-// pointer, this admits out-of-order ready times without head-of-line
-// blocking (a packet scheduled far in the future does not delay packets
-// that are ready now), while still enforcing the aggregate bandwidth.
-type linkLane struct {
-	epochCycles  uint64
-	epochBudget  float64 // FLITs per epoch
-	epochs       []float64
-	epochIdx     []uint64 // absolute epoch index occupying each slot
-	perFlitDelay float64  // serialization cycles per FLIT
-}
-
-const linkEpochCycles = 32
-
-func newLinkLane(flitsPerCycle float64) *linkLane {
-	const slots = 1 << 14
-	return &linkLane{
-		epochCycles:  linkEpochCycles,
-		epochBudget:  flitsPerCycle * linkEpochCycles,
-		epochs:       make([]float64, slots),
-		epochIdx:     make([]uint64, slots),
-		perFlitDelay: 1 / flitsPerCycle,
-	}
-}
-
-// reserve books flits FLITs no earlier than ready and returns the cycle at
-// which the packet has fully crossed the link (excluding fixed latency).
-func (l *linkLane) reserve(ready uint64, flits int) uint64 {
-	e := ready / l.epochCycles
-	need := float64(flits)
-	for {
-		slot := e % uint64(len(l.epochs))
-		if l.epochIdx[slot] != e {
-			// Lazily reset a recycled slot.
-			l.epochIdx[slot] = e
-			l.epochs[slot] = 0
-		}
-		if l.epochs[slot]+need <= l.epochBudget {
-			l.epochs[slot] += need
-			start := ready
-			if es := e * l.epochCycles; es > start {
-				start = es
-			}
-			// Serialization rounds up to whole cycles: flits*perFlitDelay
-			// exactly (no +1 — truncate-plus-one overcharged a cycle
-			// whenever the product was a whole number of cycles, e.g. 15
-			// FLITs at 15 FLITs/cycle must cost 1 cycle, not 2).
-			ser := uint64(math.Ceil(float64(flits) * l.perFlitDelay))
-			return start + ser
-		}
-		e++
-	}
 }
 
 // sendRequest occupies the request link for flits FLITs starting no
 // earlier than now and returns the cycle the packet arrives at the vault.
 func (c *Cube) sendRequest(now uint64, flits int) uint64 {
 	c.ctr.flitsReq.Add(uint64(flits))
-	return c.reqLink.reserve(now, flits) + c.cfg.LinkLatency
+	return c.reqLink.Reserve(now, flits) + c.cfg.LinkLatency
 }
 
 // sendResponse occupies the response link starting no earlier than ready
 // and returns the cycle the packet reaches the host.
 func (c *Cube) sendResponse(ready uint64, flits int) uint64 {
 	c.ctr.flitsRsp.Add(uint64(flits))
-	return c.rspLink.reserve(ready, flits) + c.cfg.LinkLatency
+	return c.rspLink.Reserve(ready, flits) + c.cfg.LinkLatency
 }
 
-func maxu(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// bankAccess reserves the target bank starting no earlier than arrive,
-// holding it for the RMW extension extra (0 for plain reads/writes).
-// It returns the cycle at which data is available and increments the
-// activate counter for energy accounting.
-//
-// Closed-page (the default): every access activates and precharges, so
-// the bank is busy for tRC. Open-page: a row-buffer hit pays only tCL
-// and keeps the bank busy briefly; a row conflict pays precharge +
-// activate + column access.
-func (c *Cube) bankAccess(addr memmap.Addr, arrive, extra uint64) (dataReady uint64) {
+// reserveBank reserves addr's bank starting no earlier than arrive,
+// holding it for the RMW extension extra (0 for plain reads/writes), and
+// returns the cycle at which data is available. Rows are numbered by
+// physical address, not by the bank-local line index of dram.Route.
+func (c *Cube) reserveBank(addr memmap.Addr, arrive, extra uint64) uint64 {
 	v, b := c.VaultBank(addr)
-	start := maxu(arrive, c.bankFree[v][b])
-	if !c.cfg.OpenPage {
-		dataReady = start + c.tRCD + c.tCL
-		c.bankFree[v][b] = start + c.tRC + extra
-		c.ctr.activates.Inc()
-		return dataReady
-	}
-	row := uint64(addr)/c.cfg.RowBytes + 1
-	switch c.openRow[v][b] {
-	case row: // row-buffer hit
-		c.ctr.rowHits.Inc()
-		dataReady = start + c.tCL
-		c.bankFree[v][b] = dataReady + extra
-	case 0: // bank idle, row closed
-		c.ctr.activates.Inc()
-		dataReady = start + c.tRCD + c.tCL
-		c.bankFree[v][b] = dataReady + extra
-	default: // row conflict: precharge, then activate
-		c.ctr.activates.Inc()
-		c.ctr.rowConflicts.Inc()
-		dataReady = start + c.tRP + c.tRCD + c.tCL
-		c.bankFree[v][b] = dataReady + extra
-	}
-	c.openRow[v][b] = row
-	return dataReady
+	return c.banks.Access(v, b, uint64(addr)/c.cfg.RowBytes+1, arrive, extra)
 }
 
 // ReadLine implements cache.Backend: a 64-byte line fill on the critical
@@ -346,7 +232,7 @@ func (c *Cube) ReadLine(lineAddr memmap.Addr, now uint64) uint64 {
 	c.ctr.reads.Inc()
 	cost := hmcatomic.Read64Cost()
 	arrive := c.sendRequest(now, cost.Request)
-	ready := c.bankAccess(lineAddr, arrive, 0)
+	ready := c.reserveBank(lineAddr, arrive, 0)
 	done := c.sendResponse(ready, cost.Response)
 	return done - now
 }
@@ -361,7 +247,7 @@ func (c *Cube) ReadLine(lineAddr memmap.Addr, now uint64) uint64 {
 func (c *Cube) WriteLine(lineAddr memmap.Addr, now uint64) {
 	c.ctr.writes.Inc()
 	arrive := c.sendRequest(now, hmcatomic.Write64Cost().Request)
-	c.bankAccess(lineAddr, arrive, 0)
+	c.reserveBank(lineAddr, arrive, 0)
 }
 
 // UCRead is an uncacheable sub-line read (at most 16 bytes), used for
@@ -370,7 +256,7 @@ func (c *Cube) UCRead(addr memmap.Addr, now uint64) uint64 {
 	c.ctr.ucReads.Inc()
 	cost := hmcatomic.UCReadCost()
 	arrive := c.sendRequest(now, cost.Request)
-	ready := c.bankAccess(addr, arrive, 0)
+	ready := c.reserveBank(addr, arrive, 0)
 	done := c.sendResponse(ready, cost.Response)
 	return done - now
 }
@@ -381,7 +267,7 @@ func (c *Cube) UCWrite(addr memmap.Addr, now uint64) uint64 {
 	c.ctr.ucWrites.Inc()
 	cost := hmcatomic.UCWriteCost()
 	arrive := c.sendRequest(now, cost.Request)
-	ready := c.bankAccess(addr, arrive, 0)
+	ready := c.reserveBank(addr, arrive, 0)
 	done := c.sendResponse(ready, cost.Response)
 	return done
 }
@@ -411,7 +297,7 @@ func (c *Cube) Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, no
 	// The bank is locked for the whole RMW: activate, read, FU op,
 	// write back, precharge.
 	v, _ := c.VaultBank(addr)
-	dataReady := c.bankAccess(addr, arrive, fuLat)
+	dataReady := c.reserveBank(addr, arrive, fuLat)
 
 	// Claim a functional unit; the op starts when both the data and an
 	// FU are available.
@@ -432,7 +318,7 @@ func (c *Cube) Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, no
 			fuIdx = i
 		}
 	}
-	opStart := maxu(dataReady, pool[fuIdx])
+	opStart := max(dataReady, pool[fuIdx])
 	opDone := opStart + fuLat
 	pool[fuIdx] = opDone
 	busy.Add(fuLat)
@@ -440,7 +326,7 @@ func (c *Cube) Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, no
 		c.ctr.fuQueue.Add(wait)
 	}
 
-	t := AtomicTiming{Accepted: maxu(now+2, arrive-c.cfg.LinkLatency)}
+	t := AtomicTiming{Accepted: max(now+2, arrive-c.cfg.LinkLatency)}
 	t.ResponseAt = c.sendResponse(opDone, cost.Response)
 
 	if c.mem != nil {

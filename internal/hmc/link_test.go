@@ -4,15 +4,19 @@ import (
 	"testing"
 	"testing/quick"
 
+	"graphpim/internal/mem/dram"
 	"graphpim/internal/sim"
 )
 
+// The cube's links are dram.Lane values metering FLITs; these tests pin
+// the lane contract at the HMC link rate (15 FLITs/cycle by default).
+
 func TestLinkLaneNoHeadOfLineBlocking(t *testing.T) {
-	l := newLinkLane(15)
+	l := dram.NewLane(15)
 	// A packet scheduled far in the future must not delay one that is
 	// ready now.
-	future := l.reserve(1_000_000, 5)
-	nowDone := l.reserve(10, 5)
+	future := l.Reserve(1_000_000, 5)
+	nowDone := l.Reserve(10, 5)
 	if nowDone > 20 {
 		t.Fatalf("present packet delayed to %d by a future reservation", nowDone)
 	}
@@ -24,15 +28,15 @@ func TestLinkLaneNoHeadOfLineBlocking(t *testing.T) {
 func TestLinkLaneEnforcesBandwidth(t *testing.T) {
 	// 15 FLITs/cycle, epoch of 32 cycles -> 480 FLITs per epoch. Pushing
 	// 4800 FLITs all ready at t=0 must take at least 10 epochs.
-	l := newLinkLane(15)
+	l := dram.NewLane(15)
 	var last uint64
 	for i := 0; i < 960; i++ {
-		done := l.reserve(0, 5)
+		done := l.Reserve(0, 5)
 		if done > last {
 			last = done
 		}
 	}
-	if last < 9*linkEpochCycles {
+	if last < 9*dram.EpochCycles {
 		t.Fatalf("4800 FLITs drained by cycle %d; capacity is 480/epoch", last)
 	}
 }
@@ -42,33 +46,31 @@ func TestLinkLaneEnforcesBandwidth(t *testing.T) {
 func TestLinkLaneProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := sim.NewRand(seed)
-		l := newLinkLane(15)
+		l := dram.NewLane(15)
 		loads := map[uint64]float64{}
 		for i := 0; i < 500; i++ {
 			ready := uint64(r.Intn(2000))
 			flits := 1 + r.Intn(5)
-			done := l.reserve(ready, flits)
+			done := l.Reserve(ready, flits)
 			if done < ready {
 				return false
 			}
 			// Track per-epoch totals using the lane's own bookkeeping
 			// assumption: the packet was booked at epoch(done-ser).
-			loads[done/linkEpochCycles] += float64(flits)
+			loads[done/dram.EpochCycles] += float64(flits)
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
-	// Direct check of the internal epoch ledger.
-	l := newLinkLane(15)
+	// Direct check of the epoch ledger.
+	l := dram.NewLane(15)
 	for i := 0; i < 2000; i++ {
-		l.reserve(uint64(i%64), 4)
+		l.Reserve(uint64(i%64), 4)
 	}
-	for slot, load := range l.epochs {
-		if load > l.epochBudget+1e-9 {
-			t.Fatalf("epoch slot %d holds %.0f FLITs, budget %.0f", slot, load, l.epochBudget)
-		}
+	if err := l.Audit(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -93,9 +95,9 @@ func TestLinkLaneSerializationCeil(t *testing.T) {
 		{0.5, 3, 6}, // and scales linearly
 	}
 	for _, c := range cases {
-		l := newLinkLane(c.rate)
+		l := dram.NewLane(c.rate)
 		const ready = 64 // epoch-aligned so no epoch rounding interferes
-		if got := l.reserve(ready, c.flits); got != ready+c.want {
+		if got := l.Reserve(ready, c.flits); got != ready+c.want {
 			t.Errorf("rate %v: reserve(%d, %d flits) = %d, want %d",
 				c.rate, ready, c.flits, got, ready+c.want)
 		}
@@ -103,16 +105,15 @@ func TestLinkLaneSerializationCeil(t *testing.T) {
 }
 
 func TestLinkLaneSlotRecycling(t *testing.T) {
-	l := newLinkLane(15)
-	slots := uint64(len(l.epochs))
+	l := dram.NewLane(15)
 	// Fill an early epoch, then jump one full ring later: the recycled
 	// slot must reset rather than appear full.
 	for i := 0; i < 96; i++ {
-		l.reserve(0, 5) // 480 FLITs: epoch 0 full
+		l.Reserve(0, 5) // 480 FLITs: epoch 0 full
 	}
-	wrapReady := slots * linkEpochCycles // same slot, next ring lap
-	done := l.reserve(wrapReady, 5)
-	if done > wrapReady+linkEpochCycles {
+	wrapReady := uint64(dram.EpochSlots * dram.EpochCycles) // same slot, next ring lap
+	done := l.Reserve(wrapReady, 5)
+	if done > wrapReady+dram.EpochCycles {
 		t.Fatalf("recycled epoch slot behaved as full: done at %d for ready %d", done, wrapReady)
 	}
 }

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"graphpim/internal/check"
@@ -172,6 +173,18 @@ func TestFaultInjectionLinkLaneOverReservation(t *testing.T) {
 	f := expectFailure(t, "hmc", func() { m.Run(0) })
 	if f.Cycle == 0 {
 		t.Fatalf("failure carries no cycle: %v", f)
+	}
+}
+
+// TestFaultInjectionHMCRowHits skews the cube's row-buffer outcome
+// counter: the bank model's partition audit must attribute the drift
+// to the "hmc" subsystem.
+func TestFaultInjectionHMCRowHits(t *testing.T) {
+	m := checkedMachine(37)
+	corruptAtTick(t, 400, func() { m.stats.Counter("hmc.dram.row_hits").Add(1) })
+	f := expectFailure(t, "hmc", func() { m.Run(0) })
+	if f.Cycle == 0 || !strings.Contains(f.Error(), "row_hits") {
+		t.Fatalf("failure context: %v", f)
 	}
 }
 

@@ -9,26 +9,12 @@ import "fmt"
 // are read-only so an audited run is byte-identical to an unaudited
 // one.
 
-// audit verifies that no epoch slot was reserved past the lane's byte
-// budget. Slots are lazily recycled; stale slots were validated when
-// written, which keeps the whole-buffer sweep sound.
-func (l *busLane) audit() error {
-	const eps = 1e-6
-	for slot, load := range l.epochs {
-		if load < -eps || load > l.epochBudget+eps {
-			return fmt.Errorf("bus lane epoch slot %d (epoch %d) holds %g bytes, budget %g",
-				slot, l.epochIdx[slot], load, l.epochBudget)
-		}
-	}
-	return nil
-}
-
 // Audit implements mem.Backend: per-channel bus budgets, byte
 // conservation against the per-kind request counters, and the
 // row-buffer outcome partition.
 func (s *System) Audit(now uint64) error {
 	for ch, l := range s.bus {
-		if err := l.audit(); err != nil {
+		if err := l.Audit(); err != nil {
 			return fmt.Errorf("channel %d: %w", ch, err)
 		}
 	}
@@ -48,24 +34,11 @@ func (s *System) Audit(now uint64) error {
 			got, want, writes, ucWrites)
 	}
 
-	// Each bank access resolves to exactly one row-buffer outcome: a hit
-	// or an activate (conflicts activate too, after a precharge).
-	total := reads + writes + ucReads + ucWrites
-	activates, hits, conflicts := s.ctr.activates.Value(), s.ctr.rowHits.Value(), s.ctr.rowConflicts.Value()
-	if activates+hits != total {
-		return fmt.Errorf("ddr.dram.activates+row_hits = %d+%d but %d accesses served", activates, hits, total)
-	}
-	if conflicts > activates {
-		return fmt.Errorf("ddr.dram.row_conflicts = %d exceeds activates %d", conflicts, activates)
-	}
-	return nil
+	// Each bank access resolves to exactly one row-buffer outcome.
+	return s.banks.Audit(reads + writes + ucReads + ucWrites)
 }
 
 // CorruptBusLaneForTest over-reserves one epoch on channel 0 so
 // fault-injection tests can prove the lane audit catches budget
 // violations. Test-only; never call from simulation code.
-func (s *System) CorruptBusLaneForTest() {
-	l := s.bus[0]
-	l.epochs[0] = 2 * l.epochBudget
-	l.epochIdx[0] = 0
-}
+func (s *System) CorruptBusLaneForTest() { s.bus[0].CorruptForTest() }

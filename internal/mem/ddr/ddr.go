@@ -16,10 +16,10 @@ package ddr
 
 import (
 	"fmt"
-	"math"
 
 	"graphpim/internal/hmcatomic"
 	"graphpim/internal/mem"
+	"graphpim/internal/mem/dram"
 	"graphpim/internal/memmap"
 	"graphpim/internal/sim"
 )
@@ -113,22 +113,15 @@ func (c Config) New(stats *sim.Stats) mem.Backend {
 	}
 	banks := c.RanksPerChannel * c.BanksPerRank
 	s := &System{
-		cfg:         c,
-		ctr:         resolveCounters(stats),
-		tRCD:        sim.NsToCycles(c.TRCDNs),
-		tCL:         sim.NsToCycles(c.TCLNs),
-		tRP:         sim.NsToCycles(c.TRPNs),
-		tRAS:        sim.NsToCycles(c.TRASNs),
-		chBits:      log2(c.Channels),
-		bankBits:    log2(banks),
-		linesPerRow: c.RowBytes / burstBytes,
+		cfg:   c,
+		ctr:   resolveCounters(stats),
+		route: dram.NewRoute(c.Channels, banks, c.RowBytes),
+		banks: dram.NewBanks(stats, "ddr", c.Channels, banks,
+			dram.Timing{TRCDNs: c.TRCDNs, TCLNs: c.TCLNs, TRPNs: c.TRPNs, TRASNs: c.TRASNs}, c.OpenPage),
 	}
-	s.tRC = s.tRAS + s.tRP
 	bytesPerCycle := c.ChannelGBs * 1e9 / (sim.CoreClockGHz * 1e9)
 	for ch := 0; ch < c.Channels; ch++ {
-		s.bus = append(s.bus, newBusLane(bytesPerCycle))
-		s.bankFree = append(s.bankFree, make([]uint64, banks))
-		s.openRow = append(s.openRow, make([]uint64, banks))
+		s.bus = append(s.bus, dram.NewLane(bytesPerCycle))
 	}
 	return s
 }
@@ -138,25 +131,18 @@ type counters struct {
 	reads, writes     sim.Counter
 	ucReads, ucWrites sim.Counter
 
-	activates    sim.Counter
-	rowHits      sim.Counter
-	rowConflicts sim.Counter
-
 	busRdBytes sim.Counter
 	busWrBytes sim.Counter
 }
 
 func resolveCounters(stats *sim.Stats) counters {
 	return counters{
-		reads:        stats.Counter("ddr.reads"),
-		writes:       stats.Counter("ddr.writes"),
-		ucReads:      stats.Counter("ddr.uc.reads"),
-		ucWrites:     stats.Counter("ddr.uc.writes"),
-		activates:    stats.Counter("ddr.dram.activates"),
-		rowHits:      stats.Counter("ddr.dram.row_hits"),
-		rowConflicts: stats.Counter("ddr.dram.row_conflicts"),
-		busRdBytes:   stats.Counter("ddr.bus.rd_bytes"),
-		busWrBytes:   stats.Counter("ddr.bus.wr_bytes"),
+		reads:      stats.Counter("ddr.reads"),
+		writes:     stats.Counter("ddr.writes"),
+		ucReads:    stats.Counter("ddr.uc.reads"),
+		ucWrites:   stats.Counter("ddr.uc.writes"),
+		busRdBytes: stats.Counter("ddr.bus.rd_bytes"),
+		busWrBytes: stats.Counter("ddr.bus.wr_bytes"),
 	}
 }
 
@@ -164,152 +150,33 @@ func resolveCounters(stats *sim.Stats) counters {
 // Sub-line UC accesses still occupy a full burst.
 const burstBytes = 64
 
-// busLane models one channel's data bus as fixed-width time epochs with
-// a byte budget each — the same structure as the HMC link lane, scaled
-// to bytes. A transfer reserves budget starting at the epoch containing
-// its ready time, spilling into later epochs when the bus is saturated,
-// so out-of-order ready times do not head-of-line block.
-type busLane struct {
-	epochCycles  uint64
-	epochBudget  float64 // bytes per epoch
-	epochs       []float64
-	epochIdx     []uint64
-	perByteDelay float64
-}
-
-const busEpochCycles = 32
-
-func newBusLane(bytesPerCycle float64) *busLane {
-	const slots = 1 << 14
-	return &busLane{
-		epochCycles:  busEpochCycles,
-		epochBudget:  bytesPerCycle * busEpochCycles,
-		epochs:       make([]float64, slots),
-		epochIdx:     make([]uint64, slots),
-		perByteDelay: 1 / bytesPerCycle,
-	}
-}
-
-// reserve books bytes no earlier than ready and returns the cycle at
-// which the transfer has fully crossed the bus.
-func (l *busLane) reserve(ready uint64, bytes int) uint64 {
-	e := ready / l.epochCycles
-	need := float64(bytes)
-	for {
-		slot := e % uint64(len(l.epochs))
-		if l.epochIdx[slot] != e {
-			l.epochIdx[slot] = e
-			l.epochs[slot] = 0
-		}
-		if l.epochs[slot]+need <= l.epochBudget {
-			l.epochs[slot] += need
-			start := ready
-			if es := e * l.epochCycles; es > start {
-				start = es
-			}
-			ser := uint64(math.Ceil(float64(bytes) * l.perByteDelay))
-			return start + ser
-		}
-		e++
-	}
-}
-
 // System is the assembled DDR memory system.
 type System struct {
 	cfg Config
 	ctr counters
 
-	tRCD, tCL, tRP, tRAS, tRC uint64
-
-	// chBits/bankBits are the address-interleaving field widths;
-	// linesPerRow is the row capacity in minimum bursts.
-	chBits, bankBits int
-	linesPerRow      uint64
-
-	bus      []*busLane // per channel
-	bankFree [][]uint64 // [channel][rank*banksPerRank+bank] next free cycle
-	openRow  [][]uint64 // open row id + 1 (0 = closed)
-}
-
-func maxu(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// route maps an address to its channel, bank slot, and row: consecutive
-// 64-byte lines interleave across channels first (spreading streaming
-// traffic over every bus), then across the channel's banks; the bits
-// above the interleave fields index the bank's own line sequence, whose
-// rows hold linesPerRow bursts each. Deriving the row from the
-// bank-local index (not the raw physical address) is what gives
-// streaming traffic its row locality: a sequential sweep keeps every
-// bank on its open row.
-func (s *System) route(addr memmap.Addr) (ch, bank int, row uint64) {
-	block := uint64(addr) >> 6
-	ch = int(block & uint64(s.cfg.Channels-1))
-	banks := s.cfg.RanksPerChannel * s.cfg.BanksPerRank
-	bank = int((block >> uint(s.chBits)) & uint64(banks-1))
-	row = (block>>uint(s.chBits+s.bankBits))/s.linesPerRow + 1
-	return
-}
-
-func log2(n int) int {
-	k := 0
-	for 1<<uint(k) < n {
-		k++
-	}
-	return k
-}
-
-// bankAccess reserves the target bank starting no earlier than arrive
-// and returns the cycle at which data is available, mirroring the HMC
-// model's row-buffer policies.
-func (s *System) bankAccess(ch, bank int, row, arrive uint64) (dataReady uint64) {
-	start := maxu(arrive, s.bankFree[ch][bank])
-	if !s.cfg.OpenPage {
-		dataReady = start + s.tRCD + s.tCL
-		s.bankFree[ch][bank] = start + s.tRC
-		s.ctr.activates.Inc()
-		return dataReady
-	}
-	switch s.openRow[ch][bank] {
-	case row: // row-buffer hit
-		s.ctr.rowHits.Inc()
-		dataReady = start + s.tCL
-		s.bankFree[ch][bank] = dataReady
-	case 0: // bank idle, row closed
-		s.ctr.activates.Inc()
-		dataReady = start + s.tRCD + s.tCL
-		s.bankFree[ch][bank] = dataReady
-	default: // row conflict: precharge, then activate
-		s.ctr.activates.Inc()
-		s.ctr.rowConflicts.Inc()
-		dataReady = start + s.tRP + s.tRCD + s.tCL
-		s.bankFree[ch][bank] = dataReady
-	}
-	s.openRow[ch][bank] = row
-	return dataReady
+	route dram.Route
+	banks *dram.Banks
+	bus   []*dram.Lane // per channel data bus
 }
 
 // read is the shared critical-path read timing: command to the bank,
 // burst back over the channel bus.
 func (s *System) read(addr memmap.Addr, now uint64) (done uint64) {
-	ch, bank, row := s.route(addr)
+	ch, bank, row := s.route.Map(addr)
 	arrive := now + s.cfg.BusLatency
-	ready := s.bankAccess(ch, bank, row, arrive)
+	ready := s.banks.Access(ch, bank, row, arrive, 0)
 	s.ctr.busRdBytes.Add(burstBytes)
-	return s.bus[ch].reserve(ready, burstBytes) + s.cfg.BusLatency
+	return s.bus[ch].Reserve(ready, burstBytes) + s.cfg.BusLatency
 }
 
 // write is the shared posted-write timing: the burst crosses the bus
 // with the command, then occupies the bank.
 func (s *System) write(addr memmap.Addr, now uint64) (done uint64) {
-	ch, bank, row := s.route(addr)
+	ch, bank, row := s.route.Map(addr)
 	s.ctr.busWrBytes.Add(burstBytes)
-	arrive := s.bus[ch].reserve(now, burstBytes) + s.cfg.BusLatency
-	return s.bankAccess(ch, bank, row, arrive)
+	arrive := s.bus[ch].Reserve(now, burstBytes) + s.cfg.BusLatency
+	return s.banks.Access(ch, bank, row, arrive, 0)
 }
 
 // ReadLine implements mem.Backend: a 64-byte line fill on the critical

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"graphpim/internal/hmcatomic"
+	"graphpim/internal/mem/dram"
 	"graphpim/internal/memmap"
 	"graphpim/internal/sim"
 )
@@ -44,7 +45,7 @@ func TestRowBufferPolicy(t *testing.T) {
 	if hits := st.Get("ddr.dram.row_hits"); hits != 1 {
 		t.Fatalf("row hits = %d, want 1", hits)
 	}
-	s.ReadLine(interleave*memmap.Addr(s.linesPerRow), 2000) // bank-local line 128: row 2
+	s.ReadLine(interleave*memmap.Addr(cfg.RowBytes/dram.LineBytes), 2000) // bank-local line 128: row 2
 	if c := st.Get("ddr.dram.row_conflicts"); c != 1 {
 		t.Fatalf("row conflicts = %d, want 1", c)
 	}

@@ -1,0 +1,67 @@
+package dram_test
+
+import (
+	"testing"
+
+	"graphpim/internal/mem/ddr"
+	"graphpim/internal/mem/dram"
+	"graphpim/internal/mem/lpddr"
+	"graphpim/internal/mem/vault"
+	"graphpim/internal/sim"
+)
+
+// bytesPerCycle converts a GB/s rate to bytes per core cycle, the way
+// the byte-metered backends size their lanes.
+func bytesPerCycle(gbs float64) float64 { return gbs * 1e9 / (sim.CoreClockGHz * 1e9) }
+
+// FuzzLaneReserve drives Lane.Reserve with arbitrary ready times and
+// transfer sizes and checks the lane's contract on every call: a
+// transfer never finishes before its ready time, serialization charges
+// at least one cycle per nonempty transfer, and the per-epoch ledger
+// never exceeds the budget (Lane.Audit — the same invariant the runtime
+// sanitizer enforces on every backend).
+//
+// The rate set covers every lane the backends build from their
+// DefaultConfig: the HMC links (15 FLITs/cycle), the ddr and lpddr
+// channel buses and the vault links (bytes/cycle), plus slow and fast
+// extremes.
+//
+// The script bytes decode in pairs: the first byte advances or rewinds
+// the ready time (out-of-order arrivals are part of the contract — no
+// head-of-line blocking), the second picks the transfer size 1..8 units.
+func FuzzLaneReserve(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 4, 10, 4, 5, 1})
+	f.Add(uint8(1), []byte{255, 8, 0, 8, 128, 2, 7, 7})
+	f.Add(uint8(3), []byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
+	rates := []float64{0.5, 1, 3.75, 15, 30,
+		bytesPerCycle(ddr.DefaultConfig().ChannelGBs),
+		bytesPerCycle(lpddr.DefaultConfig().ChannelGBs),
+		bytesPerCycle(vault.DefaultConfig().LinkGBs),
+	}
+	f.Fuzz(func(t *testing.T, rateSel uint8, script []byte) {
+		l := dram.NewLane(rates[int(rateSel)%len(rates)])
+		var now uint64
+		for i := 0; i+1 < len(script) && i < 4096; i += 2 {
+			delta, szByte := script[i], script[i+1]
+			if delta >= 128 && now >= uint64(delta-128) {
+				now -= uint64(delta - 128) // rewind: out-of-order ready time
+			} else {
+				now += uint64(delta)
+			}
+			units := 1 + int(szByte)%8
+			done := l.Reserve(now, units)
+			if done <= now {
+				t.Fatalf("Reserve(ready=%d, units=%d) = %d, not after ready", now, units, done)
+			}
+			// The full-ledger audit sweeps 16K slots; amortize it.
+			if i%128 == 0 {
+				if err := l.Audit(); err != nil {
+					t.Fatalf("after Reserve(ready=%d, units=%d): %v", now, units, err)
+				}
+			}
+		}
+		if err := l.Audit(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

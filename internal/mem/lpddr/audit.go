@@ -9,26 +9,12 @@ import "fmt"
 // cross-checks them; all methods are read-only so an audited run is
 // byte-identical to an unaudited one.
 
-// audit verifies that no epoch slot was reserved past the lane's byte
-// budget. Slots are lazily recycled; stale slots were validated when
-// written, which keeps the whole-buffer sweep sound.
-func (l *busLane) audit() error {
-	const eps = 1e-6
-	for slot, load := range l.epochs {
-		if load < -eps || load > l.epochBudget+eps {
-			return fmt.Errorf("bus lane epoch slot %d (epoch %d) holds %g bytes, budget %g",
-				slot, l.epochIdx[slot], load, l.epochBudget)
-		}
-	}
-	return nil
-}
-
 // Audit implements mem.Backend: per-channel bus budgets, byte
 // conservation against the per-kind request counters, the row-buffer
 // outcome partition, and the MAC-unit occupancy identity.
 func (s *System) Audit(now uint64) error {
 	for ch, l := range s.bus {
-		if err := l.audit(); err != nil {
+		if err := l.Audit(); err != nil {
 			return fmt.Errorf("channel %d: %w", ch, err)
 		}
 	}
@@ -53,13 +39,8 @@ func (s *System) Audit(now uint64) error {
 
 	// Each bank access — atomics included, their operand is sensed once —
 	// resolves to exactly one row-buffer outcome.
-	total := reads + writes + ucReads + ucWrites + atomics
-	activates, hits, conflicts := s.ctr.activates.Value(), s.ctr.rowHits.Value(), s.ctr.rowConflicts.Value()
-	if activates+hits != total {
-		return fmt.Errorf("lpddr.dram.activates+row_hits = %d+%d but %d accesses served", activates, hits, total)
-	}
-	if conflicts > activates {
-		return fmt.Errorf("lpddr.dram.row_conflicts = %d exceeds activates %d", conflicts, activates)
+	if err := s.banks.Audit(reads + writes + ucReads + ucWrites + atomics); err != nil {
+		return err
 	}
 
 	// MAC occupancy identity: every integer op holds its unit for the
@@ -84,13 +65,4 @@ func (s *System) Audit(now uint64) error {
 		}
 	}
 	return nil
-}
-
-// CorruptBusLaneForTest over-reserves one epoch on channel 0 so
-// fault-injection tests can prove the lane audit catches budget
-// violations. Test-only; never call from simulation code.
-func (s *System) CorruptBusLaneForTest() {
-	l := s.bus[0]
-	l.epochs[0] = 2 * l.epochBudget
-	l.epochIdx[0] = 0
 }

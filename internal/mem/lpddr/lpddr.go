@@ -18,10 +18,10 @@ package lpddr
 
 import (
 	"fmt"
-	"math"
 
 	"graphpim/internal/hmcatomic"
 	"graphpim/internal/mem"
+	"graphpim/internal/mem/dram"
 	"graphpim/internal/memmap"
 	"graphpim/internal/sim"
 )
@@ -143,22 +143,15 @@ func (c Config) New(stats *sim.Stats) mem.Backend {
 	}
 	banks := c.BankGroupsPerChannel * c.BanksPerGroup
 	s := &System{
-		cfg:         c,
-		ctr:         resolveCounters(stats),
-		tRCD:        sim.NsToCycles(c.TRCDNs),
-		tCL:         sim.NsToCycles(c.TCLNs),
-		tRP:         sim.NsToCycles(c.TRPNs),
-		tRAS:        sim.NsToCycles(c.TRASNs),
-		chBits:      log2(c.Channels),
-		bankBits:    log2(banks),
-		linesPerRow: c.RowBytes / lineBytes,
+		cfg:   c,
+		ctr:   resolveCounters(stats),
+		route: dram.NewRoute(c.Channels, banks, c.RowBytes),
+		banks: dram.NewBanks(stats, "lpddr", c.Channels, banks,
+			dram.Timing{TRCDNs: c.TRCDNs, TCLNs: c.TCLNs, TRPNs: c.TRPNs, TRASNs: c.TRASNs}, c.OpenPage),
 	}
-	s.tRC = s.tRAS + s.tRP
 	bytesPerCycle := c.ChannelGBs * 1e9 / (sim.CoreClockGHz * 1e9)
 	for ch := 0; ch < c.Channels; ch++ {
-		s.bus = append(s.bus, newBusLane(bytesPerCycle))
-		s.bankFree = append(s.bankFree, make([]uint64, banks))
-		s.openRow = append(s.openRow, make([]uint64, banks))
+		s.bus = append(s.bus, dram.NewLane(bytesPerCycle))
 		s.macFree = append(s.macFree, make([]uint64, c.BankGroupsPerChannel))
 	}
 	if c.Functional {
@@ -174,10 +167,6 @@ type counters struct {
 	atomics           sim.Counter
 	fpOps             sim.Counter
 
-	activates    sim.Counter
-	rowHits      sim.Counter
-	rowConflicts sim.Counter
-
 	busRdBytes sim.Counter
 	busWrBytes sim.Counter
 
@@ -187,19 +176,16 @@ type counters struct {
 
 func resolveCounters(stats *sim.Stats) counters {
 	return counters{
-		reads:        stats.Counter("lpddr.reads"),
-		writes:       stats.Counter("lpddr.writes"),
-		ucReads:      stats.Counter("lpddr.uc.reads"),
-		ucWrites:     stats.Counter("lpddr.uc.writes"),
-		atomics:      stats.Counter("lpddr.atomics"),
-		fpOps:        stats.Counter("lpddr.mac.fp_ops"),
-		activates:    stats.Counter("lpddr.dram.activates"),
-		rowHits:      stats.Counter("lpddr.dram.row_hits"),
-		rowConflicts: stats.Counter("lpddr.dram.row_conflicts"),
-		busRdBytes:   stats.Counter("lpddr.bus.rd_bytes"),
-		busWrBytes:   stats.Counter("lpddr.bus.wr_bytes"),
-		macBusy:      stats.Counter("lpddr.mac.busy_cycles"),
-		macQueue:     stats.Counter("lpddr.mac.queue_cycles"),
+		reads:      stats.Counter("lpddr.reads"),
+		writes:     stats.Counter("lpddr.writes"),
+		ucReads:    stats.Counter("lpddr.uc.reads"),
+		ucWrites:   stats.Counter("lpddr.uc.writes"),
+		atomics:    stats.Counter("lpddr.atomics"),
+		fpOps:      stats.Counter("lpddr.mac.fp_ops"),
+		busRdBytes: stats.Counter("lpddr.bus.rd_bytes"),
+		busWrBytes: stats.Counter("lpddr.bus.wr_bytes"),
+		macBusy:    stats.Counter("lpddr.mac.busy_cycles"),
+		macQueue:   stats.Counter("lpddr.mac.queue_cycles"),
 	}
 }
 
@@ -214,66 +200,14 @@ const (
 	fpMACMult = 4
 )
 
-// busLane models one channel's data bus as fixed-width time epochs with
-// a byte budget each (the same structure as the DDR and HMC lanes).
-type busLane struct {
-	epochCycles  uint64
-	epochBudget  float64 // bytes per epoch
-	epochs       []float64
-	epochIdx     []uint64
-	perByteDelay float64
-}
-
-const busEpochCycles = 32
-
-func newBusLane(bytesPerCycle float64) *busLane {
-	const slots = 1 << 14
-	return &busLane{
-		epochCycles:  busEpochCycles,
-		epochBudget:  bytesPerCycle * busEpochCycles,
-		epochs:       make([]float64, slots),
-		epochIdx:     make([]uint64, slots),
-		perByteDelay: 1 / bytesPerCycle,
-	}
-}
-
-// reserve books bytes no earlier than ready and returns the cycle at
-// which the transfer has fully crossed the bus.
-func (l *busLane) reserve(ready uint64, bytes int) uint64 {
-	e := ready / l.epochCycles
-	need := float64(bytes)
-	for {
-		slot := e % uint64(len(l.epochs))
-		if l.epochIdx[slot] != e {
-			l.epochIdx[slot] = e
-			l.epochs[slot] = 0
-		}
-		if l.epochs[slot]+need <= l.epochBudget {
-			l.epochs[slot] += need
-			start := ready
-			if es := e * l.epochCycles; es > start {
-				start = es
-			}
-			ser := uint64(math.Ceil(float64(bytes) * l.perByteDelay))
-			return start + ser
-		}
-		e++
-	}
-}
-
 // System is the assembled LPDDR5X-PIM memory system.
 type System struct {
 	cfg Config
 	ctr counters
 
-	tRCD, tCL, tRP, tRAS, tRC uint64
-
-	chBits, bankBits int
-	linesPerRow      uint64
-
-	bus      []*busLane // per channel
-	bankFree [][]uint64 // [channel][group*banksPerGroup+bank]
-	openRow  [][]uint64 // open row id + 1 (0 = closed)
+	route dram.Route
+	banks *dram.Banks  // [channel][group*banksPerGroup+bank]
+	bus   []*dram.Lane // per channel data bus
 	// macFree is each bank group's PIM unit next-free cycle (core
 	// cycles, always a multiple of PIMClockDiv by construction).
 	macFree [][]uint64
@@ -282,79 +216,23 @@ type System struct {
 	store map[memmap.Addr]hmcatomic.Value
 }
 
-func maxu(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func log2(n int) int {
-	k := 0
-	for 1<<uint(k) < n {
-		k++
-	}
-	return k
-}
-
-// route maps an address to its channel, bank slot, and row, channel-
-// interleaving consecutive 64-byte lines exactly like the DDR model so
-// streaming traffic spreads over every bus and keeps row locality.
-func (s *System) route(addr memmap.Addr) (ch, bank int, row uint64) {
-	block := uint64(addr) >> 6
-	ch = int(block & uint64(s.cfg.Channels-1))
-	banks := s.cfg.BankGroupsPerChannel * s.cfg.BanksPerGroup
-	bank = int((block >> uint(s.chBits)) & uint64(banks-1))
-	row = (block>>uint(s.chBits+s.bankBits))/s.linesPerRow + 1
-	return
-}
-
-// bankAccess reserves the target bank starting no earlier than arrive
-// and returns the cycle at which data is available.
-func (s *System) bankAccess(ch, bank int, row, arrive uint64) (dataReady uint64) {
-	start := maxu(arrive, s.bankFree[ch][bank])
-	if !s.cfg.OpenPage {
-		dataReady = start + s.tRCD + s.tCL
-		s.bankFree[ch][bank] = start + s.tRC
-		s.ctr.activates.Inc()
-		return dataReady
-	}
-	switch s.openRow[ch][bank] {
-	case row: // row-buffer hit
-		s.ctr.rowHits.Inc()
-		dataReady = start + s.tCL
-		s.bankFree[ch][bank] = dataReady
-	case 0: // bank idle, row closed
-		s.ctr.activates.Inc()
-		dataReady = start + s.tRCD + s.tCL
-		s.bankFree[ch][bank] = dataReady
-	default: // row conflict: precharge, then activate
-		s.ctr.activates.Inc()
-		s.ctr.rowConflicts.Inc()
-		dataReady = start + s.tRP + s.tRCD + s.tCL
-		s.bankFree[ch][bank] = dataReady
-	}
-	s.openRow[ch][bank] = row
-	return dataReady
-}
-
 // read is the shared critical-path read timing: command to the bank,
 // bytes back over the channel bus.
 func (s *System) read(addr memmap.Addr, now uint64, bytes int) (done uint64) {
-	ch, bank, row := s.route(addr)
+	ch, bank, row := s.route.Map(addr)
 	arrive := now + s.cfg.BusLatency
-	ready := s.bankAccess(ch, bank, row, arrive)
+	ready := s.banks.Access(ch, bank, row, arrive, 0)
 	s.ctr.busRdBytes.Add(uint64(bytes))
-	return s.bus[ch].reserve(ready, bytes) + s.cfg.BusLatency
+	return s.bus[ch].Reserve(ready, bytes) + s.cfg.BusLatency
 }
 
 // write is the shared posted-write timing: the burst crosses the bus
 // with the command, then occupies the bank.
 func (s *System) write(addr memmap.Addr, now uint64, bytes int) (done uint64) {
-	ch, bank, row := s.route(addr)
+	ch, bank, row := s.route.Map(addr)
 	s.ctr.busWrBytes.Add(uint64(bytes))
-	arrive := s.bus[ch].reserve(now, bytes) + s.cfg.BusLatency
-	return s.bankAccess(ch, bank, row, arrive)
+	arrive := s.bus[ch].Reserve(now, bytes) + s.cfg.BusLatency
+	return s.banks.Access(ch, bank, row, arrive, 0)
 }
 
 // ReadLine implements mem.Backend: a 64-byte line fill (two bursts) on
@@ -419,17 +297,17 @@ func (s *System) Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, 
 	if hmcatomic.IsFloat(op) {
 		s.ctr.fpOps.Inc()
 	}
-	ch, bank, row := s.route(addr)
+	ch, bank, row := s.route.Map(addr)
 	group := bank / s.cfg.BanksPerGroup
 
 	// Command + immediate cross the bus like a minimum burst.
 	s.ctr.busWrBytes.Add(burstBytes)
-	arrive := s.bus[ch].reserve(now, burstBytes) + s.cfg.BusLatency
-	ready := s.bankAccess(ch, bank, row, arrive)
+	arrive := s.bus[ch].Reserve(now, burstBytes) + s.cfg.BusLatency
+	ready := s.banks.Access(ch, bank, row, arrive, 0)
 
 	// Claim the bank group's MAC unit on a PIM-domain clock edge.
 	lat := s.macLatency(op)
-	start := s.alignUp(maxu(ready, s.macFree[ch][group]))
+	start := s.alignUp(max(ready, s.macFree[ch][group]))
 	s.ctr.macQueue.Add(start - ready)
 	s.macFree[ch][group] = start + lat
 	s.ctr.macBusy.Add(lat)
@@ -437,9 +315,9 @@ func (s *System) Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, 
 
 	// Acknowledgment / old value returns over the bus.
 	s.ctr.busRdBytes.Add(burstBytes)
-	resp := s.bus[ch].reserve(done, burstBytes) + s.cfg.BusLatency
+	resp := s.bus[ch].Reserve(done, burstBytes) + s.cfg.BusLatency
 
-	t := mem.AtomicTiming{Accepted: maxu(now+2, arrive-s.cfg.BusLatency), ResponseAt: resp}
+	t := mem.AtomicTiming{Accepted: max(now+2, arrive-s.cfg.BusLatency), ResponseAt: resp}
 	if s.store != nil {
 		r := hmcatomic.Apply(op, s.store[addr], imm)
 		if r.Wrote {

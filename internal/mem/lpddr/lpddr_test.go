@@ -234,7 +234,7 @@ func TestCountersAndAuditRandomized(t *testing.T) {
 func TestAuditCatchesBusOverReservation(t *testing.T) {
 	s, _ := newSystem(t, DefaultConfig())
 	s.ReadLine(0, 0)
-	s.CorruptBusLaneForTest()
+	s.bus[0].CorruptForTest()
 	err := s.Audit(100)
 	if err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("corrupted bus lane not caught: %v", err)

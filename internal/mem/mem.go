@@ -13,6 +13,11 @@
 //   - mem/vault — an UPMEM-style substrate with one general-purpose
 //     scalar core per vault, accepting whole RMW bundles.
 //
+// All four share one DRAM core, mem/dram: the epoch-budget Lane that
+// meters links and buses, the row-buffer Banks model with its outcome
+// audit, and the channel-interleaved Route. A substrate adds only its
+// geometry, interconnect rates, PIM units and counter names.
+//
 // Kinds register centrally through RegisterKind (see mem/backends),
 // which also validates each backend's counter declaration against the
 // alias table at registration time.

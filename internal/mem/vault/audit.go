@@ -9,29 +9,15 @@ import "fmt"
 // Audit cross-checks them; all methods are read-only so an audited run
 // is byte-identical to an unaudited one.
 
-// audit verifies that no epoch slot was reserved past the lane's byte
-// budget. Slots are lazily recycled; stale slots were validated when
-// written, which keeps the whole-buffer sweep sound.
-func (l *byteLane) audit(name string) error {
-	const eps = 1e-6
-	for slot, load := range l.epochs {
-		if load < -eps || load > l.epochBudget+eps {
-			return fmt.Errorf("%s link lane epoch slot %d (epoch %d) holds %g bytes, budget %g",
-				name, slot, l.epochIdx[slot], load, l.epochBudget)
-		}
-	}
-	return nil
-}
-
 // Audit implements mem.Backend: link-lane budgets, byte conservation
 // against the per-kind request counters, the row-buffer outcome
 // partition, and the per-vault issue-accounting identities.
 func (s *System) Audit(now uint64) error {
-	if err := s.reqLink.audit("request"); err != nil {
-		return err
+	if err := s.reqLink.Audit(); err != nil {
+		return fmt.Errorf("request link: %w", err)
 	}
-	if err := s.rspLink.audit("response"); err != nil {
-		return err
+	if err := s.rspLink.Audit(); err != nil {
+		return fmt.Errorf("response link: %w", err)
 	}
 	reads := s.ctr.reads.Value()
 	writes := s.ctr.writes.Value()
@@ -54,13 +40,8 @@ func (s *System) Audit(now uint64) error {
 
 	// Each bank access — atomics sense their operand exactly once —
 	// resolves to exactly one row-buffer outcome.
-	total := reads + writes + ucReads + ucWrites + atomics
-	activates, hits, conflicts := s.ctr.activates.Value(), s.ctr.rowHits.Value(), s.ctr.rowConflicts.Value()
-	if activates+hits != total {
-		return fmt.Errorf("vault.dram.activates+row_hits = %d+%d but %d accesses served", activates, hits, total)
-	}
-	if conflicts > activates {
-		return fmt.Errorf("vault.dram.row_conflicts = %d exceeds activates %d", conflicts, activates)
+	if err := s.banks.Audit(reads + writes + ucReads + ucWrites + atomics); err != nil {
+		return err
 	}
 
 	// Generic bundles are a subset of atomics, and every issued
@@ -84,12 +65,4 @@ func (s *System) Audit(now uint64) error {
 		return fmt.Errorf("per-vault issue ledger sums to %d instructions but vault.core.instrs = %d", ledger, instrs)
 	}
 	return nil
-}
-
-// CorruptLinkLaneForTest over-reserves one request-lane epoch so
-// fault-injection tests can prove the lane audit catches budget
-// violations. Test-only; never call from simulation code.
-func (s *System) CorruptLinkLaneForTest() {
-	s.reqLink.epochs[0] = 2 * s.reqLink.epochBudget
-	s.reqLink.epochIdx[0] = 0
 }

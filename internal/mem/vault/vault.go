@@ -18,10 +18,10 @@ package vault
 
 import (
 	"fmt"
-	"math"
 
 	"graphpim/internal/hmcatomic"
 	"graphpim/internal/mem"
+	"graphpim/internal/mem/dram"
 	"graphpim/internal/memmap"
 	"graphpim/internal/sim"
 )
@@ -156,22 +156,15 @@ func (c Config) New(stats *sim.Stats) mem.Backend {
 	}
 	bytesPerCycle := c.LinkGBs * 1e9 / (sim.CoreClockGHz * 1e9)
 	s := &System{
-		cfg:         c,
-		ctr:         resolveCounters(stats),
-		tRCD:        sim.NsToCycles(c.TRCDNs),
-		tCL:         sim.NsToCycles(c.TCLNs),
-		tRP:         sim.NsToCycles(c.TRPNs),
-		tRAS:        sim.NsToCycles(c.TRASNs),
-		vaultBits:   log2(c.Vaults),
-		reqLink:     newByteLane(bytesPerCycle),
-		rspLink:     newByteLane(bytesPerCycle),
+		cfg:   c,
+		ctr:   resolveCounters(stats),
+		route: dram.NewRoute(c.Vaults, c.BanksPerVault, c.RowBytes),
+		banks: dram.NewBanks(stats, "vault", c.Vaults, c.BanksPerVault,
+			dram.Timing{TRCDNs: c.TRCDNs, TCLNs: c.TCLNs, TRPNs: c.TRPNs, TRASNs: c.TRASNs}, c.OpenPage),
+		reqLink:     dram.NewLane(bytesPerCycle),
+		rspLink:     dram.NewLane(bytesPerCycle),
 		coreFree:    make([]uint64, c.Vaults),
 		vaultInstrs: make([]uint64, c.Vaults),
-	}
-	s.tRC = s.tRAS + s.tRP
-	for v := 0; v < c.Vaults; v++ {
-		s.bankFree = append(s.bankFree, make([]uint64, c.BanksPerVault))
-		s.openRow = append(s.openRow, make([]uint64, c.BanksPerVault))
 	}
 	if c.Functional {
 		s.store = make(map[memmap.Addr]hmcatomic.Value)
@@ -186,10 +179,6 @@ type counters struct {
 	atomics           sim.Counter
 	bundles           sim.Counter
 
-	activates    sim.Counter
-	rowHits      sim.Counter
-	rowConflicts sim.Counter
-
 	reqBytes sim.Counter
 	rspBytes sim.Counter
 
@@ -200,20 +189,17 @@ type counters struct {
 
 func resolveCounters(stats *sim.Stats) counters {
 	return counters{
-		reads:        stats.Counter("vault.reads"),
-		writes:       stats.Counter("vault.writes"),
-		ucReads:      stats.Counter("vault.uc.reads"),
-		ucWrites:     stats.Counter("vault.uc.writes"),
-		atomics:      stats.Counter("vault.atomics"),
-		bundles:      stats.Counter("vault.bundles"),
-		activates:    stats.Counter("vault.dram.activates"),
-		rowHits:      stats.Counter("vault.dram.row_hits"),
-		rowConflicts: stats.Counter("vault.dram.row_conflicts"),
-		reqBytes:     stats.Counter("vault.link.req_bytes"),
-		rspBytes:     stats.Counter("vault.link.rsp_bytes"),
-		coreInstrs:   stats.Counter("vault.core.instrs"),
-		coreBusy:     stats.Counter("vault.core.busy_cycles"),
-		coreQueue:    stats.Counter("vault.core.queue_cycles"),
+		reads:      stats.Counter("vault.reads"),
+		writes:     stats.Counter("vault.writes"),
+		ucReads:    stats.Counter("vault.uc.reads"),
+		ucWrites:   stats.Counter("vault.uc.writes"),
+		atomics:    stats.Counter("vault.atomics"),
+		bundles:    stats.Counter("vault.bundles"),
+		reqBytes:   stats.Counter("vault.link.req_bytes"),
+		rspBytes:   stats.Counter("vault.link.rsp_bytes"),
+		coreInstrs: stats.Counter("vault.core.instrs"),
+		coreBusy:   stats.Counter("vault.core.busy_cycles"),
+		coreQueue:  stats.Counter("vault.core.queue_cycles"),
 	}
 }
 
@@ -224,65 +210,14 @@ const (
 	packetBytes = 16
 )
 
-// byteLane models one link direction as fixed-width time epochs with a
-// byte budget each — the same structure as the channel bus lanes.
-type byteLane struct {
-	epochCycles  uint64
-	epochBudget  float64
-	epochs       []float64
-	epochIdx     []uint64
-	perByteDelay float64
-}
-
-const laneEpochCycles = 32
-
-func newByteLane(bytesPerCycle float64) *byteLane {
-	const slots = 1 << 14
-	return &byteLane{
-		epochCycles:  laneEpochCycles,
-		epochBudget:  bytesPerCycle * laneEpochCycles,
-		epochs:       make([]float64, slots),
-		epochIdx:     make([]uint64, slots),
-		perByteDelay: 1 / bytesPerCycle,
-	}
-}
-
-// reserve books bytes no earlier than ready and returns the cycle at
-// which the transfer has fully crossed the lane.
-func (l *byteLane) reserve(ready uint64, bytes int) uint64 {
-	e := ready / l.epochCycles
-	need := float64(bytes)
-	for {
-		slot := e % uint64(len(l.epochs))
-		if l.epochIdx[slot] != e {
-			l.epochIdx[slot] = e
-			l.epochs[slot] = 0
-		}
-		if l.epochs[slot]+need <= l.epochBudget {
-			l.epochs[slot] += need
-			start := ready
-			if es := e * l.epochCycles; es > start {
-				start = es
-			}
-			ser := uint64(math.Ceil(float64(bytes) * l.perByteDelay))
-			return start + ser
-		}
-		e++
-	}
-}
-
 // System is the assembled vault-core memory system.
 type System struct {
 	cfg Config
 	ctr counters
 
-	tRCD, tCL, tRP, tRAS, tRC uint64
-
-	vaultBits int
-
-	reqLink, rspLink *byteLane
-	bankFree         [][]uint64 // [vault][bank] next free cycle
-	openRow          [][]uint64 // open row id + 1 (0 = closed)
+	route            dram.Route
+	banks            *dram.Banks
+	reqLink, rspLink *dram.Lane
 	// coreFree is each vault core's next-free cycle; vaultInstrs is the
 	// redundant per-vault issue ledger the audit checks against the
 	// aggregate instruction counter.
@@ -293,79 +228,23 @@ type System struct {
 	store map[memmap.Addr]hmcatomic.Value
 }
 
-func maxu(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func log2(n int) int {
-	k := 0
-	for 1<<uint(k) < n {
-		k++
-	}
-	return k
-}
-
-// route maps an address to its vault, bank, and row: consecutive
-// 64-byte lines interleave across vaults, then across the vault's
-// banks, with the row derived from the bank-local line index.
-func (s *System) route(addr memmap.Addr) (vault, bank int, row uint64) {
-	block := uint64(addr) >> 6
-	vault = int(block & uint64(s.cfg.Vaults-1))
-	bank = int((block >> uint(s.vaultBits)) & uint64(s.cfg.BanksPerVault-1))
-	linesPerRow := s.cfg.RowBytes / lineBytes
-	row = (block>>uint(s.vaultBits+log2(s.cfg.BanksPerVault)))/linesPerRow + 1
-	return
-}
-
-// bankAccess reserves the target bank starting no earlier than arrive
-// and returns the cycle at which data is available.
-func (s *System) bankAccess(vault, bank int, row, arrive uint64) (dataReady uint64) {
-	start := maxu(arrive, s.bankFree[vault][bank])
-	if !s.cfg.OpenPage {
-		dataReady = start + s.tRCD + s.tCL
-		s.bankFree[vault][bank] = start + s.tRC
-		s.ctr.activates.Inc()
-		return dataReady
-	}
-	switch s.openRow[vault][bank] {
-	case row:
-		s.ctr.rowHits.Inc()
-		dataReady = start + s.tCL
-		s.bankFree[vault][bank] = dataReady
-	case 0:
-		s.ctr.activates.Inc()
-		dataReady = start + s.tRCD + s.tCL
-		s.bankFree[vault][bank] = dataReady
-	default:
-		s.ctr.activates.Inc()
-		s.ctr.rowConflicts.Inc()
-		dataReady = start + s.tRP + s.tRCD + s.tCL
-		s.bankFree[vault][bank] = dataReady
-	}
-	s.openRow[vault][bank] = row
-	return dataReady
-}
-
 // read is the shared critical-path read timing: request over the link,
 // bank access, bytes back over the response link.
 func (s *System) read(addr memmap.Addr, now uint64, bytes int) (done uint64) {
-	vault, bank, row := s.route(addr)
+	vault, bank, row := s.route.Map(addr)
 	arrive := now + s.cfg.LinkLatency
-	ready := s.bankAccess(vault, bank, row, arrive)
+	ready := s.banks.Access(vault, bank, row, arrive, 0)
 	s.ctr.rspBytes.Add(uint64(bytes))
-	return s.rspLink.reserve(ready, bytes) + s.cfg.LinkLatency
+	return s.rspLink.Reserve(ready, bytes) + s.cfg.LinkLatency
 }
 
 // write is the shared posted-write timing: the data crosses the request
 // link, then occupies the bank.
 func (s *System) write(addr memmap.Addr, now uint64, bytes int) (done uint64) {
-	vault, bank, row := s.route(addr)
+	vault, bank, row := s.route.Map(addr)
 	s.ctr.reqBytes.Add(uint64(bytes))
-	arrive := s.reqLink.reserve(now, bytes) + s.cfg.LinkLatency
-	return s.bankAccess(vault, bank, row, arrive)
+	arrive := s.reqLink.Reserve(now, bytes) + s.cfg.LinkLatency
+	return s.banks.Access(vault, bank, row, arrive, 0)
 }
 
 // ReadLine implements mem.Backend. Returns latency relative to now.
@@ -421,13 +300,13 @@ func (s *System) bundleLen(op hmcatomic.Op) uint64 {
 // sensed from the bank into WRAM, issue-rate-limited execution on the
 // (serial) vault core, acknowledgment back over the response link.
 func (s *System) execBundle(addr memmap.Addr, instrs, now uint64) mem.AtomicTiming {
-	vault, bank, row := s.route(addr)
+	vault, bank, row := s.route.Map(addr)
 
 	s.ctr.reqBytes.Add(packetBytes)
-	arrive := s.reqLink.reserve(now, packetBytes) + s.cfg.LinkLatency
-	ready := s.bankAccess(vault, bank, row, arrive) + s.cfg.WRAMLat
+	arrive := s.reqLink.Reserve(now, packetBytes) + s.cfg.LinkLatency
+	ready := s.banks.Access(vault, bank, row, arrive, 0) + s.cfg.WRAMLat
 
-	start := maxu(ready, s.coreFree[vault])
+	start := max(ready, s.coreFree[vault])
 	s.ctr.coreQueue.Add(start - ready)
 	busy := instrs * s.cfg.IssueGap
 	s.coreFree[vault] = start + busy
@@ -437,8 +316,8 @@ func (s *System) execBundle(addr memmap.Addr, instrs, now uint64) mem.AtomicTimi
 	done := start + busy
 
 	s.ctr.rspBytes.Add(packetBytes)
-	resp := s.rspLink.reserve(done, packetBytes) + s.cfg.LinkLatency
-	return mem.AtomicTiming{Accepted: maxu(now+2, arrive-s.cfg.LinkLatency), ResponseAt: resp}
+	resp := s.rspLink.Reserve(done, packetBytes) + s.cfg.LinkLatency
+	return mem.AtomicTiming{Accepted: max(now+2, arrive-s.cfg.LinkLatency), ResponseAt: resp}
 }
 
 // Atomic implements mem.Backend: a fixed-function-set atomic executes

@@ -240,7 +240,7 @@ func TestCountersAndAuditRandomized(t *testing.T) {
 func TestAuditCatchesLinkOverReservation(t *testing.T) {
 	s, _ := newSystem(t, DefaultConfig())
 	s.ReadLine(0, 0)
-	s.CorruptLinkLaneForTest()
+	s.reqLink.CorruptForTest()
 	err := s.Audit(100)
 	if err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("corrupted link lane not caught: %v", err)
