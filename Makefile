@@ -45,6 +45,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzLaneReserve$$' -fuzztime $(FUZZTIME) ./internal/mem/dram/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadRecords$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzTimeq$$' -fuzztime $(FUZZTIME) ./internal/cpu/
+	$(GO) test -run '^$$' -fuzz '^FuzzArrayLRU$$' -fuzztime $(FUZZTIME) ./internal/cache/
 
 # sanitize-sweep runs the quick evaluation on each memory substrate in
 # MEMS under each placement policy in POLICIES twice, plain and under

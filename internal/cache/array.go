@@ -12,6 +12,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"graphpim/internal/memmap"
 )
@@ -40,9 +41,9 @@ func (s state) String() string {
 	return fmt.Sprintf("state(%d)", uint8(s))
 }
 
-// slot is one way's coherence state. The tag and LRU stamp live in
-// their own arrays (see array) so that a probe or a victim scan reads
-// nothing else.
+// slot is one way's coherence state. The tag lives in its own array and
+// the replacement state in per-set words (see array), so that a probe or
+// a victim choice reads nothing else.
 type slot struct {
 	st    state
 	dirty bool
@@ -70,49 +71,52 @@ type line struct {
 	dirEntry
 }
 
-// array is one set-associative cache structure, stored as parallel
-// per-slot arrays indexed by set*ways + way:
+// MaxWays is the associativity limit: 16 four-bit way ids fill an order word.
+const MaxWays = 16
+
+// array is one set-associative cache structure. Per-slot metadata lives
+// in parallel slices indexed by set*ways + way:
 //
 //   - keys holds tag|1 for a valid slot and 0 for an empty one (tags are
 //     line-aligned, so bit 0 is free). A probe scans only the set's keys:
 //     128 B for a 16-way set, 64 B for an 8-way one.
-//   - lru holds the last-use stamps, and is 0 exactly when the slot is
-//     empty (useCtr starts at 0 and every stamp is a fresh increment), so
-//     the first minimum stamp of a set is its first empty slot if it has
-//     one, and its least recently used line otherwise.
 //   - meta holds the coherence state; dir the sharer directory, which
 //     only the L3 has (nil in private arrays).
 //
-// That is 8+8+3 bytes per slot in a private array and 27 in the L3.
+// Exact LRU state is two words per set: order lists the way ids as 4-bit
+// nibbles, MRU first (unused nibbles 0), and occ has bit w set when way w
+// holds a line. The victim is the lowest empty way, else the tail nibble.
+// That is 8+3 B per slot in a private array, 19 in the L3, plus 10 per set.
 type array struct {
 	keys    []uint64
-	lru     []uint64
 	meta    []slot
 	dir     []dirEntry
+	order   []uint64
+	occ     []uint16
 	ways    int
 	setMask uint64
-	useCtr  uint64
 }
 
 func newArray(sizeBytes, ways, lineSize int, directory bool) *array {
-	if sizeBytes <= 0 || ways <= 0 || lineSize <= 0 {
-		panic("cache: non-positive geometry")
+	if sizeBytes <= 0 || ways <= 0 || ways > MaxWays || lineSize <= 0 || sizeBytes%(ways*lineSize) != 0 {
+		panic(fmt.Sprintf("cache: bad geometry %d B, %d ways, %d B lines (want 1..%d ways, size a multiple of ways*line)",
+			sizeBytes, ways, lineSize, MaxWays))
 	}
-	numLines := sizeBytes / lineSize
-	numSets := numLines / ways
-	if numSets == 0 {
-		numSets = 1
-	}
+	numSets := sizeBytes / (ways * lineSize)
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", numSets))
 	}
 	n := numSets * ways
 	a := &array{
 		keys:    make([]uint64, n),
-		lru:     make([]uint64, n),
 		meta:    make([]slot, n),
+		order:   make([]uint64, numSets),
+		occ:     make([]uint16, numSets),
 		ways:    ways,
 		setMask: uint64(numSets - 1),
+	}
+	for s := range a.order {
+		a.order[s] = 0xFEDCBA9876543210 & (uint64(1)<<(4*uint(ways)) - 1) // way w in nibble w
 	}
 	if directory {
 		a.dir = make([]dirEntry, n)
@@ -123,21 +127,21 @@ func newArray(sizeBytes, ways, lineSize int, directory bool) *array {
 	return a
 }
 
-// probe resolves lineAddr's set once and returns the index of its first
-// slot together with the slot holding lineAddr (-1 on a miss).
-// Hierarchy.Access reuses base for victim choice and install, so one
-// access walks each array's set index a single time; evictions and
-// back-invalidations in between are seen, as they change the slots
-// themselves.
-func (a *array) probe(lineAddr memmap.Addr) (base, i int) {
-	base = int((uint64(lineAddr)>>6)&a.setMask) * a.ways
+// probe resolves lineAddr's set once and returns it together with the
+// slot holding lineAddr (-1 on a miss). Hierarchy.Access reuses the set
+// for touch, victim choice and install, so one access computes each
+// array's set index a single time; evictions and back-invalidations in
+// between are seen, as they change the slots and set words themselves.
+func (a *array) probe(lineAddr memmap.Addr) (set, i int) {
+	set = int((uint64(lineAddr) >> 6) & a.setMask)
+	base := set * a.ways
 	key := uint64(lineAddr) | 1
 	for w, k := range a.keys[base : base+a.ways] {
 		if k == key {
-			return base, base + w
+			return set, base + w
 		}
 	}
-	return base, -1
+	return set, -1
 }
 
 // lookup returns the slot holding lineAddr, or -1.
@@ -152,36 +156,38 @@ func (a *array) valid(i int) bool { return a.keys[i] != 0 }
 // tag returns the line address slot i holds (0 for an empty slot).
 func (a *array) tag(i int) memmap.Addr { return memmap.Addr(a.keys[i] &^ 1) }
 
-// touch refreshes the LRU stamp of slot i.
-func (a *array) touch(i int) {
-	a.useCtr++
-	a.lru[i] = a.useCtr
+// touch moves slot i's way w to the front of set's order word. A SWAR
+// zero-nibble test on the word XOR w-in-every-nibble finds w's nibble p: a
+// borrow flags only nibbles above a true zero, and unused nibbles lie above.
+func (a *array) touch(set, i int) {
+	const ones = 0x1111111111111111
+	o, w := a.order[set], uint64(i-set*a.ways)
+	x := o ^ w*ones
+	p := uint(bits.TrailingZeros64((x-ones)&^x&(ones<<3))) &^ 3
+	// Keep the nibbles behind p (a shift by 64 yields 0), move those in front back one.
+	a.order[set] = o&^(uint64(1)<<(p+4)-1) | (o&(uint64(1)<<p-1))<<4 | w
 }
 
-// victim returns the slot to replace in the set starting at base: the
-// first empty slot if one exists, otherwise the least recently used
-// line — both the set's first minimum stamp.
-func (a *array) victim(base int) int {
-	stamps := a.lru[base : base+a.ways]
-	v := 0
-	for w, s := range stamps {
-		if s < stamps[v] {
-			v = w
-		}
+// victim returns the way to replace in set: the lowest empty way if one
+// exists, otherwise the least recently used line.
+func (a *array) victim(set int) int {
+	if w := bits.TrailingZeros16(^a.occ[set]); w < a.ways {
+		return w
 	}
-	return base + v
+	return int(a.order[set] >> (4 * uint(a.ways-1)) & 0xF)
 }
 
-// installIn replaces the victim slot of the set starting at base with a
-// fresh line for lineAddr, returning the installed slot and the evicted
-// metadata (valid=false when the slot was empty).
-func (a *array) installIn(base int, lineAddr memmap.Addr, st state, dirty bool) (i int, evicted line) {
-	i = a.victim(base)
+// installIn replaces the victim slot of set with a fresh line for
+// lineAddr, returning the installed slot and the evicted metadata
+// (valid=false when the slot was empty).
+func (a *array) installIn(set int, lineAddr memmap.Addr, st state, dirty bool) (i int, evicted line) {
+	w := a.victim(set)
+	i = set*a.ways + w
 	evicted = line{tag: a.tag(i), valid: a.valid(i), slot: a.meta[i], dirEntry: emptyDir}
-	a.useCtr++
 	a.keys[i] = uint64(lineAddr) | 1
-	a.lru[i] = a.useCtr
 	a.meta[i] = slot{st: st, dirty: dirty}
+	a.occ[set] |= 1 << w
+	a.touch(set, i)
 	if a.dir != nil {
 		evicted.dirEntry = a.dir[i]
 		a.dir[i] = emptyDir
@@ -192,36 +198,61 @@ func (a *array) installIn(base int, lineAddr memmap.Addr, st state, dirty bool) 
 // invalidate drops lineAddr from the array, reporting whether it was
 // present and whether the dropped copy was dirty.
 func (a *array) invalidate(lineAddr memmap.Addr) (dirty, was bool) {
-	i := a.lookup(lineAddr)
+	set, i := a.probe(lineAddr)
 	if i < 0 {
 		return false, false
 	}
 	dirty = a.meta[i].dirty
-	a.keys[i], a.lru[i], a.meta[i] = 0, 0, slot{}
+	a.keys[i], a.meta[i] = 0, slot{}
+	a.occ[set] &^= 1 << (i - set*a.ways)
 	if a.dir != nil {
 		a.dir[i] = emptyDir
 	}
 	return dirty, true
 }
 
-// checkSlot validates the layout invariants of slot i: an empty slot
-// carries no stamp and no state (a stale stamp would skew victim choice,
-// stale state would resurrect on the next install), and a valid slot has
-// a nonzero stamp. Callers prefix the error with the array's name.
+// checkSlot validates the layout invariants of slot i: its occupancy bit
+// agrees with its key (a stale bit would skew victim choice), and an
+// empty slot carries no state (it would resurrect on the next install).
+// A set's first slot also checks the set's order word, so a sweep over
+// every slot audits every set once. Callers prefix the array's name.
 func (a *array) checkSlot(i int) error {
+	set, w := i/a.ways, i%a.ways
+	if w == 0 {
+		if err := a.checkOrder(set); err != nil {
+			return err
+		}
+	}
+	if occupied := a.occ[set]>>w&1 != 0; occupied != a.valid(i) {
+		return fmt.Errorf("slot %d (set %d way %d) has occupancy bit %v but valid=%v",
+			i, set, w, occupied, a.valid(i))
+	}
 	d := emptyDir
 	if a.dir != nil {
 		d = a.dir[i]
 	}
-	if !a.valid(i) {
-		if a.lru[i] != 0 || a.meta[i] != (slot{}) || d != emptyDir {
-			return fmt.Errorf("invalid slot %d retains state (lru=%d dirty=%v sharers=%#x owner=%d)",
-				i, a.lru[i], a.meta[i].dirty, d.sharers, d.owner)
-		}
-		return nil
+	if !a.valid(i) && (a.meta[i] != (slot{}) || d != emptyDir) {
+		return fmt.Errorf("invalid slot %d retains state (dirty=%v sharers=%#x owner=%d)",
+			i, a.meta[i].dirty, d.sharers, d.owner)
 	}
-	if a.lru[i] == 0 {
-		return fmt.Errorf("line %#x is valid with LRU stamp 0", a.tag(i))
+	return nil
+}
+
+// checkOrder validates set's order word: its low ways nibbles are a
+// permutation of 0..ways-1 and the rest are zero. A duplicated way id
+// would leave some other way unreachable as the LRU victim.
+func (a *array) checkOrder(set int) error {
+	o := a.order[set]
+	var seen uint16
+	for p := 0; p < a.ways; p++ {
+		w := o >> (4 * uint(p)) & 0xF
+		if int(w) >= a.ways || seen>>w&1 != 0 {
+			return fmt.Errorf("set %d order word %#x is not a permutation of ways 0..%d", set, o, a.ways-1)
+		}
+		seen |= 1 << w
+	}
+	if o>>(4*uint(a.ways)) != 0 { // a shift by 64 yields 0
+		return fmt.Errorf("set %d order word %#x has nonzero nibbles above way %d", set, o, a.ways-1)
 	}
 	return nil
 }

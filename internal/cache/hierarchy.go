@@ -275,10 +275,10 @@ func (h *Hierarchy) evictL3(ev line, now uint64) {
 
 // fillPrivate installs lineAddr into core's L2 and L1 with the given
 // state, into the sets the access walk already resolved.
-func (h *Hierarchy) fillPrivate(core, l1base, l2base int, lineAddr memmap.Addr, st state) {
-	_, ev2 := h.l2[core].installIn(l2base, lineAddr, st, false)
+func (h *Hierarchy) fillPrivate(core, s1, s2 int, lineAddr memmap.Addr, st state) {
+	_, ev2 := h.l2[core].installIn(s2, lineAddr, st, false)
 	h.evictL2(core, ev2)
-	_, ev1 := h.l1[core].installIn(l1base, lineAddr, st, st == stModified)
+	_, ev1 := h.l1[core].installIn(s1, lineAddr, st, st == stModified)
 	h.evictL1(core, ev1)
 }
 
@@ -287,7 +287,7 @@ func (h *Hierarchy) fillPrivate(core, l1base, l2base int, lineAddr memmap.Addr, 
 // backend timing.
 //
 // The walk is single-pass: each array's set index is resolved once
-// (probe), and the returned set base is reused for victim choice and
+// (probe), and the returned set is reused for touch, victim choice and
 // install on the way back up.
 func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) AccessResult {
 	lineAddr := memmap.LineAddr(addr)
@@ -297,9 +297,9 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 	h.ctr.l1Access.Inc()
 
 	// L1 probe.
-	l1base, i1 := l1.probe(lineAddr)
+	s1, i1 := l1.probe(lineAddr)
 	if i1 >= 0 {
-		l1.touch(i1)
+		l1.touch(s1, i1)
 		h.ctr.l1Hit.Inc()
 		res.Level = LevelL1
 		if !write {
@@ -330,9 +330,9 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 	// L2 probe.
 	res.Latency += h.cfg.L2Lat
 	h.ctr.l2Access.Inc()
-	l2base, i2 := l2.probe(lineAddr)
+	s2, i2 := l2.probe(lineAddr)
 	if i2 >= 0 {
-		l2.touch(i2)
+		l2.touch(s2, i2)
 		h.ctr.l2Hit.Inc()
 		m2 := &l2.meta[i2]
 		st := m2.st
@@ -350,7 +350,7 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 			m2.st = stModified
 			m2.dirty = true
 		}
-		_, ev1 := l1.installIn(l1base, lineAddr, st, st == stModified && write)
+		_, ev1 := l1.installIn(s1, lineAddr, st, st == stModified && write)
 		h.evictL1(core, ev1)
 		res.Level = LevelL2
 		res.WalkLatency = res.Latency
@@ -361,9 +361,9 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 	// L3 probe.
 	res.Latency += h.cfg.L3Lat
 	h.ctr.l3Access.Inc()
-	l3base, i3 := l3.probe(lineAddr)
+	s3, i3 := l3.probe(lineAddr)
 	if i3 >= 0 {
-		l3.touch(i3)
+		l3.touch(s3, i3)
 		h.ctr.l3Hit.Inc()
 		m3, d3 := &l3.meta[i3], &l3.dir[i3]
 		if m3.prefetched {
@@ -412,7 +412,7 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 			}
 			d3.sharers |= bit(core)
 		}
-		h.fillPrivate(core, l1base, l2base, lineAddr, st)
+		h.fillPrivate(core, s1, s2, lineAddr, st)
 		res.Level = LevelL3
 		res.WalkLatency = res.Latency
 		return res
@@ -432,14 +432,14 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 		h.prefetch(lineAddr, now+res.WalkLatency)
 	}
 
-	i3, ev := l3.installIn(l3base, lineAddr, stInvalid, false)
+	i3, ev := l3.installIn(s3, lineAddr, stInvalid, false)
 	h.evictL3(ev, now+res.Latency)
 	l3.dir[i3] = dirEntry{sharers: bit(core), owner: int8(core)}
 	st := stExclusive
 	if write {
 		st = stModified
 	}
-	h.fillPrivate(core, l1base, l2base, lineAddr, st)
+	h.fillPrivate(core, s1, s2, lineAddr, st)
 	res.Level = LevelMem
 	return res
 }

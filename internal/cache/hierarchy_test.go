@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -344,4 +345,38 @@ func TestValidLineInStateICaught(t *testing.T) {
 		}
 	}
 	t.Fatal("no valid L1 line")
+}
+
+// TestDuplicateOrderNibbleCaught: an order word that names one way twice
+// (and so drops another) would leave a line that is never evicted.
+func TestDuplicateOrderNibbleCaught(t *testing.T) {
+	h, _, _ := newH(1)
+	populate(h)
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatalf("clean hierarchy failed audit: %v", err)
+	}
+	s, _ := h.l3.probe(0x10000)
+	o := h.l3.order[s]
+	h.l3.order[s] = o&^0xF0 | (o&0xF)<<4 // nibble 1 := nibble 0
+	if err := h.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "order word") {
+		t.Fatalf("order word with a duplicated way: CheckInvariants = %v", err)
+	}
+}
+
+// TestFlippedOccupancyBitCaught: an occupancy bit that disagrees with the
+// slot's key would make the victim an occupied way, or skip an empty one.
+func TestFlippedOccupancyBitCaught(t *testing.T) {
+	h, _, _ := newH(1)
+	populate(h)
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatalf("clean hierarchy failed audit: %v", err)
+	}
+	s, i := h.l1[0].probe(0x10000)
+	if i < 0 {
+		t.Fatal("0x10000 not in L1")
+	}
+	h.l1[0].occ[s] ^= 1 << (i - s*h.l1[0].ways)
+	if err := h.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "occupancy") {
+		t.Fatalf("cleared occupancy bit of a valid line: CheckInvariants = %v", err)
+	}
 }

@@ -22,7 +22,7 @@ type PrefetchConfig struct {
 func (h *Hierarchy) prefetch(lineAddr memmap.Addr, now uint64) {
 	for i := 1; i <= h.cfg.Prefetch.Depth; i++ {
 		next := lineAddr + memmap.Addr(i*h.cfg.LineSize)
-		base, hit := h.l3.probe(next)
+		set, hit := h.l3.probe(next)
 		if hit >= 0 {
 			h.ctr.pfRedundant.Inc()
 			continue
@@ -31,7 +31,7 @@ func (h *Hierarchy) prefetch(lineAddr memmap.Addr, now uint64) {
 		h.ctr.memReads.Inc()
 		// The fill occupies the memory system but nothing waits on it.
 		h.backend.ReadLine(next, now)
-		v, ev := h.l3.installIn(base, next, stInvalid, false)
+		v, ev := h.l3.installIn(set, next, stInvalid, false)
 		h.evictL3(ev, now)
 		h.l3.meta[v].prefetched = true
 	}

@@ -1,6 +1,10 @@
 package machine
 
-import "fmt"
+import (
+	"fmt"
+
+	"graphpim/internal/cache"
+)
 
 // Validate reports the first out-of-range field of the configuration as
 // a descriptive error. New calls it and panics on failure (library
@@ -29,8 +33,9 @@ func (c Config) Validate() error {
 		{"L2", c.Cache.L2Size, c.Cache.L2Ways},
 		{"L3", c.Cache.L3Size, c.Cache.L3Ways},
 	} {
-		if lvl.ways < 1 {
-			return fmt.Errorf("config: %s associativity must be at least 1 (got %d)", lvl.name, lvl.ways)
+		if lvl.ways < 1 || lvl.ways > cache.MaxWays {
+			return fmt.Errorf("config: %s associativity %d is outside 1..%d (the LRU order word's limit)",
+				lvl.name, lvl.ways, cache.MaxWays)
 		}
 		waySize := lvl.ways * c.Cache.LineSize
 		if lvl.size < waySize || lvl.size%waySize != 0 {

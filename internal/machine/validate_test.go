@@ -45,6 +45,7 @@ func TestValidateRejectsPerField(t *testing.T) {
 		{"zero L1 ways", func(c *Config) { c.Cache.L1Ways = 0 }, "L1"},
 		{"L2 size not multiple", func(c *Config) { c.Cache.L2Size += 64 }, "L2"},
 		{"L3 sets not pow2", func(c *Config) { c.Cache.L3Size *= 3 }, "L3"},
+		{"17-way L3", func(c *Config) { c.Cache.L3Ways, c.Cache.L3Size = 17, 17*64*1024 }, "L3 associativity 17"},
 		{"cubes not pow2", func(c *Config) { c.HMCCubes = 3 }, "HMCCubes"},
 		{"cubes too many", func(c *Config) { c.HMCCubes = 16 }, "HMCCubes"},
 		{"bad vault count", func(c *Config) { c.HMC.NumVaults = 0 }, "vault"},
