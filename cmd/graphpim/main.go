@@ -44,6 +44,7 @@ import (
 	"graphpim/internal/harness"
 	"graphpim/internal/machine"
 	"graphpim/internal/mem"
+	"graphpim/internal/mem/backends"
 	"graphpim/internal/obs"
 )
 
@@ -206,16 +207,16 @@ func checkPolicy(sub, policy string, stderr io.Writer) bool {
 	return false
 }
 
-// checkMemKind validates a -mem flag value against the backend registry;
-// an unknown kind reports the valid kinds in registry order (mirroring
+// checkMemKind validates a -mem flag value against the backend list; an
+// unknown kind reports the valid kinds in list order (mirroring
 // the unknown-experiment-id behaviour) and returns false for a usage
 // (exit 2) failure.
 func checkMemKind(sub, kind string, stderr io.Writer) bool {
-	if _, ok := mem.DefaultConfig(kind); ok {
+	if _, ok := backends.DefaultConfig(kind); ok {
 		return true
 	}
 	fmt.Fprintf(stderr, "%s: unknown memory backend %q\n", sub, kind)
-	fmt.Fprintf(stderr, "valid backends (registry order): %s\n", strings.Join(mem.Kinds(), ", "))
+	fmt.Fprintf(stderr, "valid backends (registry order): %s\n", strings.Join(backends.Kinds(), ", "))
 	return false
 }
 

@@ -29,7 +29,7 @@ import (
 	"graphpim/internal/graph"
 	"graphpim/internal/harness"
 	"graphpim/internal/machine"
-	"graphpim/internal/mem"
+	"graphpim/internal/mem/backends"
 	"graphpim/internal/workloads"
 )
 
@@ -191,7 +191,7 @@ type Options struct {
 	// subsystem/cycle/core context.
 	Check bool
 	// Memory selects the main-memory backend kind: "" or "hmc" for the
-	// paper's HMC cube, or any other registered kind — "ddr" (a
+	// paper's HMC cube, or any other kind in the backend list — "ddr" (a
 	// conventional DDR4-style host memory with no PIM units), "lpddr"
 	// (mobile LPDDR5X-PIM with bank-group MAC units), "vault"
 	// (UPMEM-style per-vault scalar cores). Capability negotiation keeps
@@ -228,9 +228,9 @@ func (o Options) Validate() error {
 		return fmt.Errorf("graphpim: thread count %d outside [1,16]", o.Threads)
 	}
 	if o.Memory != "" {
-		if _, ok := mem.DefaultConfig(o.Memory); !ok {
+		if _, ok := backends.DefaultConfig(o.Memory); !ok {
 			return fmt.Errorf("graphpim: unknown memory backend %q (valid: %s)",
-				o.Memory, strings.Join(mem.Kinds(), ", "))
+				o.Memory, strings.Join(backends.Kinds(), ", "))
 		}
 	}
 	switch o.Policy {

@@ -7,7 +7,7 @@ import (
 	"graphpim/internal/gframe"
 	"graphpim/internal/graph"
 	"graphpim/internal/machine"
-	"graphpim/internal/mem"
+	"graphpim/internal/mem/backends"
 	"graphpim/internal/mem/ddr"
 	"graphpim/internal/replicate"
 	"graphpim/internal/workloads"
@@ -40,17 +40,11 @@ func extAutotune() Experiment {
 				Headers: []string{"backend", "workload", "GraphPIM", "U-PEI", "Auto", "auto picks"}}
 			family := workloads.GNNSet()
 			wins := 0
-			for _, kind := range []string{"hmc", "ddr", "lpddr", "vault"} {
+			for _, kind := range backends.Kinds() {
 				kind := kind
 				adjust := func(*machine.Config) {}
 				if kind != "hmc" {
-					adjust = func(c *machine.Config) {
-						mc, ok := mem.DefaultConfig(kind)
-						if !ok {
-							panic(experimentError{fmt.Errorf("harness: backend kind %q not registered", kind)})
-						}
-						c.Mem = mc
-					}
+					adjust = func(c *machine.Config) { c.Mem, _ = backends.DefaultConfig(kind) }
 				}
 				logSums := make([]float64, 3)
 				for _, w := range family {
@@ -110,13 +104,7 @@ func extBackendShootout() Experiment {
 				speedups := []float64{gpim.Speedup(base)}
 				for _, kind := range []string{"ddr", "lpddr", "vault"} {
 					kind := kind
-					onKind := func(c *machine.Config) {
-						mc, ok := mem.DefaultConfig(kind)
-						if !ok {
-							panic(experimentError{fmt.Errorf("harness: backend kind %q not registered", kind)})
-						}
-						c.Mem = mc
-					}
+					onKind := func(c *machine.Config) { c.Mem, _ = backends.DefaultConfig(kind) }
 					b := e.RunVariant(w, KindBaseline, kind, onKind)
 					g := e.RunVariant(w, KindGraphPIM, kind, onKind)
 					speedups = append(speedups, g.Speedup(b))

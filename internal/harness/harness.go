@@ -25,8 +25,7 @@ import (
 	"graphpim/internal/gframe"
 	"graphpim/internal/graph"
 	"graphpim/internal/machine"
-	"graphpim/internal/mem"
-	_ "graphpim/internal/mem/backends" // register built-in backend kinds
+	"graphpim/internal/mem/backends"
 	"graphpim/internal/obs"
 	"graphpim/internal/trace"
 	"graphpim/internal/tune"
@@ -89,9 +88,9 @@ type Env struct {
 	Shards int
 	// Memory selects the memory backend kind every machine the
 	// experiments assemble runs against ("" or "hmc" keeps the default
-	// HMC chain; any other registered mem kind substitutes that
+	// HMC chain; any other kind in the backend list substitutes that
 	// backend's default configuration). Unknown kinds panic in Config —
-	// the CLI validates against mem.Kinds() before constructing an Env.
+	// the CLI validates against backends.Kinds() before constructing an Env.
 	Memory string
 	// Policy overrides the offload placement of every non-Baseline cell
 	// the experiments assemble: "" keeps each experiment's requested
@@ -279,10 +278,10 @@ func (e *Env) Config(kind ConfigKind, w workloads.Workload) machine.Config {
 	}
 	cfg.POU.PMRActive = cfg.POU.OffloadAtomics && info.ApplicableWith(extended)
 	if e.Memory != "" && e.Memory != "hmc" {
-		mc, ok := mem.DefaultConfig(e.Memory)
+		mc, ok := backends.DefaultConfig(e.Memory)
 		if !ok {
 			panic(fmt.Sprintf("harness: unknown memory backend kind %q (registered: %s)",
-				e.Memory, strings.Join(mem.Kinds(), ", ")))
+				e.Memory, strings.Join(backends.Kinds(), ", ")))
 		}
 		cfg.Mem = mc
 	}

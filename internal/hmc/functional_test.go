@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"graphpim/internal/hmcatomic"
+	"graphpim/internal/mem"
 	"graphpim/internal/memmap"
 	"graphpim/internal/sim"
 )
@@ -62,12 +63,12 @@ func TestFunctionalMatchesHostModel(t *testing.T) {
 // store must not change a single latency — it is a value overlay on the
 // same timing model.
 func TestFunctionalModeDoesNotPerturbTiming(t *testing.T) {
-	run := func(functional bool) []AtomicTiming {
+	run := func(functional bool) []mem.AtomicTiming {
 		cfg := DefaultConfig()
 		cfg.Functional = functional
 		c := New(cfg, sim.NewStats())
 		r := sim.NewRand(9)
-		var out []AtomicTiming
+		var out []mem.AtomicTiming
 		var now uint64
 		for i := 0; i < 1000; i++ {
 			op := hmcatomic.Op(r.Intn(hmcatomic.NumOps))

@@ -18,6 +18,7 @@ import (
 	"math/bits"
 
 	"graphpim/internal/hmcatomic"
+	"graphpim/internal/mem"
 	"graphpim/internal/mem/dram"
 	"graphpim/internal/memmap"
 	"graphpim/internal/sim"
@@ -143,35 +144,73 @@ type Cube struct {
 	mem map[memmap.Addr]hmcatomic.Value // functional store (optional)
 }
 
-// New builds a Cube.
-func New(cfg Config, stats *sim.Stats) *Cube {
-	if cfg.NumVaults <= 0 || cfg.BanksPerVault <= 0 {
-		panic("hmc: non-positive vault/bank count")
+// Validate reports the first out-of-range cube parameter as a
+// descriptive error. New panics with it; PoolConfig.Validate wraps it.
+func (c Config) Validate() error {
+	if c.NumVaults <= 0 || c.BanksPerVault <= 0 {
+		return fmt.Errorf("hmc: non-positive vault/bank count (%d vaults, %d banks)",
+			c.NumVaults, c.BanksPerVault)
 	}
-	if cfg.NumVaults&(cfg.NumVaults-1) != 0 || cfg.BanksPerVault&(cfg.BanksPerVault-1) != 0 {
-		panic("hmc: vault and bank counts must be powers of two")
+	if c.NumVaults&(c.NumVaults-1) != 0 {
+		return fmt.Errorf("hmc: vault count %d must be a power of two", c.NumVaults)
+	}
+	if c.BanksPerVault&(c.BanksPerVault-1) != 0 {
+		return fmt.Errorf("hmc: bank count %d must be a power of two", c.BanksPerVault)
+	}
+	if c.IntFUsPerVault <= 0 {
+		return fmt.Errorf("hmc: need at least one integer FU per vault (got %d)", c.IntFUsPerVault)
+	}
+	if c.FPFUsPerVault < 0 {
+		return fmt.Errorf("hmc: negative FP FU count %d", c.FPFUsPerVault)
+	}
+	if c.TRCDNs <= 0 || c.TCLNs <= 0 || c.TRPNs <= 0 || c.TRASNs <= 0 {
+		return fmt.Errorf("hmc: non-positive DRAM timing (tRCD=%g tCL=%g tRP=%g tRAS=%g)",
+			c.TRCDNs, c.TCLNs, c.TRPNs, c.TRASNs)
+	}
+	if c.NumLinks <= 0 || c.LinkGBs <= 0 || c.LinkBWScale < 0 {
+		return fmt.Errorf("hmc: non-positive link rate (%d links x %g GB/s, scale %g)",
+			c.NumLinks, c.LinkGBs, c.LinkBWScale)
+	}
+	// The largest packet is a 64-byte line plus header: 5 FLITs.
+	if err := dram.CheckLaneRate(c.flitsPerCycle(), hmcatomic.Write64Cost().Request); err != nil {
+		return fmt.Errorf("hmc: link %w", err)
+	}
+	return nil
+}
+
+// flitsPerCycle is the serialization rate of the aggregate link in
+// FLITs per core cycle, each direction. A zero LinkBWScale means 1.
+func (c Config) flitsPerCycle() float64 {
+	scale := c.LinkBWScale
+	if scale == 0 {
+		scale = 1
+	}
+	// Bytes per second across all links, one direction.
+	bytesPerSec := c.LinkGBs * 1e9 * float64(c.NumLinks) * scale
+	bytesPerCycle := bytesPerSec / (sim.CoreClockGHz * 1e9)
+	return bytesPerCycle / hmcatomic.FlitBytes
+}
+
+// New builds a Cube. It panics on a configuration Validate rejects.
+func New(cfg Config, stats *sim.Stats) *Cube {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if cfg.LinkBWScale == 0 {
 		cfg.LinkBWScale = 1
-	}
-	if cfg.IntFUsPerVault <= 0 {
-		panic("hmc: need at least one integer FU per vault")
 	}
 	if cfg.RowBytes == 0 {
 		cfg.RowBytes = 4096
 	}
 	c := &Cube{
-		cfg:       cfg,
-		stats:     stats,
-		ctr:       resolveCubeCounters(stats),
-		vaultBits: uint(bits.TrailingZeros(uint(cfg.NumVaults))),
+		cfg:           cfg,
+		stats:         stats,
+		ctr:           resolveCubeCounters(stats),
+		flitsPerCycle: cfg.flitsPerCycle(),
+		vaultBits:     uint(bits.TrailingZeros(uint(cfg.NumVaults))),
 		banks: dram.NewBanks(stats, "hmc", cfg.NumVaults, cfg.BanksPerVault,
 			dram.Timing{TRCDNs: cfg.TRCDNs, TCLNs: cfg.TCLNs, TRPNs: cfg.TRPNs, TRASNs: cfg.TRASNs}, cfg.OpenPage),
 	}
-	// Bytes per second across all links, one direction.
-	bytesPerSec := cfg.LinkGBs * 1e9 * float64(cfg.NumLinks) * cfg.LinkBWScale
-	bytesPerCycle := bytesPerSec / (sim.CoreClockGHz * 1e9)
-	c.flitsPerCycle = bytesPerCycle / hmcatomic.FlitBytes
 	c.reqLink = dram.NewLane(c.flitsPerCycle)
 	c.rspLink = dram.NewLane(c.flitsPerCycle)
 
@@ -272,21 +311,10 @@ func (c *Cube) UCWrite(addr memmap.Addr, now uint64) uint64 {
 	return done
 }
 
-// AtomicTiming reports when a PIM atomic's request was accepted by the
-// host-side link (the core may retire a non-returning atomic then) and
-// when its response arrives back at the host (a returning atomic's
-// dependents wait for this).
-type AtomicTiming struct {
-	Accepted   uint64
-	ResponseAt uint64
-	// Flag is the atomic flag from functional execution; meaningful only
-	// when the cube was built with Functional=true.
-	Flag bool
-}
-
 // Atomic executes op at addr as a PIM operation in the vault logic die.
-// imm is used only in functional mode.
-func (c *Cube) Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, now uint64) AtomicTiming {
+// imm is used only in functional mode, where the result's Flag is the
+// atomic flag.
+func (c *Cube) Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, now uint64) mem.AtomicTiming {
 	c.ctr.atomics.Inc()
 	c.ctr.atomicByOp[op].Inc()
 	cost := hmcatomic.AtomicCost(op)
@@ -326,7 +354,7 @@ func (c *Cube) Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, no
 		c.ctr.fuQueue.Add(wait)
 	}
 
-	t := AtomicTiming{Accepted: max(now+2, arrive-c.cfg.LinkLatency)}
+	t := mem.AtomicTiming{Accepted: max(now+2, arrive-c.cfg.LinkLatency)}
 	t.ResponseAt = c.sendResponse(opDone, cost.Response)
 
 	if c.mem != nil {

@@ -4,17 +4,19 @@ import (
 	"fmt"
 
 	"graphpim/internal/hmcatomic"
+	"graphpim/internal/mem"
 	"graphpim/internal/memmap"
 	"graphpim/internal/sim"
 )
 
-// Pool models a chain of HMC cubes. The HMC specification supports
-// chaining up to eight cubes off one host link complex; capacity scales
-// linearly while requests to non-adjacent cubes pay pass-through hops in
-// the chain. GraphPIM's offloading works unchanged — each cube's logic
-// layer executes the PIM atomics for the addresses it owns — but far
-// cubes see higher round-trip latency, which the ext-multi-cube
-// experiment quantifies.
+// Pool models a chain of HMC cubes and is the HMC memory backend: it
+// implements mem.Backend, and PoolConfig implements mem.Config. The HMC
+// specification supports chaining up to eight cubes off one host link
+// complex; capacity scales linearly while requests to non-adjacent cubes
+// pay pass-through hops in the chain. GraphPIM's offloading works
+// unchanged — each cube's logic layer executes the PIM atomics for the
+// addresses it owns — but far cubes see higher round-trip latency, which
+// the ext-multi-cube experiment quantifies.
 type Pool struct {
 	cubes []*Cube
 	// interleaveShift selects the cube-interleaving granularity:
@@ -49,11 +51,26 @@ func DefaultPoolConfig(n int) PoolConfig {
 	}
 }
 
+// Kind implements mem.Config.
+func (c PoolConfig) Kind() string { return "hmc" }
+
+// Validate implements mem.Config: the chain length, then the cube.
+func (c PoolConfig) Validate() error {
+	if c.Cubes < 1 || c.Cubes > 8 || c.Cubes&(c.Cubes-1) != 0 {
+		return fmt.Errorf("hmc: chain length %d must be a power of two in 1..8", c.Cubes)
+	}
+	return c.Cube.Validate()
+}
+
+// New implements mem.Config.
+func (c PoolConfig) New(stats *sim.Stats) mem.Backend { return NewPool(c, stats) }
+
 // NewPool builds the chain. Each cube gets its own stats-sharing Cube
-// model (links, vaults, banks, FUs are all per-cube resources).
+// model (links, vaults, banks, FUs are all per-cube resources). It
+// panics on a configuration Validate rejects.
 func NewPool(cfg PoolConfig, stats *sim.Stats) *Pool {
-	if cfg.Cubes <= 0 || cfg.Cubes > 8 || cfg.Cubes&(cfg.Cubes-1) != 0 {
-		panic(fmt.Sprintf("hmc: chain length %d must be a power of two in 1..8", cfg.Cubes))
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	p := &Pool{
 		interleaveShift: cfg.InterleaveShift,
@@ -79,13 +96,13 @@ func (p *Pool) hops(i int) uint64 {
 	return 2 * uint64(i) * p.hopLatency
 }
 
-// ReadLine implements cache.Backend across the chain.
+// ReadLine implements mem.Backend across the chain.
 func (p *Pool) ReadLine(lineAddr memmap.Addr, now uint64) uint64 {
 	i := p.CubeFor(lineAddr)
 	return p.cubes[i].ReadLine(lineAddr, now+uint64(i)*p.hopLatency) + p.hops(i)
 }
 
-// WriteLine implements cache.Backend across the chain.
+// WriteLine implements mem.Backend across the chain.
 func (p *Pool) WriteLine(lineAddr memmap.Addr, now uint64) {
 	i := p.CubeFor(lineAddr)
 	p.cubes[i].WriteLine(lineAddr, now+uint64(i)*p.hopLatency)
@@ -103,8 +120,15 @@ func (p *Pool) UCWrite(addr memmap.Addr, now uint64) uint64 {
 	return p.cubes[i].UCWrite(addr, now+uint64(i)*p.hopLatency) + p.hops(i)
 }
 
+// CanOffload implements mem.Backend: every HMC 2.0 atomic executes in
+// the vault logic; the FP extension additionally needs an FP functional
+// unit in the vault.
+func (p *Pool) CanOffload(op hmcatomic.Op) bool {
+	return !hmcatomic.IsFloat(op) || p.cubes[0].cfg.FPFUsPerVault > 0
+}
+
 // Atomic routes a PIM atomic to its owning cube's logic layer.
-func (p *Pool) Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, now uint64) AtomicTiming {
+func (p *Pool) Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, now uint64) mem.AtomicTiming {
 	i := p.CubeFor(addr)
 	t := p.cubes[i].Atomic(op, addr, imm, now+uint64(i)*p.hopLatency)
 	t.ResponseAt += uint64(i) * p.hopLatency

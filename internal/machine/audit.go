@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"graphpim/internal/check"
+	"graphpim/internal/mem"
 	"graphpim/internal/sim"
 )
 
@@ -37,8 +38,8 @@ func (m *Machine) registerAuditors() {
 // across subsystem boundaries: every L1 miss probes the L2, every L3
 // miss (plus every prefetch) reads the memory backend, every UC access
 // the machine routed shows up in the backend's UC counters, and so on.
-// The backend side of each pair comes from its CounterNames declaration,
-// so the identities hold for any substrate. A drifting counter pair
+// The backend side of each pair comes from mem.Names for the backend's
+// kind, so the identities hold for any substrate. A drifting counter pair
 // means double- or under-counting somewhere between two subsystems —
 // exactly the class of bug goldens average away.
 func (m *Machine) auditStats() error {
@@ -54,7 +55,7 @@ func (m *Machine) auditStats() error {
 			return fmt.Errorf("%s.access = %d but hit+miss = %d", lvl, acc, hm)
 		}
 	}
-	names := m.mem.Counters()
+	names := mem.Names(m.memKind)
 	checks := [][2]string{
 		{"cache.l1.miss", "cache.l2.access"},
 		{"cache.l2.miss", "cache.l3.access"},

@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"graphpim/internal/check"
+	"graphpim/internal/hmc"
 	"graphpim/internal/mem"
-	_ "graphpim/internal/mem/backends" // registers every backend kind
+	"graphpim/internal/mem/backends"
 	"graphpim/internal/mem/ddr"
-	"graphpim/internal/mem/hmcbackend"
 	"graphpim/internal/mem/lpddr"
 	"graphpim/internal/memmap"
 	"graphpim/internal/sim"
@@ -18,7 +18,7 @@ import (
 // TestExplicitHMCBackendIdentity is the machine-level half of the
 // backend-extraction gate: a machine built with Mem unset (the default
 // HMC wiring) and one built with the equivalent explicit
-// hmcbackend.Config must produce byte-identical Results — cycles,
+// hmc.PoolConfig must produce byte-identical Results — cycles,
 // retired instructions, and the full counter snapshot — over randomized
 // traces, every configuration, and chained cubes.
 func TestExplicitHMCBackendIdentity(t *testing.T) {
@@ -32,7 +32,7 @@ func TestExplicitHMCBackendIdentity(t *testing.T) {
 				implicit.HMCCubes = cubes
 				explicit := mk()
 				explicit.HMCCubes = cubes
-				hc := hmcbackend.DefaultConfig(cubes)
+				hc := hmc.DefaultPoolConfig(cubes)
 				hc.Cube = explicit.HMC
 				explicit.Mem = hc
 
@@ -144,14 +144,14 @@ func TestCrossBackendDegradationMatrix(t *testing.T) {
 		{"upei", func() Config { return UPEI(false) }},
 		{"graphpim", func() Config { return GraphPIM(false) }},
 	}
-	kinds := mem.Kinds()
+	kinds := backends.Kinds()
 	if len(kinds) < 4 {
 		t.Fatalf("registry holds %v, want all four kinds", kinds)
 	}
 	for _, kind := range kinds {
 		for _, c := range configs {
 			cfg := c.mk()
-			bc, ok := mem.DefaultConfig(kind)
+			bc, ok := backends.DefaultConfig(kind)
 			if !ok {
 				t.Fatalf("kind %q unregistered", kind)
 			}
@@ -261,7 +261,7 @@ func TestLPDDRFallbackCounterOnFPLessMAC(t *testing.T) {
 func TestVaultBundleDispatch(t *testing.T) {
 	sp, tr := fpTrace()
 	cfg := GraphPIM(false) // no FP extension: FP atomics are unmappable
-	bc, _ := mem.DefaultConfig("vault")
+	bc, _ := backends.DefaultConfig("vault")
 	cfg.Mem = bc
 	cfg.Check = check.Periodic
 	res := RunTrace(cfg, sp, tr)
@@ -291,7 +291,7 @@ func TestVaultGeneralizesPMRApplicability(t *testing.T) {
 	mk := func(kind string) Config {
 		cfg := GraphPIM(false)
 		cfg.POU.PMRActive = false
-		bc, ok := mem.DefaultConfig(kind)
+		bc, ok := backends.DefaultConfig(kind)
 		if !ok {
 			t.Fatalf("kind %q unregistered", kind)
 		}

@@ -24,9 +24,9 @@ import (
 	"graphpim/internal/cache"
 	"graphpim/internal/check"
 	"graphpim/internal/cpu"
+	"graphpim/internal/hmc"
 	"graphpim/internal/hmcatomic"
 	"graphpim/internal/mem"
-	"graphpim/internal/mem/hmcbackend"
 	"graphpim/internal/memmap"
 	"graphpim/internal/pou"
 	"graphpim/internal/sim"
@@ -45,7 +45,7 @@ type Config struct {
 	Cache cache.Config
 	// HMC tunes the per-cube parameters of the default HMC backend
 	// (ignored when Mem overrides the backend entirely).
-	HMC hmcbackend.CubeConfig
+	HMC hmc.Config
 	// POU is the offload configuration before capability negotiation:
 	// the assembled machine runs pou.Negotiate(POU, substrate).
 	POU pou.Config
@@ -126,7 +126,7 @@ func newConfig(name string, p pou.Config) Config {
 		NumCores:          cores,
 		CPU:               cpu.DefaultConfig(),
 		Cache:             cache.DefaultConfig(cores),
-		HMC:               hmcbackend.DefaultCubeConfig(),
+		HMC:               hmc.DefaultConfig(),
 		POU:               p,
 		HMCCubes:          1,
 		HostAtomicRMW:     8,
@@ -260,7 +260,7 @@ func (c Config) memConfig() mem.Config {
 	if cubes == 0 {
 		cubes = 1
 	}
-	hc := hmcbackend.DefaultConfig(cubes)
+	hc := hmc.DefaultPoolConfig(cubes)
 	hc.Cube = c.HMC
 	return hc
 }

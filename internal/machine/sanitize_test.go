@@ -7,7 +7,7 @@ import (
 
 	"graphpim/internal/check"
 	"graphpim/internal/cpu"
-	"graphpim/internal/mem/hmcbackend"
+	"graphpim/internal/hmc"
 	"graphpim/internal/sim"
 )
 
@@ -169,7 +169,7 @@ func TestFaultInjectionMSHRLeak(t *testing.T) {
 
 func TestFaultInjectionLinkLaneOverReservation(t *testing.T) {
 	m := checkedMachine(33)
-	corruptAtTick(t, 400, func() { m.mem.(*hmcbackend.Backend).CorruptLinkLaneForTest() })
+	corruptAtTick(t, 400, func() { m.mem.(*hmc.Pool).CorruptLinkLaneForTest() })
 	f := expectFailure(t, "hmc", func() { m.Run(0) })
 	if f.Cycle == 0 {
 		t.Fatalf("failure carries no cycle: %v", f)

@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"graphpim/internal/hmc"
 	"graphpim/internal/mem/ddr"
-	"graphpim/internal/mem/hmcbackend"
 )
 
 // TestValidateAcceptsShippedConfigs: every configuration the package
@@ -50,7 +50,7 @@ func TestValidateRejectsPerField(t *testing.T) {
 		{"cubes too many", func(c *Config) { c.HMCCubes = 16 }, "HMCCubes"},
 		{"bad vault count", func(c *Config) { c.HMC.NumVaults = 0 }, "vault"},
 		{"bad explicit backend", func(c *Config) {
-			hc := hmcbackend.DefaultConfig(1)
+			hc := hmc.DefaultPoolConfig(1)
 			hc.Cube.BanksPerVault = 3
 			c.Mem = hc
 		}, "bank"},
@@ -59,6 +59,12 @@ func TestValidateRejectsPerField(t *testing.T) {
 			dc.Channels = 5
 			c.Mem = dc
 		}, "channel"},
+		{"HMC link too slow for a line", func(c *Config) { c.HMC.LinkBWScale = 0.01 }, "epoch budget"},
+		{"ddr bus too slow for a burst", func(c *Config) {
+			dc := ddr.DefaultConfig()
+			dc.ChannelGBs = 1
+			c.Mem = dc
+		}, "epoch budget"},
 	}
 	for _, tc := range cases {
 		cfg := Baseline()

@@ -100,6 +100,9 @@ func (c Config) Validate() error {
 	if c.ChannelGBs <= 0 {
 		return fmt.Errorf("ddr: non-positive channel bandwidth %g GB/s", c.ChannelGBs)
 	}
+	if err := dram.CheckLaneRate(dram.BytesPerCycle(c.ChannelGBs), burstBytes); err != nil {
+		return fmt.Errorf("ddr: channel bus %w", err)
+	}
 	return nil
 }
 
@@ -119,7 +122,7 @@ func (c Config) New(stats *sim.Stats) mem.Backend {
 		banks: dram.NewBanks(stats, "ddr", c.Channels, banks,
 			dram.Timing{TRCDNs: c.TRCDNs, TCLNs: c.TCLNs, TRPNs: c.TRPNs, TRASNs: c.TRASNs}, c.OpenPage),
 	}
-	bytesPerCycle := c.ChannelGBs * 1e9 / (sim.CoreClockGHz * 1e9)
+	bytesPerCycle := dram.BytesPerCycle(c.ChannelGBs)
 	for ch := 0; ch < c.Channels; ch++ {
 		s.bus = append(s.bus, dram.NewLane(bytesPerCycle))
 	}
@@ -215,18 +218,4 @@ func (s *System) CanOffload(op hmcatomic.Op) bool { return false }
 // capability correctly; kept as a loud modeling-error guard.
 func (s *System) Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, now uint64) mem.AtomicTiming {
 	panic(fmt.Sprintf("ddr: atomic %v offloaded to a backend with no PIM units", op))
-}
-
-// Counters implements mem.Backend. Atomics is empty: the substrate has
-// no offloaded atomics to count.
-func (s *System) Counters() mem.CounterNames {
-	return mem.CounterNames{
-		Namespace:  "ddr",
-		Reads:      "ddr.reads",
-		Writes:     "ddr.writes",
-		UCReads:    "ddr.uc.reads",
-		UCWrites:   "ddr.uc.writes",
-		ReqTraffic: "ddr.bus.wr_bytes",
-		RspTraffic: "ddr.bus.rd_bytes",
-	}
 }

@@ -51,6 +51,22 @@ func NewLane(unitsPerCycle float64) *Lane {
 	}
 }
 
+// BytesPerCycle converts a GB/s rate to bytes per core cycle, the unit
+// of the byte-metered lanes.
+func BytesPerCycle(gbs float64) float64 { return gbs * 1e9 / (sim.CoreClockGHz * 1e9) }
+
+// CheckLaneRate reports an error when a lane carrying unitsPerCycle
+// could not fit a transfer of largest units into one epoch's budget:
+// Reserve would then search for room forever. Every backend's Validate
+// calls it with its lanes' rate and largest transfer.
+func CheckLaneRate(unitsPerCycle float64, largest int) error {
+	if budget := unitsPerCycle * EpochCycles; !(budget >= float64(largest)) {
+		return fmt.Errorf("rate %g per cycle gives a %d-cycle epoch budget of %g, below the largest transfer of %d",
+			unitsPerCycle, EpochCycles, budget, largest)
+	}
+	return nil
+}
+
 // Reserve books units no earlier than ready and returns the cycle at
 // which the transfer has fully crossed the lane (excluding any fixed
 // latency).

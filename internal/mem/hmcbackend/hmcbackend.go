@@ -1,153 +1,26 @@
-// Package hmcbackend adapts the internal/hmc cube-chain model to the
-// mem.Backend contract. It is a thin forwarding layer — every timing
-// decision stays in internal/hmc, and the adapter is cycle- and
-// counter-identical to the pre-interface direct wiring (proven by the
-// equivalence test in this package and the machine-level identity
-// suite).
+// Package hmcbackend is a deprecated alias shim. The HMC chain backend
+// is hmc.Pool, configured by hmc.PoolConfig; these names remain only for
+// callers not yet moved to internal/hmc.
 package hmcbackend
 
-import (
-	"fmt"
+import "graphpim/internal/hmc"
 
-	"graphpim/internal/hmc"
-	"graphpim/internal/hmcatomic"
-	"graphpim/internal/mem"
-	"graphpim/internal/memmap"
-	"graphpim/internal/sim"
-)
-
-// CubeConfig aliases the per-cube configuration so machine configs can
-// tune cube knobs (FU counts, link bandwidth, vault interleaving)
-// without importing internal/hmc directly.
+// CubeConfig is the per-cube configuration.
+//
+// Deprecated: use hmc.Config.
 type CubeConfig = hmc.Config
 
+// Config is the cube-chain configuration.
+//
+// Deprecated: use hmc.PoolConfig.
+type Config = hmc.PoolConfig
+
 // DefaultCubeConfig returns the Table IV cube configuration.
+//
+// Deprecated: use hmc.DefaultConfig.
 func DefaultCubeConfig() CubeConfig { return hmc.DefaultConfig() }
 
-// Config builds an HMC chain backend.
-type Config struct {
-	// Cubes is the chain length (power of two, 1..8).
-	Cubes int
-	// Cube is the per-cube configuration.
-	Cube CubeConfig
-	// InterleaveShift sets the cube-interleaving granularity in
-	// (64 << shift)-byte blocks; 6 interleaves 4KB pages.
-	InterleaveShift int
-	// HopLatencyCycles is the pass-through latency per chained cube each
-	// way.
-	HopLatencyCycles uint64
-}
-
-// DefaultConfig returns a chain of n Table IV cubes with the default
-// page-granularity interleave and hop latency.
-func DefaultConfig(n int) Config {
-	p := hmc.DefaultPoolConfig(n)
-	return Config{
-		Cubes:            p.Cubes,
-		Cube:             p.Cube,
-		InterleaveShift:  p.InterleaveShift,
-		HopLatencyCycles: p.HopLatencyCycles,
-	}
-}
-
-// Kind implements mem.Config.
-func (c Config) Kind() string { return "hmc" }
-
-// Validate implements mem.Config.
-func (c Config) Validate() error {
-	if c.Cubes < 1 || c.Cubes > 8 || c.Cubes&(c.Cubes-1) != 0 {
-		return fmt.Errorf("hmc: chain length %d must be a power of two in 1..8", c.Cubes)
-	}
-	if c.Cube.NumVaults <= 0 || c.Cube.BanksPerVault <= 0 {
-		return fmt.Errorf("hmc: non-positive vault/bank count (%d vaults, %d banks)",
-			c.Cube.NumVaults, c.Cube.BanksPerVault)
-	}
-	if c.Cube.NumVaults&(c.Cube.NumVaults-1) != 0 {
-		return fmt.Errorf("hmc: vault count %d must be a power of two", c.Cube.NumVaults)
-	}
-	if c.Cube.BanksPerVault&(c.Cube.BanksPerVault-1) != 0 {
-		return fmt.Errorf("hmc: bank count %d must be a power of two", c.Cube.BanksPerVault)
-	}
-	if c.Cube.IntFUsPerVault <= 0 {
-		return fmt.Errorf("hmc: need at least one integer FU per vault (got %d)", c.Cube.IntFUsPerVault)
-	}
-	if c.Cube.FPFUsPerVault < 0 {
-		return fmt.Errorf("hmc: negative FP FU count %d", c.Cube.FPFUsPerVault)
-	}
-	return nil
-}
-
-// New implements mem.Config.
-func (c Config) New(stats *sim.Stats) mem.Backend {
-	pool := hmc.NewPool(hmc.PoolConfig{
-		Cubes:            c.Cubes,
-		Cube:             c.Cube,
-		InterleaveShift:  c.InterleaveShift,
-		HopLatencyCycles: c.HopLatencyCycles,
-	}, stats)
-	return &Backend{pool: pool, hasFP: c.Cube.FPFUsPerVault > 0}
-}
-
-// Backend is the HMC chain behind the mem.Backend interface.
-type Backend struct {
-	pool  *hmc.Pool
-	hasFP bool
-}
-
-// ReadLine implements mem.Backend.
-func (b *Backend) ReadLine(lineAddr memmap.Addr, now uint64) uint64 {
-	return b.pool.ReadLine(lineAddr, now)
-}
-
-// WriteLine implements mem.Backend.
-func (b *Backend) WriteLine(lineAddr memmap.Addr, now uint64) {
-	b.pool.WriteLine(lineAddr, now)
-}
-
-// UCRead implements mem.Backend.
-func (b *Backend) UCRead(addr memmap.Addr, now uint64) uint64 {
-	return b.pool.UCRead(addr, now)
-}
-
-// UCWrite implements mem.Backend.
-func (b *Backend) UCWrite(addr memmap.Addr, now uint64) uint64 {
-	return b.pool.UCWrite(addr, now)
-}
-
-// CanOffload implements mem.Backend: every HMC 2.0 atomic executes in
-// the vault logic; the FP extension additionally needs an FP functional
-// unit in the vault.
-func (b *Backend) CanOffload(op hmcatomic.Op) bool {
-	return !hmcatomic.IsFloat(op) || b.hasFP
-}
-
-// Atomic implements mem.Backend.
-func (b *Backend) Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, now uint64) mem.AtomicTiming {
-	t := b.pool.Atomic(op, addr, imm, now)
-	return mem.AtomicTiming{Accepted: t.Accepted, ResponseAt: t.ResponseAt, Flag: t.Flag}
-}
-
-// Counters implements mem.Backend.
-func (b *Backend) Counters() mem.CounterNames {
-	return mem.CounterNames{
-		Namespace:  "hmc",
-		Reads:      "hmc.reads",
-		Writes:     "hmc.writes",
-		UCReads:    "hmc.uc.reads",
-		UCWrites:   "hmc.uc.writes",
-		Atomics:    "hmc.atomics",
-		ReqTraffic: "hmc.flits.req",
-		RspTraffic: "hmc.flits.rsp",
-	}
-}
-
-// Audit implements mem.Backend.
-func (b *Backend) Audit(now uint64) error { return b.pool.Audit(now) }
-
-// Pool exposes the underlying chain (tests and examples only).
-func (b *Backend) Pool() *hmc.Pool { return b.pool }
-
-// CorruptLinkLaneForTest re-exports the pool's fault injector so
-// machine-level sanitizer tests can reach it through the interface.
-// Test-only; never call from simulation code.
-func (b *Backend) CorruptLinkLaneForTest() { b.pool.CorruptLinkLaneForTest() }
+// DefaultConfig returns a chain of n Table IV cubes.
+//
+// Deprecated: use hmc.DefaultPoolConfig.
+func DefaultConfig(n int) Config { return hmc.DefaultPoolConfig(n) }

@@ -119,6 +119,9 @@ func (c Config) Validate() error {
 	if c.ChannelGBs <= 0 {
 		return fmt.Errorf("lpddr: non-positive channel bandwidth %g GB/s", c.ChannelGBs)
 	}
+	if err := dram.CheckLaneRate(dram.BytesPerCycle(c.ChannelGBs), lineBytes); err != nil {
+		return fmt.Errorf("lpddr: channel bus %w", err)
+	}
 	if c.PIMClockDiv < 1 {
 		return fmt.Errorf("lpddr: PIM clock divisor %d must be at least 1", c.PIMClockDiv)
 	}
@@ -149,7 +152,7 @@ func (c Config) New(stats *sim.Stats) mem.Backend {
 		banks: dram.NewBanks(stats, "lpddr", c.Channels, banks,
 			dram.Timing{TRCDNs: c.TRCDNs, TCLNs: c.TCLNs, TRPNs: c.TRPNs, TRASNs: c.TRASNs}, c.OpenPage),
 	}
-	bytesPerCycle := c.ChannelGBs * 1e9 / (sim.CoreClockGHz * 1e9)
+	bytesPerCycle := dram.BytesPerCycle(c.ChannelGBs)
 	for ch := 0; ch < c.Channels; ch++ {
 		s.bus = append(s.bus, dram.NewLane(bytesPerCycle))
 		s.macFree = append(s.macFree, make([]uint64, c.BankGroupsPerChannel))
@@ -331,17 +334,3 @@ func (s *System) Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, 
 // Value returns the functional store's value at addr (functional
 // configurations only; tests).
 func (s *System) Value(addr memmap.Addr) hmcatomic.Value { return s.store[addr] }
-
-// Counters implements mem.Backend.
-func (s *System) Counters() mem.CounterNames {
-	return mem.CounterNames{
-		Namespace:  "lpddr",
-		Reads:      "lpddr.reads",
-		Writes:     "lpddr.writes",
-		UCReads:    "lpddr.uc.reads",
-		UCWrites:   "lpddr.uc.writes",
-		Atomics:    "lpddr.atomics",
-		ReqTraffic: "lpddr.bus.wr_bytes",
-		RspTraffic: "lpddr.bus.rd_bytes",
-	}
-}

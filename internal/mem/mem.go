@@ -4,8 +4,7 @@
 // atomic offload. The machine, cache hierarchy, and POU speak only this
 // interface; concrete substrates live in the subpackages:
 //
-//   - mem/hmcbackend — the paper's HMC 2.0 cube chain (Table IV/V), a
-//     thin adapter over internal/hmc;
+//   - internal/hmc — the paper's HMC 2.0 cube chain (Table IV/V);
 //   - mem/ddr — a channel/rank/bank DDR4-style host-memory model with no
 //     PIM units, the conventional-system baseline substrate;
 //   - mem/lpddr — a mobile LPDDR5X-PIM point with bank-group MAC units
@@ -18,9 +17,8 @@
 // audit, and the channel-interleaved Route. A substrate adds only its
 // geometry, interconnect rates, PIM units and counter names.
 //
-// Kinds register centrally through RegisterKind (see mem/backends),
-// which also validates each backend's counter declaration against the
-// alias table at registration time.
+// mem/backends is the fixed list of kinds, in the order CLI listings
+// present them, with each kind's default configuration.
 //
 // Capability is negotiated, not implied: CanOffload reports per-op
 // whether the backend can execute an atomic near memory, and the POU
@@ -35,10 +33,11 @@
 // "mem.req.flits") to each namespace's concrete counters, so report
 // layers can read traffic generically while every backend keeps emitting
 // its historical names — existing goldens and obs records stay stable.
+// The table is the only declaration of those names: Names derives a
+// kind's CounterNames from it.
 package mem
 
 import (
-	"fmt"
 	"strings"
 
 	"graphpim/internal/hmcatomic"
@@ -88,11 +87,6 @@ type Backend interface {
 	// functional backends.
 	Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, now uint64) AtomicTiming
 
-	// Counters names the backend's counter namespace so the machine's
-	// cross-subsystem stat audits and report layers can find its
-	// traffic without hard-coding a substrate.
-	Counters() CounterNames
-
 	// Audit cross-checks the backend's redundant internal state (the
 	// internal/check sanitizer registers it under Kind()). It must be
 	// read-only: an audited run is byte-identical to an unaudited one.
@@ -128,25 +122,15 @@ type BundleBackend interface {
 	AtomicBundle(addr memmap.Addr, now uint64) AtomicTiming
 }
 
-// CounterNames declares where a backend keeps its per-request counters.
+// CounterNames says where a backend keeps its per-request counters.
 // Empty fields mean the backend does not model that quantity (e.g. a
 // PIM-less backend has no Atomics counter); consumers must skip them.
 type CounterNames struct {
-	// Namespace is the prefix every counter of the backend starts with
-	// ("hmc", "ddr").
-	Namespace string
-
 	Reads    string // critical-path line fills
 	Writes   string // posted line writebacks
 	UCReads  string // uncacheable sub-line reads
 	UCWrites string // uncacheable sub-line writes
 	Atomics  string // offloaded near-memory atomics ("" when unsupported)
-
-	// ReqTraffic and RspTraffic are the request/response interconnect
-	// traffic counters in the backend's own unit (FLITs for HMC, bytes
-	// for DDR); "" when the backend does not model the interconnect.
-	ReqTraffic string
-	RspTraffic string
 }
 
 // Canonical backend-neutral counter names, resolvable against any run's
@@ -167,8 +151,11 @@ const (
 )
 
 // aliasTable maps each canonical name to the concrete counters the
-// backends emit. Backends keep their historical names (goldens and
-// recorded obs runs depend on them); new namespaces extend the slices.
+// backends emit, and is the only declaration of those names (Names
+// reads it). Backends keep their historical names (goldens and recorded
+// obs runs depend on them); new namespaces extend the slices, and
+// TestNamesRegisteredByBackends (mem/backends) checks each against the
+// counters its backend registers.
 var aliasTable = map[string][]string{
 	StatReads:    {"hmc.reads", "ddr.reads", "lpddr.reads", "vault.reads"},
 	StatWrites:   {"hmc.writes", "ddr.writes", "lpddr.writes", "vault.writes"},
@@ -185,158 +172,32 @@ var aliasTable = map[string][]string{
 // to (nil for an unknown canonical name).
 func Aliases(canonical string) []string { return aliasTable[canonical] }
 
-// kindEntry is one registered backend kind.
-type kindEntry struct {
-	kind string
-	def  func() Config
-	// flitTraffic records whether the kind's interconnect counters are
-	// FLIT-based (HMC links) rather than byte-based (data buses); false
-	// also for kinds that model no interconnect.
-	flitTraffic bool
-	// bundles records whether the kind's default backend implements the
-	// BundleBackend general-purpose tier.
-	bundles bool
-}
-
-// registry holds every registered backend kind in registration order.
-// Registration happens centrally (internal/mem/backends) so the order is
-// explicit rather than an accident of package-init sequencing.
-var registry []kindEntry
-
-// RegisterKind adds a backend kind to the registry. def must return the
-// kind's default configuration; callers register once, at init time.
-//
-// Registration builds a throwaway backend from the default configuration
-// and validates — loudly, by panicking — that every name the backend's
-// Counters() declares resolves through the alias table to its canonical
-// counterpart. Without this check a new backend would silently report 0
-// through mem.Stat (reads, bus traffic, atomics) into every existing
-// table: the alias table only sums the names it knows about.
-func RegisterKind(def func() Config) {
-	cfg := def()
-	kind := cfg.Kind()
-	if kind == "" {
-		panic("mem: RegisterKind with an empty kind")
-	}
-	for _, e := range registry {
-		if e.kind == kind {
-			panic(fmt.Sprintf("mem: backend kind %q registered twice", kind))
-		}
-	}
-	if err := cfg.Validate(); err != nil {
-		panic(fmt.Sprintf("mem: default configuration of kind %q is invalid: %v", kind, err))
-	}
-	b := cfg.New(sim.NewStats())
-	names := b.Counters()
-	if err := checkCounterNames(kind, names); err != nil {
-		panic(err.Error())
-	}
-	bb, ok := b.(BundleBackend)
-	registry = append(registry, kindEntry{
-		kind:        kind,
-		def:         def,
-		flitTraffic: inAliases(StatReqFlits, names.ReqTraffic) || inAliases(StatRspFlits, names.RspTraffic),
-		bundles:     ok && bb.CanOffloadBundle(),
-	})
-}
-
-// inAliases reports whether name appears in the canonical's alias slice.
-func inAliases(canonical, name string) bool {
+// alias returns the alias of canonical in kind's namespace, or "".
+func alias(canonical, kind string) string {
 	for _, a := range aliasTable[canonical] {
-		if a == name {
-			return true
+		if strings.HasPrefix(a, kind+".") {
+			return a
 		}
 	}
-	return false
+	return ""
 }
 
-// checkCounterNames validates a backend's counter declaration against
-// the alias table: the namespace must equal the kind, every declared
-// name must live under it, and every declared name must resolve through
-// the alias table to the canonical counter consumers read.
-func checkCounterNames(kind string, names CounterNames) error {
-	if names.Namespace != kind {
-		return fmt.Errorf("mem: backend kind %q declares counter namespace %q", kind, names.Namespace)
+// Names derives kind's counter names from the alias table; a field is
+// empty when the kind has no alias for it.
+func Names(kind string) CounterNames {
+	return CounterNames{
+		Reads:    alias(StatReads, kind),
+		Writes:   alias(StatWrites, kind),
+		UCReads:  alias(StatUCReads, kind),
+		UCWrites: alias(StatUCWrites, kind),
+		Atomics:  alias(StatAtomics, kind),
 	}
-	check := func(field, name string, canonicals ...string) error {
-		if name == "" {
-			return nil // the backend does not model this quantity
-		}
-		if !strings.HasPrefix(name, kind+".") {
-			return fmt.Errorf("mem: backend %q counter %s = %q is outside its namespace", kind, field, name)
-		}
-		for _, c := range canonicals {
-			if inAliases(c, name) {
-				return nil
-			}
-		}
-		return fmt.Errorf("mem: backend %q counter %s = %q does not resolve through the alias table "+
-			"(canonical %s) — mem.Stat would silently report 0; extend mem.aliasTable",
-			kind, field, name, strings.Join(canonicals, "/"))
-	}
-	pairs := []struct {
-		field, name string
-		canonicals  []string
-	}{
-		{"Reads", names.Reads, []string{StatReads}},
-		{"Writes", names.Writes, []string{StatWrites}},
-		{"UCReads", names.UCReads, []string{StatUCReads}},
-		{"UCWrites", names.UCWrites, []string{StatUCWrites}},
-		{"Atomics", names.Atomics, []string{StatAtomics}},
-		{"ReqTraffic", names.ReqTraffic, []string{StatReqFlits, StatReqBytes}},
-		{"RspTraffic", names.RspTraffic, []string{StatRspFlits, StatRspBytes}},
-	}
-	for _, p := range pairs {
-		if err := check(p.field, p.name, p.canonicals...); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-// Kinds returns every registered backend kind in registration order —
-// the order CLI listings and error messages present them in.
-func Kinds() []string {
-	out := make([]string, len(registry))
-	for i, e := range registry {
-		out[i] = e.kind
-	}
-	return out
-}
-
-// DefaultConfig returns the registered default configuration for kind,
-// or false when the kind is unknown.
-func DefaultConfig(kind string) (Config, bool) {
-	for _, e := range registry {
-		if e.kind == kind {
-			return e.def(), true
-		}
-	}
-	return nil, false
-}
-
-// FlitTraffic reports whether a registered kind's interconnect counters
-// are FLIT-based (HMC links) rather than byte-based (unknown kinds
-// report false).
-func FlitTraffic(kind string) bool {
-	for _, e := range registry {
-		if e.kind == kind {
-			return e.flitTraffic
-		}
-	}
-	return false
-}
-
-// BundleCapable reports whether a registered kind's default backend
-// implements the BundleBackend general-purpose tier.
-func BundleCapable(kind string) bool {
-	for _, e := range registry {
-		if e.kind == kind {
-			return e.bundles
-		}
-	}
-	return false
-}
+// FlitTraffic reports whether kind's interconnect counters are
+// FLIT-based (HMC links) rather than byte-based (unknown kinds report
+// false).
+func FlitTraffic(kind string) bool { return alias(StatReqFlits, kind) != "" }
 
 // Stat resolves a canonical backend-neutral counter name against a
 // stats snapshot, summing every namespace's alias. Exactly one backend

@@ -123,6 +123,9 @@ func (c Config) Validate() error {
 	if c.LinkGBs <= 0 {
 		return fmt.Errorf("vault: non-positive link bandwidth %g GB/s", c.LinkGBs)
 	}
+	if err := dram.CheckLaneRate(dram.BytesPerCycle(c.LinkGBs), lineBytes); err != nil {
+		return fmt.Errorf("vault: link %w", err)
+	}
 	if c.IssueGap < 1 {
 		return fmt.Errorf("vault: core issue gap %d must be at least 1 cycle", c.IssueGap)
 	}
@@ -154,7 +157,7 @@ func (c Config) New(stats *sim.Stats) mem.Backend {
 	if c.BundleInstrs == 0 {
 		c.BundleInstrs = defaultBundleInstrs
 	}
-	bytesPerCycle := c.LinkGBs * 1e9 / (sim.CoreClockGHz * 1e9)
+	bytesPerCycle := dram.BytesPerCycle(c.LinkGBs)
 	s := &System{
 		cfg:   c,
 		ctr:   resolveCounters(stats),
@@ -347,17 +350,3 @@ func (s *System) AtomicBundle(addr memmap.Addr, now uint64) mem.AtomicTiming {
 // Value returns the functional store's value at addr (functional
 // configurations only; tests).
 func (s *System) Value(addr memmap.Addr) hmcatomic.Value { return s.store[addr] }
-
-// Counters implements mem.Backend.
-func (s *System) Counters() mem.CounterNames {
-	return mem.CounterNames{
-		Namespace:  "vault",
-		Reads:      "vault.reads",
-		Writes:     "vault.writes",
-		UCReads:    "vault.uc.reads",
-		UCWrites:   "vault.uc.writes",
-		Atomics:    "vault.atomics",
-		ReqTraffic: "vault.link.req_bytes",
-		RspTraffic: "vault.link.rsp_bytes",
-	}
-}
