@@ -94,9 +94,9 @@ smoke-stream:
 # twitter-shaped build (Table VII: 11M/85M) under a GC target below the
 # would-be []Edge bytes (~1016MB): the streaming two-pass build's peak —
 # final CSR included — must fit where the old edge list alone would not
-# have. Then the LDBC-1M byte-identity check against the legacy builder,
-# which needs headroom for the legacy side's materialized edge list
-# (that being the point).
+# have. Then the LDBC-1M byte-identity check against the materializing
+# oracle (Builder in internal/graph/builder_test.go), which needs
+# headroom for the oracle's materialized edge list (that being the point).
 smoke-graph:
 	GRAPHPIM_GRAPH_SMOKE=1 GOMEMLIMIT=950MiB \
 		$(GO) test -run '^TestGraphSmokeTwitter11M$$' -v -timeout 30m ./internal/graph/

@@ -9,12 +9,16 @@ import (
 )
 
 func tinyGraph() *graph.Graph {
-	b := graph.NewBuilder(4)
-	b.AddEdge(0, 1)
-	b.AddEdge(0, 2)
-	b.AddEdge(1, 3)
-	b.AddEdge(2, 3)
-	return b.Build(false)
+	g, err := graph.BuildStream(graph.SliceStream(4, []graph.Edge{
+		{Src: 0, Dst: 1, Weight: 1},
+		{Src: 0, Dst: 2, Weight: 1},
+		{Src: 1, Dst: 3, Weight: 1},
+		{Src: 2, Dst: 3, Weight: 1},
+	}), false)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 func TestPropertyAllocationInPMR(t *testing.T) {

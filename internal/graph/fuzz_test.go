@@ -41,16 +41,18 @@ func FuzzReadEdgeList(f *testing.F) {
 }
 
 // FuzzBuildStream is the randomized arm of the equivalence gate: any
-// edge multiset fed through both the streaming two-pass builder and the
-// legacy materialize-then-sort Builder must yield identical CSR arrays,
-// under both dedup settings. Edges are decoded from raw bytes, 7 per
-// edge: 2+2 bytes of vertex id (mod n), 3 bytes of weight.
+// edge multiset fed through both the streaming build and the
+// materializing oracle Builder must yield identical CSR arrays, under
+// both dedup settings. The stream is cut into 1 + parts%16 parts, so
+// empty parts and more parts than edges occur. Edges are decoded from
+// raw bytes, 7 per edge: 2+2 bytes of vertex id (mod n), 3 bytes of
+// weight.
 func FuzzBuildStream(f *testing.F) {
-	f.Add(uint16(4), []byte{0, 1, 0, 2, 0, 0, 5})
-	f.Add(uint16(2), []byte{0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 2, 0, 0})
-	f.Add(uint16(100), []byte("some random bytes that decode to edges......"))
-	f.Add(uint16(1), []byte{})
-	f.Fuzz(func(t *testing.T, nv uint16, raw []byte) {
+	f.Add(uint16(4), uint8(0), []byte{0, 1, 0, 2, 0, 0, 5})
+	f.Add(uint16(2), uint8(1), []byte{0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 2, 0, 0})
+	f.Add(uint16(100), uint8(2), []byte("some random bytes that decode to edges......"))
+	f.Add(uint16(1), uint8(6), []byte{})
+	f.Fuzz(func(t *testing.T, nv uint16, parts uint8, raw []byte) {
 		n := int(nv)
 		if n < 1 {
 			n = 1
@@ -68,7 +70,7 @@ func FuzzBuildStream(f *testing.F) {
 				b.AddWeightedEdge(e.Src, e.Dst, e.Weight)
 			}
 			want := b.Build(dedup)
-			got, err := BuildStream(SliceStream(n, edges), dedup)
+			got, err := buildStream(SliceStream(n, edges), 1+int(parts)%16, dedup)
 			if err != nil {
 				t.Fatalf("BuildStream(dedup=%v): %v", dedup, err)
 			}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 
 	"graphpim/internal/sim"
 )
@@ -11,7 +12,10 @@ import (
 // results — are exactly reproducible. Every generator is an EdgeStream:
 // Edges re-seeds its PRNG on each call, so BuildStream's two passes see
 // the identical edge sequence, and generation state is O(1) — the only
-// O(V+E) memory a build touches is the final CSR itself.
+// O(V+E) memory a build touches is the final CSR itself. The R-MAT and
+// Erdős–Rényi streams draw a fixed number of PRNG values per edge, so
+// they split into parts that each jump the PRNG (sim.Rand.Skip) to
+// their first edge; the preferential-attachment streams cannot.
 
 // rmatNoiseSalt separates the per-level noise PRNG from the edge PRNG so
 // the noise is a fixed function of the seed, not of how many edges have
@@ -85,15 +89,18 @@ func RMAT(vertices, edgeFactor int, a, b, c float64, seed uint64) *Graph {
 // rmatStream generates R-MAT edges on the fly. The per-level quadrant
 // thresholds are perturbed once at construction (seeded noise), then
 // each Edges call replays the same recursive-quadrant walk from a fresh
-// PRNG at the same seed.
+// PRNG at the same seed. Every edge consumes levels+1 draws, so the
+// edges [lo, hi) of a split part start from the PRNG skipped ahead by
+// lo·(levels+1).
 type rmatStream struct {
-	vertices   int
-	edgeFactor int
-	levels     int
-	seed       uint64
-	// Cumulative quadrant thresholds per level: p < ta[l] is top-left,
-	// p < tab[l] top-right, p < tabc[l] bottom-left, else bottom-right.
-	ta, tab, tabc []float64
+	vertices int
+	levels   int
+	seed     uint64
+	lo, hi   int
+	// Cumulative quadrant thresholds per level on the 53-bit draw u:
+	// u < ta[l] is top-left, u < tab[l] top-right, u < tabc[l]
+	// bottom-left, else bottom-right.
+	ta, tab, tabc []uint64
 }
 
 // RMATStream is the EdgeStream form of RMAT. Each recursion level's
@@ -112,13 +119,13 @@ func RMATStream(vertices, edgeFactor int, a, b, c float64, seed uint64) EdgeStre
 		levels++
 	}
 	s := &rmatStream{
-		vertices:   vertices,
-		edgeFactor: edgeFactor,
-		levels:     levels,
-		seed:       seed,
-		ta:         make([]float64, levels),
-		tab:        make([]float64, levels),
-		tabc:       make([]float64, levels),
+		vertices: vertices,
+		levels:   levels,
+		seed:     seed,
+		hi:       vertices * edgeFactor,
+		ta:       make([]uint64, levels),
+		tab:      make([]uint64, levels),
+		tabc:     make([]uint64, levels),
 	}
 	d := 1 - a - b - c
 	rn := sim.NewRand(seed ^ rmatNoiseSalt)
@@ -128,27 +135,49 @@ func RMATStream(vertices, edgeFactor int, a, b, c float64, seed uint64) EdgeStre
 		nc := c * (0.9 + 0.2*rn.Float64())
 		nd := d * (0.9 + 0.2*rn.Float64())
 		norm := na + nb + nc + nd
-		s.ta[l] = na / norm
-		s.tab[l] = (na + nb) / norm
-		s.tabc[l] = (na + nb + nc) / norm
+		s.ta[l] = drawThreshold(na / norm)
+		s.tab[l] = drawThreshold((na + nb) / norm)
+		s.tabc[l] = drawThreshold((na + nb + nc) / norm)
 	}
 	return s
 }
 
+// drawThreshold converts a probability threshold t in [0, 1] into the
+// integer bound on 53-bit draws: u >= drawThreshold(t) exactly when
+// Float64's u/2^53 >= t, since scaling by 2^53 is exact and u is whole.
+func drawThreshold(t float64) uint64 {
+	return uint64(math.Ceil(t * (1 << 53)))
+}
+
 func (s *rmatStream) NumVertices() int { return s.vertices }
 
+func (s *rmatStream) numEdges() int { return s.hi - s.lo }
+
+func (s *rmatStream) split(parts int) []EdgeStream {
+	return splitRange(s.lo, s.hi, parts, func(lo, hi int) EdgeStream {
+		p := *s
+		p.lo, p.hi = lo, hi
+		return &p
+	})
+}
+
 func (s *rmatStream) Edges(emit func(src, dst VID, w uint32) bool) error {
-	r := sim.NewRand(s.seed)
-	numEdges := s.vertices * s.edgeFactor
-	for i := 0; i < numEdges; i++ {
+	start := sim.NewRand(s.seed)
+	start.Skip(uint64(s.lo) * uint64(s.levels+1))
+	r := *start // never addressed, so its state lives in a register
+	ta := s.ta
+	tab, tabc := s.tab[:len(ta)], s.tabc[:len(ta)]
+	var u uint64
+	for i := s.lo; i < s.hi; i++ {
 		src, dst := 0, 0
-		for l := 0; l < s.levels; l++ {
-			// Quadrant q in 0..3 (a, b, c, d) counts the thresholds p
-			// reaches; bit 0 selects the dst half, bit 1 the src half.
-			// The sum compiles to flag materializations instead of the
-			// unpredictable branches of a switch.
-			p := r.Float64()
-			q := b2i(p >= s.ta[l]) + b2i(p >= s.tab[l]) + b2i(p >= s.tabc[l])
+		for l := range ta {
+			// Quadrant q in 0..3 (a, b, c, d) counts the thresholds the
+			// 53-bit draw u reaches; bit 0 selects the dst half, bit 1
+			// the src half. The sum compiles to flag materializations
+			// instead of the unpredictable branches of a switch.
+			r, u = r.Next()
+			u >>= 11
+			q := b2i(u >= ta[l]) + b2i(u >= tab[l]) + b2i(u >= tabc[l])
 			dst |= (q & 1) << uint(l)
 			src |= (q >> 1) << uint(l)
 		}
@@ -157,7 +186,8 @@ func (s *rmatStream) Edges(emit func(src, dst VID, w uint32) bool) error {
 		if src == dst {
 			dst = (dst + 1) % s.vertices
 		}
-		w := uint32(r.Intn(63) + 1)
+		r, u = r.Next()
+		w := uint32(u%63 + 1) // r.Intn(63) + 1
 		if !emit(VID(src), VID(dst), w) {
 			return nil
 		}
@@ -180,11 +210,13 @@ func ErdosRenyi(vertices, avgDegree int, seed uint64) *Graph {
 	return mustBuildStream(ErdosRenyiStream(vertices, avgDegree, seed), true)
 }
 
-// erdosRenyiStream generates uniform random edges on the fly.
+// erdosRenyiStream generates uniform random edges on the fly. Every
+// edge consumes 3 draws, so the edges [lo, hi) of a split part start
+// from the PRNG skipped ahead by 3·lo.
 type erdosRenyiStream struct {
-	vertices  int
-	avgDegree int
-	seed      uint64
+	vertices int
+	seed     uint64
+	lo, hi   int
 }
 
 // ErdosRenyiStream is the EdgeStream form of ErdosRenyi.
@@ -192,14 +224,25 @@ func ErdosRenyiStream(vertices, avgDegree int, seed uint64) EdgeStream {
 	if vertices <= 1 {
 		panic("graph: ErdosRenyi needs at least 2 vertices")
 	}
-	return &erdosRenyiStream{vertices: vertices, avgDegree: avgDegree, seed: seed}
+	return &erdosRenyiStream{vertices: vertices, seed: seed, hi: vertices * avgDegree}
 }
 
 func (s *erdosRenyiStream) NumVertices() int { return s.vertices }
 
+func (s *erdosRenyiStream) numEdges() int { return s.hi - s.lo }
+
+func (s *erdosRenyiStream) split(parts int) []EdgeStream {
+	return splitRange(s.lo, s.hi, parts, func(lo, hi int) EdgeStream {
+		p := *s
+		p.lo, p.hi = lo, hi
+		return &p
+	})
+}
+
 func (s *erdosRenyiStream) Edges(emit func(src, dst VID, w uint32) bool) error {
 	r := sim.NewRand(s.seed)
-	for i := 0; i < s.vertices*s.avgDegree; i++ {
+	r.Skip(3 * uint64(s.lo))
+	for i := s.lo; i < s.hi; i++ {
 		src := r.Intn(s.vertices)
 		dst := r.Intn(s.vertices)
 		if src == dst {

@@ -1,14 +1,22 @@
 package graph
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sort"
+
+	"graphpim/internal/parallel"
 )
 
 // EdgeStream is a deterministic, re-runnable source of directed edges.
 // BuildStream consumes a stream twice (degree counting, then scatter),
 // so every call to Edges must reproduce the identical edge sequence —
-// generators re-seed their PRNG per call, file streams re-seek.
+// generators re-seed their PRNG per call, file streams re-seek. A
+// stream that implements the unexported splitter is split into parts
+// built on separate goroutines: split(parts) returns exactly parts
+// re-runnable streams, possibly empty, whose Edges sequences
+// concatenated in part order are exactly the whole stream's sequence.
 type EdgeStream interface {
 	// NumVertices returns the vertex-id space [0, n) the edges live in.
 	NumVertices() int
@@ -17,6 +25,23 @@ type EdgeStream interface {
 	// (Edges then returns nil). Edges returns an error only for source
 	// faults (I/O, parse) — never for graph-shape reasons.
 	Edges(emit func(src, dst VID, w uint32) bool) error
+}
+
+// splitter is an EdgeStream that can be cut into consecutive parts (see
+// EdgeStream); numEdges is its exact edge count, known before any pass.
+type splitter interface {
+	numEdges() int
+	split(parts int) []EdgeStream
+}
+
+// splitRange cuts the edge index range [lo, hi) into parts consecutive
+// ranges of near-equal size and builds one part stream per range.
+func splitRange(lo, hi, parts int, part func(lo, hi int) EdgeStream) []EdgeStream {
+	out := make([]EdgeStream, parts)
+	for k := range out {
+		out[k] = part(lo+(hi-lo)*k/parts, lo+(hi-lo)*(k+1)/parts)
+	}
+	return out
 }
 
 // sliceStream adapts an in-memory edge list to EdgeStream (tests, fuzz
@@ -46,150 +71,253 @@ func (s *sliceStream) Edges(emit func(src, dst VID, w uint32) bool) error {
 	return nil
 }
 
-// BuildStream builds the CSR graph of s in two passes without ever
-// materializing an edge list: pass 1 counts out- and in-degrees, the
-// final arrays are allocated at exactly the raw edge count, and pass 2
-// scatters each edge directly into its CSR slot for both directions.
-// Per-vertex adjacency is then sorted (and deduped) in place, so peak
-// memory is the final graph plus the two pointer arrays — never the
-// 12-byte-per-edge []Edge (let alone the sort copy) the legacy
-// Builder.Build holds.
-//
-// The result is byte-identical to feeding the same stream through
-// NewBuilder/Build: out-edges ordered by (src, dst, weight), dedup
-// keeping the minimum-weight copy of each parallel edge, in-edges per
-// destination ordered by source. Build remains the executable
-// specification; the equivalence suite gates this claim.
-//
-// Streams whose all-edge weight is a single constant produce the
-// uniform-weight representation (no per-edge weight array).
+func (s *sliceStream) numEdges() int { return len(s.edges) }
+
+func (s *sliceStream) split(parts int) []EdgeStream {
+	return splitRange(0, len(s.edges), parts, func(lo, hi int) EdgeStream {
+		return &sliceStream{n: s.n, edges: s.edges[lo:hi]}
+	})
+}
+
+// BuildStream builds the CSR graph of s without materializing an edge
+// list (DESIGN.md §14): pass 1 counts out-degrees, pass 2 scatters each
+// edge into its out-CSR slot, out-runs are sorted (and deduped) in
+// place, and the in-CSR is the transpose of the final out-CSR. A
+// splittable stream runs as one part per worker. The result is
+// byte-identical at any part count to the materializing oracle in
+// builder_test.go: out-edges ordered by (src, dst, weight), dedup
+// keeping the minimum-weight copy of each parallel edge, in-edges
+// ordered by source. A stream whose every edge carries one weight gets
+// the uniform-weight representation (no per-edge weight array).
 func BuildStream(s EdgeStream, dedup bool) (*Graph, error) {
 	n := s.NumVertices()
 	if n <= 0 {
 		return nil, fmt.Errorf("graph: stream declares invalid vertex count %d", n)
 	}
+	return buildStream(s, buildWorkers(s, n), dedup)
+}
 
-	// Pass 1: count degrees at +1 offsets so the prefix sum turns the
-	// same arrays into CSR pointers, and detect the uniform-weight case.
-	outPtr := make([]uint64, n+1)
-	inPtr := make([]uint64, n+1)
+// buildWorkers is the build's worker and part count: GOMAXPROCS,
+// reduced so the (2w−1) n-word cursor arrays of w parts never exceed
+// outDst's bytes, and 1 for a stream that cannot split.
+func buildWorkers(s EdgeStream, n int) int {
+	sp, ok := s.(splitter)
+	if !ok {
+		return 1
+	}
+	w := parallel.Workers(0)
+	for w > 1 && (2*w-1)*8*n > 4*sp.numEdges() {
+		w--
+	}
+	return w
+}
+
+// buildStream is BuildStream with an explicit worker count: a
+// splittable s is cut into exactly that many parts.
+func buildStream(s EdgeStream, workers int, dedup bool) (*Graph, error) {
+	parts := []EdgeStream{s}
+	if sp, ok := s.(splitter); ok && workers > 1 {
+		parts = sp.split(workers)
+	}
+	g, uniform, uw, err := scatterOut(s.NumVertices(), parts)
+	if err != nil {
+		return nil, err
+	}
+	sortRuns(g, uniform, workers)
+	if dedup {
+		dedupOut(g, uniform)
+		// Uniformity is a property of the SURVIVING edges (the oracle
+		// checks it after dedup): parallel edges whose differing
+		// weights all deduped away leave a uniform graph the raw
+		// pass-1 scan missed.
+		if !uniform {
+			uw = g.outW[0]
+			uniform = !slices.ContainsFunc(g.outW, func(w uint32) bool { return w != uw })
+		}
+	}
+	if uniform {
+		g.setUniform(uw)
+	}
+	g.transpose()
+	return g, nil
+}
+
+// partCount is what pass 1 learns about one part.
+type partCount struct {
+	first   uint64 // whole-stream index of the part's first edge
+	m       uint64 // edges
+	uniform bool   // every edge carries weight uw
+	uw      uint32
+	err     error
+}
+
+// scatterOut runs both passes over the parts and returns the unsorted
+// out-CSR. Part k's slots for vertex v follow those of parts 0..k−1 and
+// end where part k+1's begin (the last part's at outPtr[v+1]); pass 2
+// checks every write against that end, kept read-only in ends. Part 0's
+// cursor array, dead after pass 2, is left in g.inPtr for the transpose
+// to reuse, so a one-part build never holds more than the final graph.
+func scatterOut(n int, parts []EdgeStream) (*Graph, bool, uint32, error) {
+	P := len(parts)
+	// Pass 1: part k counts its out-degrees into cur[k].
+	cur := make([][]uint64, P)
+	for k := range cur {
+		cur[k] = make([]uint64, n+1) // n+1: the in-CSR pointers' length
+	}
+	counts := make([]partCount, P)
+	forEach(P, func(k int) { counts[k] = countPart(parts[k], n, cur[k]) })
 	var m uint64
 	uniform, uw := true, uint32(1)
+	for k := range counts {
+		c := &counts[k]
+		if c.err != nil {
+			return nil, false, 0, c.err
+		}
+		if c.m > 0 {
+			if !c.uniform || (m > 0 && c.uw != uw) {
+				uniform = false
+			}
+			uw = c.uw
+		}
+		c.first = m
+		m += c.m
+	}
+
+	// Prefix sums: turn each part's counts into its start slots.
+	outPtr := make([]uint64, n+1)
+	for v := 0; v < n; v++ {
+		pos := outPtr[v]
+		for _, c := range cur {
+			c[v], pos = pos, pos+c[v]
+		}
+		outPtr[v+1] = pos
+	}
+	ends := make([][]uint64, P)
+	for k := range P - 1 {
+		ends[k] = slices.Clone(cur[k+1][:n])
+	}
+	ends[P-1] = outPtr[1:]
+
+	// Pass 2: scatter through the per-part cursors.
+	g := &Graph{numVertices: n, outPtr: outPtr, outDst: make([]VID, m), inPtr: cur[0]}
+	if !uniform {
+		g.outW = make([]uint32, m)
+	}
+	errs := make([]error, P)
+	forEach(P, func(k int) { errs[k] = g.scatterPart(parts[k], cur[k], ends[k], counts[k]) })
+	for _, err := range errs {
+		if err != nil {
+			return nil, false, 0, err
+		}
+	}
+	return g, uniform, uw, nil
+}
+
+// countPart is pass 1 over one part: range-check every edge, count
+// out-degrees into deg, and detect a single common weight.
+func countPart(s EdgeStream, n int, deg []uint64) partCount {
+	c := partCount{uniform: true}
 	var rangeErr error
 	err := s.Edges(func(src, dst VID, w uint32) bool {
 		if int(src) >= n || int(dst) >= n {
 			rangeErr = fmt.Errorf("graph: stream edge (%d,%d) out of range [0,%d)", src, dst, n)
 			return false
 		}
-		if m == 0 {
-			uw = w
-		} else if w != uw && uniform {
-			uniform = false
+		if c.m == 0 {
+			c.uw = w
+		} else if w != c.uw {
+			c.uniform = false
 		}
-		outPtr[src+1]++
-		inPtr[dst+1]++
-		m++
+		deg[src]++
+		c.m++
 		return true
 	})
-	if err == nil {
-		err = rangeErr
+	if c.err = err; err == nil {
+		c.err = rangeErr
 	}
-	if err != nil {
-		return nil, err
-	}
-	for v := 1; v <= n; v++ {
-		outPtr[v] += outPtr[v-1]
-		inPtr[v] += inPtr[v-1]
-	}
+	return c
+}
 
-	// Pass 2: scatter straight into the preallocated arrays, using the
-	// pointer arrays as write cursors (shifted back down afterwards).
-	g := &Graph{numVertices: n}
-	g.outDst = make([]VID, m)
-	if !uniform {
-		g.outW = make([]uint32, m)
-	}
-	g.inSrc = make([]VID, m)
+// scatterPart is pass 2 over one part: each edge goes to cur[src],
+// which must stay below end[src]. With no overflow and exactly the m
+// edges pass 1 counted, every cursor has reached its end — the fills
+// sum to the counts and none exceeds its own.
+func (g *Graph) scatterPart(s EdgeStream, cur, end []uint64, c partCount) error {
+	n := g.numVertices
+	first, m := c.first, c.m
 	var seen uint64
-	err = s.Edges(func(src, dst VID, w uint32) bool {
+	var changed error
+	err := s.Edges(func(src, dst VID, w uint32) bool {
 		if int(src) >= n || int(dst) >= n || seen == m {
-			rangeErr = fmt.Errorf("graph: stream changed between passes (edge %d)", seen)
+			changed = fmt.Errorf("graph: stream changed between passes (edge %d)", first+seen)
 			return false
 		}
-		oi := outPtr[src]
-		if oi >= outPtr[src+1] {
-			rangeErr = fmt.Errorf("graph: stream changed between passes (vertex %d overflow)", src)
+		i := cur[src]
+		if i >= end[src] {
+			changed = fmt.Errorf("graph: stream changed between passes (vertex %d overflow)", src)
 			return false
 		}
-		g.outDst[oi] = dst
-		if !uniform {
-			g.outW[oi] = w
+		g.outDst[i] = dst
+		if g.outW != nil {
+			g.outW[i] = w
 		}
-		outPtr[src] = oi + 1
-		ii := inPtr[dst]
-		g.inSrc[ii] = src
-		inPtr[dst] = ii + 1
+		cur[src] = i + 1
 		seen++
 		return true
 	})
-	if err == nil {
-		err = rangeErr
-	}
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if changed != nil {
+		return changed
 	}
 	if seen != m {
-		return nil, fmt.Errorf("graph: stream changed between passes (%d edges, then %d)", m, seen)
+		return fmt.Errorf("graph: stream changed between passes (%d edges, then %d)", m, seen)
 	}
-	// Undo the cursor advance: outPtr[v] now holds the END of v's run,
-	// i.e. the start of v+1's — shift down by one vertex.
-	copy(outPtr[1:], outPtr[:n])
-	outPtr[0] = 0
-	copy(inPtr[1:], inPtr[:n])
-	inPtr[0] = 0
-	g.outPtr = outPtr
-	g.inPtr = inPtr
-
-	// Sort each adjacency run in place. (dst, weight) is a total order,
-	// so ties are indistinguishable and the result is deterministic.
-	for v := 0; v < n; v++ {
-		lo, hi := outPtr[v], outPtr[v+1]
-		if uniform {
-			sortVIDs(g.outDst[lo:hi])
-		} else {
-			sortAdj(g.outDst[lo:hi], g.outW[lo:hi])
-		}
-		sortVIDs(g.inSrc[inPtr[v]:inPtr[v+1]])
-	}
-
-	if dedup {
-		dedupCSR(g, uniform)
-		// Uniformity is a property of the SURVIVING edges (Build checks
-		// it after dedup): parallel edges whose differing weights all
-		// deduped away leave a uniform graph the raw pass-1 scan missed.
-		if !uniform && len(g.outW) > 0 {
-			uniform, uw = true, g.outW[0]
-			for _, w := range g.outW {
-				if w != uw {
-					uniform = false
-					break
-				}
-			}
-		}
-	}
-	if uniform {
-		g.setUniform(uw)
-	}
-	return g, nil
+	return nil
 }
 
-// dedupCSR removes duplicate (src,dst) edges from both CSRs in place,
+// forEach runs fn(0..n−1) on n goroutines (inline when n is 1). A build
+// has no caller context to cancel it.
+func forEach(n int, fn func(k int)) {
+	_ = parallel.ForEach(context.TODO(), n, n, fn)
+}
+
+// sortRuns sorts every out-run by (dst, weight), on workers goroutines
+// over vertex ranges holding near-equal edge counts. Weighted runs sort
+// as packed dst<<32|w keys, whose order is exactly (dst, weight); ties
+// are indistinguishable, so the result is deterministic.
+func sortRuns(g *Graph, uniform bool, workers int) {
+	m := uint64(len(g.outDst))
+	vertexAt := func(k int) int {
+		e := m * uint64(k) / uint64(workers)
+		return sort.Search(g.numVertices, func(v int) bool { return g.outPtr[v] >= e })
+	}
+	forEach(workers, func(k int) {
+		var keys []uint64
+		for v, end := vertexAt(k), vertexAt(k+1); v < end; v++ {
+			lo, hi := g.outPtr[v], g.outPtr[v+1]
+			if uniform {
+				slices.Sort(g.outDst[lo:hi])
+				continue
+			}
+			keys = keys[:0]
+			for i := lo; i < hi; i++ {
+				keys = append(keys, uint64(g.outDst[i])<<32|uint64(g.outW[i]))
+			}
+			slices.Sort(keys)
+			for j, key := range keys {
+				g.outDst[lo+uint64(j)] = VID(key >> 32)
+				g.outW[lo+uint64(j)] = uint32(key)
+			}
+		}
+	})
+}
+
+// dedupOut removes duplicate (src,dst) edges from the out-CSR in place,
 // compacting front to back. Out-runs are (dst, weight)-sorted, so equal
-// dsts are adjacent and the first kept copy carries the minimum weight —
-// exactly Build's semantics. In-runs are source-sorted; equal sources
-// within one destination's run are precisely the same duplicate edges,
-// so dropping them keeps the two CSRs in lockstep.
-func dedupCSR(g *Graph, uniform bool) {
+// dsts are adjacent and the first kept copy carries the minimum weight.
+func dedupOut(g *Graph, uniform bool) {
 	n := g.numVertices
 	var w uint64
 	for v := 0; v < n; v++ {
@@ -211,74 +339,33 @@ func dedupCSR(g *Graph, uniform bool) {
 	if !uniform {
 		g.outW = g.outW[:w]
 	}
+}
 
-	w = 0
-	for v := 0; v < n; v++ {
-		lo, hi := g.inPtr[v], g.inPtr[v+1]
-		g.inPtr[v] = w
-		for i := lo; i < hi; i++ {
-			if i > lo && g.inSrc[i] == g.inSrc[i-1] {
-				continue
-			}
-			g.inSrc[w] = g.inSrc[i]
-			w++
+// transpose builds the in-CSR from the final out-CSR, reusing g.inPtr's
+// n+1 words: count in-degrees, then scatter sources in ascending order,
+// so every in-run comes out sorted, and duplicate-free whenever the
+// out-CSR is. The in-pointers serve as write cursors and are shifted
+// back down afterwards.
+func (g *Graph) transpose() {
+	n := g.numVertices
+	inPtr := g.inPtr
+	clear(inPtr)
+	for _, d := range g.outDst {
+		inPtr[d+1]++
+	}
+	for v := 1; v <= n; v++ {
+		inPtr[v] += inPtr[v-1]
+	}
+	inSrc := make([]VID, len(g.outDst))
+	for u := 0; u < n; u++ {
+		for _, d := range g.outDst[g.outPtr[u]:g.outPtr[u+1]] {
+			inSrc[inPtr[d]] = VID(u)
+			inPtr[d]++
 		}
 	}
-	g.inPtr[n] = w
-	g.inSrc = g.inSrc[:w]
-}
-
-// sortVIDs sorts a vertex-id run ascending; small runs (the common case
-// at graph average degrees) take the insertion-sort fast path.
-func sortVIDs(x []VID) {
-	if len(x) <= 32 {
-		for i := 1; i < len(x); i++ {
-			v := x[i]
-			j := i - 1
-			for j >= 0 && x[j] > v {
-				x[j+1] = x[j]
-				j--
-			}
-			x[j+1] = v
-		}
-		return
-	}
-	sort.Slice(x, func(i, j int) bool { return x[i] < x[j] })
-}
-
-// sortAdj sorts parallel (dst, weight) runs by (dst, weight).
-func sortAdj(dst []VID, w []uint32) {
-	if len(dst) <= 32 {
-		for i := 1; i < len(dst); i++ {
-			d, wt := dst[i], w[i]
-			j := i - 1
-			for j >= 0 && (dst[j] > d || (dst[j] == d && w[j] > wt)) {
-				dst[j+1], w[j+1] = dst[j], w[j]
-				j--
-			}
-			dst[j+1], w[j+1] = d, wt
-		}
-		return
-	}
-	sort.Sort(&adjSorter{dst: dst, w: w})
-}
-
-// adjSorter sorts parallel dst/weight slices by (dst, weight).
-type adjSorter struct {
-	dst []VID
-	w   []uint32
-}
-
-func (s *adjSorter) Len() int { return len(s.dst) }
-func (s *adjSorter) Less(i, j int) bool {
-	if s.dst[i] != s.dst[j] {
-		return s.dst[i] < s.dst[j]
-	}
-	return s.w[i] < s.w[j]
-}
-func (s *adjSorter) Swap(i, j int) {
-	s.dst[i], s.dst[j] = s.dst[j], s.dst[i]
-	s.w[i], s.w[j] = s.w[j], s.w[i]
+	copy(inPtr[1:], inPtr[:n])
+	inPtr[0] = 0
+	g.inPtr, g.inSrc = inPtr, inSrc
 }
 
 // mustBuildStream builds from a generator stream, whose Edges never

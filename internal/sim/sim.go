@@ -57,13 +57,58 @@ func NewRand(seed uint64) *Rand {
 }
 
 // Uint64 returns the next 64 pseudo-random bits.
-func (r *Rand) Uint64() uint64 {
-	x := r.state
+func (r *Rand) Uint64() (x uint64) {
+	*r, x = r.Next()
+	return x
+}
+
+// Next is Uint64 on a value: it returns the advanced generator with the
+// bits Uint64 would return, so a hot loop holding the generator in a
+// local that is never addressed keeps the state in a register.
+func (r Rand) Next() (Rand, uint64) {
+	x := xorshift(r.state)
+	return Rand{state: x}, x * 0x2545F4914F6CDD1D
+}
+
+// xorshift is one state transition of the generator.
+func xorshift(x uint64) uint64 {
 	x ^= x >> 12
 	x ^= x << 25
 	x ^= x >> 27
-	r.state = x
-	return x * 0x2545F4914F6CDD1D
+	return x
+}
+
+// Skip advances the generator by n steps, leaving it exactly where n
+// Uint64 calls would. The xorshift transition is linear over GF(2), so
+// it is a 64×64 bit matrix T; Skip applies T^n by square-and-multiply,
+// in O(64²·log n) word operations instead of n steps.
+func (r *Rand) Skip(n uint64) {
+	// t[i] is column i of T^(2^k): the image of state bit i.
+	var t [64]uint64
+	for i := range t {
+		t[i] = xorshift(1 << i)
+	}
+	for ; n != 0; n >>= 1 {
+		if n&1 != 0 {
+			r.state = mulBits(&t, r.state)
+		}
+		var sq [64]uint64
+		for i := range sq {
+			sq[i] = mulBits(&t, t[i])
+		}
+		t = sq
+	}
+}
+
+// mulBits multiplies the bit matrix with columns t by the bit vector x.
+func mulBits(t *[64]uint64, x uint64) uint64 {
+	var y uint64
+	for i := 0; x != 0; i, x = i+1, x>>1 {
+		if x&1 != 0 {
+			y ^= t[i]
+		}
+	}
+	return y
 }
 
 // Intn returns a pseudo-random int in [0, n). It panics if n <= 0.

@@ -151,3 +151,20 @@ func TestStatsSnapshotIsCopy(t *testing.T) {
 		t.Fatal("Snapshot aliases the live counters")
 	}
 }
+
+// TestRandSkip checks the GF(2) jump-ahead against stepping: Skip(k)
+// must leave the generator exactly where k Uint64 calls leave it.
+func TestRandSkip(t *testing.T) {
+	for _, k := range []uint64{0, 1, 63, 64, 65, 18*1000 + 5, 1 << 20} {
+		for _, seed := range []uint64{0, 1, 0xdeadbeefcafef00d} {
+			stepped, skipped := NewRand(seed), NewRand(seed)
+			for i := uint64(0); i < k; i++ {
+				stepped.Uint64()
+			}
+			skipped.Skip(k)
+			if a, b := stepped.Uint64(), skipped.Uint64(); a != b {
+				t.Fatalf("seed %#x: Skip(%d) then Uint64 = %#x, stepping gives %#x", seed, k, b, a)
+			}
+		}
+	}
+}

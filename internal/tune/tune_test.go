@@ -137,11 +137,14 @@ func TestProfileAndTotalCounts(t *testing.T) {
 
 func TestDegreeCVZeroOnRegularGraph(t *testing.T) {
 	// A ring has uniform out-degree: stddev 0, so CV must be 0.
-	b := graph.NewBuilder(16)
+	var ring []graph.Edge
 	for v := 0; v < 16; v++ {
-		b.AddEdge(graph.VID(v), graph.VID((v+1)%16))
+		ring = append(ring, graph.Edge{Src: graph.VID(v), Dst: graph.VID((v + 1) % 16), Weight: 1})
 	}
-	g := b.Build(false)
+	g, err := graph.BuildStream(graph.SliceStream(16, ring), false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := Profile(g, 0, 0, trace.Counts{}, false)
 	if f.DegreeCV != 0 {
 		t.Fatalf("regular graph CV = %f, want 0", f.DegreeCV)
