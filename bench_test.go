@@ -180,7 +180,6 @@ func benchTrace(threads, opsPerThread int) (*memmap.AddressSpace, *trace.Trace) 
 	b.Barrier()
 	tr := b.Build()
 	sp.Freeze()
-	tr.Freeze()
 	return sp, tr
 }
 
@@ -221,17 +220,13 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 }
 
-// benchPipeline measures one full pipeline — functional trace
-// generation plus machine replay — with the heap sampled throughout, so
-// the materialized and streamed variants can be compared on both
-// throughput and peak memory (the streamed pipeline trades a little
-// encode/decode work for an O(trace) → O(graph + chunk windows) drop
-// in footprint; BENCH_pr7.json records both sides).
-func benchPipeline(b *testing.B, stream bool) {
+// BenchmarkTracePipeline measures one full pipeline — functional trace
+// generation spilled as a v2 chunk log plus machine replay — with the
+// heap sampled throughout, reporting throughput and peak heap
+// (BENCH_pr7.json records the materialized pipeline this replaced).
+func BenchmarkTracePipeline(b *testing.B) {
 	g := GenerateLDBC(1<<15, 7)
-	opts := DefaultOptions()
-	opts.Stream = stream
-	run := NewRun(g, opts)
+	run := NewRun(g, DefaultOptions())
 	bfs := NewBFS(0)
 
 	runtime.GC()
@@ -269,14 +264,6 @@ func benchPipeline(b *testing.B, stream bool) {
 	<-sampled
 	b.ReportMetric(float64(peak.Load()), "peak-bytes")
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
-}
-
-// BenchmarkTracePipeline is the before/after pair for the streaming
-// trace pipeline: same graph, same workload, same config; only the
-// trace transport differs.
-func BenchmarkTracePipeline(b *testing.B) {
-	b.Run("materialized", func(b *testing.B) { benchPipeline(b, false) })
-	b.Run("streamed", func(b *testing.B) { benchPipeline(b, true) })
 }
 
 // benchGraphBuild measures one LDBC-1M construction per iteration with

@@ -238,7 +238,9 @@ func TestRunOutReplayRoundTrip(t *testing.T) {
 
 	// Run directories written while the machine still had a sharded
 	// scheduler carry a shard count in the environment and the removed
-	// -shards/-csv flags. They must still load and replay byte for byte.
+	// -shards/-csv flags; those written while spilling was optional
+	// carry "stream": true and the removed -stream flag. They must
+	// still load and replay byte for byte.
 	path := filepath.Join(dir, obs.ManifestFile)
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -251,6 +253,8 @@ func TestRunOutReplayRoundTrip(t *testing.T) {
 	doc["env"].(map[string]any)["shards"] = 8
 	doc["flags"].(map[string]any)["shards"] = "8"
 	doc["flags"].(map[string]any)["csv"] = "false"
+	doc["env"].(map[string]any)["stream"] = true
+	doc["flags"].(map[string]any)["stream"] = "true"
 	if raw, err = json.Marshal(doc); err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +262,7 @@ func TestRunOutReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := obs.LoadManifest(dir); err != nil {
-		t.Fatalf("manifest with a shard count no longer loads: %v", err)
+		t.Fatalf("manifest with a shard count and stream flag no longer loads: %v", err)
 	}
 	oldOut, oldErr, oldCode := runCLI("replay", "-in", dir)
 	if oldCode != 0 {
@@ -310,6 +314,12 @@ func TestTraceSaveReplay(t *testing.T) {
 	if code != 0 || !strings.Contains(out, "saved:") {
 		t.Fatalf("trace -save: exit %d: %s%s", code, out, stderr)
 	}
+	// The save file is the streamed log itself: generating without
+	// -save reports the same composition.
+	spilled, stderr, code := runCLI("trace", "-vertices", "256", "BFS")
+	if code != 0 || !strings.HasPrefix(out, spilled) {
+		t.Fatalf("trace without -save: exit %d, output\n%s\nis not a prefix of\n%s%s", code, spilled, out, stderr)
+	}
 	out, stderr, code = runCLI("trace", "-replay", path, "-config", "baseline")
 	if code != 0 || !strings.Contains(out, "under Baseline") {
 		t.Fatalf("trace -replay: exit %d: %s%s", code, out, stderr)
@@ -317,6 +327,81 @@ func TestTraceSaveReplay(t *testing.T) {
 	for _, flag := range []string{"-v1", "-stream"} {
 		if _, _, code := runCLI("trace", flag, "-replay", path); code != 2 {
 			t.Fatalf("trace %s: exit %d, want 2", flag, code)
+		}
+	}
+}
+
+// TestTraceReplayBadInputExitsTwo: a file trace -replay cannot read — a
+// legacy v1 trace, garbage, a truncated v2 log, a missing file — is bad
+// input: exit 2 with a message, never a panic.
+func TestTraceReplayBadInputExitsTwo(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.trc")
+	if _, stderr, code := runCLI("trace", "-vertices", "64", "-save", good, "BFS"); code != 0 {
+		t.Fatalf("trace -save: exit %d: %s", code, stderr)
+	}
+	raw, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := append([]byte("GPIMTRC1"), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"v1", v1, "legacy v1"},
+		{"garbage", []byte("not a trace file"), "not a v2 stream"},
+		{"truncated", raw[:len(raw)/2], "cannot replay"},
+	} {
+		path := filepath.Join(dir, c.name+".trc")
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, stderr, code := runCLI("trace", "-replay", path)
+		if code != 2 || !strings.Contains(stderr, c.want) || strings.Contains(stderr, "goroutine") {
+			t.Fatalf("%s: exit %d, stderr %q; want exit 2 naming %q", c.name, code, stderr, c.want)
+		}
+	}
+	if _, stderr, code := runCLI("trace", "-replay", filepath.Join(dir, "missing.trc")); code != 2 {
+		t.Fatalf("missing file: exit %d, want 2: %s", code, stderr)
+	}
+}
+
+// TestStreamFlagRemoved: every trace spills, so -stream is no longer a
+// flag of run or workload.
+func TestStreamFlagRemoved(t *testing.T) {
+	for _, args := range [][]string{
+		{"run", "-quick", "-stream", "table1-hmc-atomics"},
+		{"workload", "-quick", "-stream", "BFS"},
+	} {
+		if _, stderr, code := runCLI(args...); code != 2 || !strings.Contains(stderr, "-stream") {
+			t.Fatalf("%v: exit %d, want 2 naming the flag: %s", args, code, stderr)
+		}
+	}
+}
+
+// TestUnwritableTempDirExitsOne: the commands that trace need a
+// writable temp directory for their spill files; without one they exit
+// 1 with one line naming the directory, before building anything.
+func TestUnwritableTempDirExitsOne(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing")
+	t.Setenv("TMPDIR", missing)
+	for _, args := range [][]string{
+		{"run", "-quick", "-q", "fig4-atomic-overhead"},
+		{"workload", "-quick", "BFS"},
+		{"trace", "-vertices", "64", "BFS"},
+		{"report", "-quick", "-extras=false", "-o", filepath.Join(missing, "..", "report.md")},
+	} {
+		out, stderr, code := runCLI(args...)
+		if code != 1 {
+			t.Fatalf("%v: exit %d, want 1: %s", args, code, stderr)
+		}
+		if lines := strings.Split(strings.TrimRight(stderr, "\n"), "\n"); len(lines) != 1 || !strings.Contains(stderr, missing) {
+			t.Fatalf("%v: stderr %q is not one line naming %s", args, stderr, missing)
+		}
+		if out != "" {
+			t.Fatalf("%v: printed output before failing:\n%s", args, out)
 		}
 	}
 }

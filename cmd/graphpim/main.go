@@ -46,6 +46,7 @@ import (
 	"graphpim/internal/mem"
 	"graphpim/internal/mem/backends"
 	"graphpim/internal/obs"
+	"graphpim/internal/trace"
 )
 
 func main() {
@@ -106,14 +107,15 @@ commands:
   trace [flags] <name>|-replay FILE      generate/save or replay instruction traces
   graph gen|info [flags]                 generate synthetic graphs / inspect edge lists
 
+run, workload, report and trace spill every trace they build to an
+unlinked file in $TMPDIR (default /tmp), which must be writable
+(trace -save writes the save file instead).
+
 run/workload flags:
   -quick           small-scale environment (fast)
   -vertices N      LDBC graph size (default 16384)
   -seed S          generator seed (default 7)
   -j N             parallel workers for simulation cells (default: all CPUs)
-  -stream          build traces through the bounded-buffer streaming
-                   pipeline (spill file + chunked replay): byte-identical
-                   tables, peak memory bounded by graph + chunk buffers
   -format F        output format: text|json|csv (default text)
   -out DIR         write per-experiment JSONL records + manifest.json
   -check           enable simulation sanitizer audits (slower, byte-identical output)
@@ -248,6 +250,17 @@ func checkManifestEnv(dir string, env obs.EnvInfo, stderr io.Writer) bool {
 	return checkPolicy("replay", env.Policy, stderr)
 }
 
+// checkSpillDir reports an unwritable temp directory as a one-line
+// runtime failure (exit 1) before any trace is built: every trace spills
+// there.
+func checkSpillDir(sub string, stderr io.Writer) bool {
+	if err := trace.CheckSpillDir(); err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", sub, err)
+		return false
+	}
+	return true
+}
+
 // resolveExperiments maps requested ids to experiments; "all" selects
 // the full paper evaluation. An unknown id is reported together with
 // the valid ids in registry order.
@@ -282,7 +295,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	cpuprofile := fs.String("cpuprofile", "", "write CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write heap profile to this file")
 	workers := fs.Int("j", runtime.NumCPU(), "parallel workers for simulation cells")
-	stream := fs.Bool("stream", false, "stream traces through a bounded spill file (identical output, lower peak memory)")
 	memKind := fs.String("mem", "hmc", "memory backend kind for every simulation")
 	policy := fs.String("policy", "", "placement policy override for offload cells: auto|host|pim|upei")
 	if err := fs.Parse(args); err != nil {
@@ -316,11 +328,13 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if !ok {
 		return 2
 	}
+	if !checkSpillDir("run", stderr) {
+		return 1
+	}
 
 	env := makeEnv(*quick, *vertices, *seed)
 	env.Parallelism = *workers
 	env.Check = *checkOn
-	env.Stream = *stream
 	if *memKind != "hmc" {
 		// "hmc" stays "" so manifests and goldens of default runs keep
 		// their historical (field-absent) shape.
@@ -490,6 +504,7 @@ func cmdReplay(args []string, stdout, stderr io.Writer) int {
 	// nothing to parallelize and the output order is the record order.
 	env := harness.EnvFromInfo(m.Env)
 	env.Parallelism = 1
+	defer env.Close()
 	for _, r := range runs {
 		recs, err := obs.LoadRecords(*in, r)
 		if err != nil {
@@ -525,7 +540,6 @@ func cmdWorkload(args []string, stdout, stderr io.Writer) int {
 	policy := fs.String("policy", "", "placement policy override: auto|host|pim|upei")
 	memKind := fs.String("mem", "hmc", "memory backend kind")
 	checkOn := fs.Bool("check", false, "enable simulation sanitizer audits (slower, identical output)")
-	stream := fs.Bool("stream", false, "stream the trace through a bounded spill file (identical output, lower peak memory)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -553,11 +567,13 @@ func cmdWorkload(args []string, stdout, stderr io.Writer) int {
 	opts := graphpim.DefaultOptions()
 	opts.Check = *checkOn
 	opts.Memory = *memKind
-	opts.Stream = *stream
 	opts.Policy = *policy
 	if err := opts.Validate(); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
+	}
+	if !checkSpillDir("workload", stderr) {
+		return 1
 	}
 	g := graphpim.GenerateLDBC(*vertices, *seed)
 	run := graphpim.NewRun(g, opts)

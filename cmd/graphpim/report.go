@@ -32,8 +32,13 @@ func cmdReport(args []string, stderr io.Writer) int {
 		return 2
 	}
 
+	if !checkSpillDir("report", stderr) {
+		return 1
+	}
+
 	env := makeEnv(*quick, *vertices, *seed)
 	env.Parallelism = *workers
+	defer env.Close()
 	f, err := os.Create(*out)
 	if err != nil {
 		fmt.Fprintln(stderr, err)

@@ -12,18 +12,18 @@ import (
 	"graphpim/internal/trace"
 )
 
-// cmdTrace generates a workload's instruction trace, optionally saves it
-// to disk, and prints its composition; with -replay it replays a saved
-// trace under a machine configuration. Traces are expensive to generate
-// (full functional execution), so persisting them lets configuration
-// sweeps replay instead of regenerate.
+// cmdTrace generates a workload's instruction trace as a v2 chunk log,
+// optionally into a save file, and prints its composition; with -replay
+// it replays a saved trace under a machine configuration. Traces are
+// expensive to generate (full functional execution), so persisting them
+// lets configuration sweeps replay instead of regenerate.
 func cmdTrace(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	vertices := fs.Int("vertices", 4096, "LDBC graph size")
 	seed := fs.Uint64("seed", 7, "generator seed")
 	save := fs.String("save", "", "write the trace to this file (chunked v2 format)")
-	replay := fs.String("replay", "", "replay a saved trace file (v2 or legacy v1) instead of generating")
+	replay := fs.String("replay", "", "replay a saved (v2) trace file instead of generating")
 	config := fs.String("config", "graphpim", "replay config: baseline|upei|graphpim")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -45,48 +45,72 @@ func cmdTrace(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	g := graphpim.GenerateLDBC(*vertices, *seed)
-	fw := gframe.New(g, 16, gframe.DefaultCostModel())
+	// The trace streams into the save file when there is one, else into
+	// an unlinked spill; either way the counts come from its footer.
+	var f *os.File
+	var sw *trace.StreamWriter
+	if *save != "" {
+		if f, err = os.Create(*save); err == nil {
+			if sw, err = trace.NewStreamWriter(f, 16, trace.DefaultChunkRecords); err != nil {
+				f.Close()
+			}
+		}
+	} else {
+		f, sw, err = trace.NewSpill(16)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "trace: %v\n", err)
+		return 1
+	}
+	defer f.Close()
+	fw := gframe.NewStreaming(g, 16, gframe.DefaultCostModel(), sw)
 	w.Run(fw)
-	tr := fw.Trace()
-
-	fmt.Fprintf(stdout, "workload:     %s on %d vertices / %d edges\n", w.Info().Name, g.NumVertices(), g.NumEdges())
-	fmt.Fprintf(stdout, "instructions: %d\n", tr.TotalInstructions())
-	fmt.Fprintf(stdout, "loads:        %d\n", tr.CountKind(trace.KindLoad))
-	fmt.Fprintf(stdout, "stores:       %d\n", tr.CountKind(trace.KindStore))
-	fmt.Fprintf(stdout, "atomics:      %d\n", tr.CountKind(trace.KindAtomic))
-	fmt.Fprintf(stdout, "barriers:     %d\n", tr.CountKind(trace.KindBarrier))
-	for kind, n := range tr.AtomicsByKind() {
-		fmt.Fprintf(stdout, "  %-18s %d\n", kind.String(), n)
+	st, err := fw.FinalizeStream()
+	if err != nil {
+		fmt.Fprintf(stderr, "trace: %v\n", err)
+		return 1
 	}
 
+	fmt.Fprintf(stdout, "workload:     %s on %d vertices / %d edges\n", w.Info().Name, g.NumVertices(), g.NumEdges())
+	fmt.Fprintf(stdout, "instructions: %d\n", st.TotalInstructions())
+	fmt.Fprintf(stdout, "loads:        %d\n", st.CountKind(trace.KindLoad))
+	fmt.Fprintf(stdout, "stores:       %d\n", st.CountKind(trace.KindStore))
+	fmt.Fprintf(stdout, "atomics:      %d\n", st.CountKind(trace.KindAtomic))
+	fmt.Fprintf(stdout, "barriers:     %d\n", st.CountKind(trace.KindBarrier))
+	byKind := st.AtomicsByKind()
+	for kind := trace.AtomicNone; kind <= trace.AtomicMax; kind++ {
+		if n := byKind[kind]; n > 0 {
+			fmt.Fprintf(stdout, "  %-18s %d\n", kind.String(), n)
+		}
+	}
 	if *save != "" {
-		f, err := os.Create(*save)
+		info, err := f.Stat()
+		if err == nil {
+			err = f.Close()
+		}
 		if err != nil {
-			fmt.Fprintln(stderr, err)
+			fmt.Fprintf(stderr, "trace: %v\n", err)
 			return 1
 		}
-		defer f.Close()
-		if err := trace.WriteV2(f, tr, fw.Space()); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		info, _ := f.Stat()
 		fmt.Fprintf(stdout, "saved:        %s (%d bytes)\n", *save, info.Size())
 	}
 	return 0
 }
 
+// replayTrace replays a saved v2 trace. A file that cannot be opened or
+// is not a valid v2 log (a legacy v1 file, garbage, a truncated log) is
+// bad input: exit 2 with the reason.
 func replayTrace(path, config string, stdout, stderr io.Writer) int {
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		fmt.Fprintf(stderr, "cannot replay: %v\n", err)
+		return 2
 	}
 	defer f.Close()
-	src, space, err := trace.Open(f)
+	st, err := trace.OpenStream(f)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		fmt.Fprintf(stderr, "cannot replay %s: %v\n", path, err)
+		return 2
 	}
 	var cfg machine.Config
 	switch config {
@@ -104,7 +128,7 @@ func replayTrace(path, config string, stdout, stderr io.Writer) int {
 	}
 	cfg.Cache.L2Size = 128 << 10
 	cfg.Cache.L3Size = 512 << 10
-	res := machine.RunSource(cfg, space, src)
+	res := machine.RunSource(cfg, st.Space(), st)
 	fmt.Fprintf(stdout, "replayed %s under %s:\n", path, res.Config)
 	fmt.Fprintf(stdout, "cycles:     %d\n", res.Cycles)
 	fmt.Fprintf(stdout, "instrs:     %d\n", res.Instructions)

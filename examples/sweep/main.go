@@ -15,6 +15,7 @@ func main() {
 	env := graphpim.QuickEnv()
 	env.Vertices = 4096
 	env.SweepSizes = []int{512, 2048, 4096}
+	defer env.Close()
 
 	fmt.Println("--- Fig. 11: PIM functional units per vault ---")
 	tb, err := graphpim.RunExperiment("fig11-fu-sweep", env)

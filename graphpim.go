@@ -199,14 +199,6 @@ type Options struct {
 	// configurations degrade gracefully to the conventional datapath, so
 	// ConfigGraphPIM behaves exactly like ConfigBaseline.
 	Memory string
-	// Stream builds the trace through the bounded-buffer streaming
-	// pipeline (DESIGN.md §13): instruction records spill to an unlinked
-	// temp file as v2-encoded chunks instead of materializing in memory,
-	// and the replay reads them back through fixed-size decode windows.
-	// Results are byte-identical to the materialized path; peak memory
-	// drops from O(trace) to O(graph + chunk buffers), which is what
-	// lets million-vertex graphs simulate in a small container.
-	Stream bool
 	// Policy overrides Execute's Config argument with a placement
 	// policy whenever that argument is not ConfigBaseline (the baseline
 	// stays the speedup denominator, mirroring the harness rule):
@@ -250,7 +242,9 @@ func DefaultOptions() Options {
 // the different system configurations. Each Execute generates the
 // workload's trace functionally (verifying semantics end to end) and
 // replays it on a freshly assembled machine, resolved exactly as the
-// experiment harness resolves a cell of the default environment.
+// experiment harness resolves a cell of the default environment. The
+// trace spills to an unlinked file in os.TempDir() (DESIGN.md §13) and
+// is released when Execute returns.
 type Run struct {
 	g   *Graph
 	env *harness.Env
@@ -266,7 +260,6 @@ func NewRun(g *Graph, opts Options) *Run {
 	env.ScaledCaches = opts.ScaledCaches
 	env.Check = opts.Check
 	env.Memory = opts.Memory
-	env.Stream = opts.Stream
 	env.Policy = opts.Policy
 	return &Run{g: g, env: env}
 }
@@ -335,10 +328,12 @@ func ComputeEnergy(res Result, cacheMB float64) EnergyBreakdown {
 	return energy.Compute(energy.DefaultParams(), res, cacheMB)
 }
 
-// RunExperiment executes one experiment against env (nil means
-// DefaultEnv) and returns its table. The run uses env.Parallelism workers
-// to fan the experiment's simulation cells across goroutines; the table
-// is byte-for-byte identical at any worker count.
+// RunExperiment executes one experiment against env (nil means a fresh
+// DefaultEnv, closed before returning) and returns its table. A caller
+// that passes env owns it and closes it when done (Env.Close). The run
+// uses env.Parallelism workers to fan the experiment's simulation cells
+// across goroutines; the table is byte-for-byte identical at any worker
+// count.
 func RunExperiment(id string, env *Env) (*Table, error) {
 	ex, err := harness.ByID(id)
 	if err != nil {
@@ -346,6 +341,7 @@ func RunExperiment(id string, env *Env) (*Table, error) {
 	}
 	if env == nil {
 		env = harness.DefaultEnv()
+		defer env.Close()
 	}
 	return env.RunExperiment(context.Background(), ex)
 }

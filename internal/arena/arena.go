@@ -1,6 +1,6 @@
 // Package arena provides the slab allocator for the simulator's hot
 // paths. The timing models allocate nothing per cycle by design; what
-// remains is construction-time garbage (every machine.New builds
+// remains is construction-time garbage (every machine.NewSource builds
 // thousands of small slices for per-core queues and per-vault state). A
 // Slab folds that into one backing allocation per subsystem.
 package arena

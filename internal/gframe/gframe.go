@@ -158,8 +158,9 @@ const (
 	propStride     = 64      // one vertex property object per cache line
 )
 
-// New builds a framework instance for g with the given logical thread
-// count and cost model.
+// New builds a framework whose trace materializes in memory (read it
+// with Trace). It remains for bench/ and as a test oracle; the program
+// traces through NewStreaming.
 func New(g *graph.Graph, threads int, cost CostModel) *Framework {
 	return build(g, threads, cost, nil)
 }
@@ -254,7 +255,8 @@ func (f *Framework) AllocProperty(name string, elemSize int) *Property {
 // Barrier inserts a global synchronization point.
 func (f *Framework) Barrier() { f.builder.Barrier() }
 
-// Trace snapshots the emitted instruction streams.
+// Trace snapshots the emitted instruction streams of a New framework. It
+// remains for bench/ and as a test oracle.
 func (f *Framework) Trace() *trace.Trace { return f.builder.Build() }
 
 // FinalizeStream completes a streaming framework's chunk log and returns
@@ -264,7 +266,7 @@ func (f *Framework) FinalizeStream() (*trace.Stream, error) {
 }
 
 // ReleaseProperties drops every property array's functional values. The
-// streaming pipeline calls it after the workload has run (and its output
+// harness calls it after the workload has run (and its output
 // snapshots are taken): replay only needs addresses, so holding
 // per-vertex values for the duration of every machine configuration
 // would put an O(vertices) term back into peak RSS. Accessing a released

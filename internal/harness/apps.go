@@ -75,7 +75,7 @@ func (e *Env) appRun(name string) (base, gpim machine.Result) {
 					return w.Run(fw)
 				})
 			})
-			return machine.RunSource(e.Config(kind, w), tr.fw.Space(), tr.source())
+			return machine.RunSource(e.Config(kind, w), tr.fw.Space(), tr.stream)
 		})
 	}
 	return run(KindBaseline), run(KindGraphPIM)

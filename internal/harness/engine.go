@@ -280,7 +280,6 @@ func (e *Env) Info() obs.EnvInfo {
 		SweepSizes:   append([]int(nil), e.SweepSizes...),
 		AppVertices:  e.AppVertices,
 		Parallelism:  e.Parallelism,
-		Stream:       e.Stream,
 		Memory:       e.Memory,
 		Policy:       e.Policy,
 		NumCPU:       runtime.NumCPU(),
@@ -299,7 +298,6 @@ func EnvFromInfo(info obs.EnvInfo) *Env {
 		SweepSizes:   append([]int(nil), info.SweepSizes...),
 		AppVertices:  info.AppVertices,
 		Parallelism:  info.Parallelism,
-		Stream:       info.Stream,
 		Memory:       info.Memory,
 		Policy:       info.Policy,
 	}

@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// testEnv returns a small environment sized for engine tests.
-func testEnv(parallelism int) *Env {
-	return &Env{
+// testEnv returns a small environment sized for engine tests; its spill
+// files are released when the test ends.
+func testEnv(t testing.TB, parallelism int) *Env {
+	e := &Env{
 		Vertices:     1024,
 		Seed:         7,
 		Threads:      16,
@@ -19,6 +20,8 @@ func testEnv(parallelism int) *Env {
 		Parallelism:  parallelism,
 		Check:        true,
 	}
+	t.Cleanup(func() { e.Close() })
+	return e
 }
 
 // resultSnapshots materializes every memoized cell of an Env.
@@ -62,12 +65,12 @@ func TestParallelDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e1 := testEnv(1)
+	e1 := testEnv(t, 1)
 	t1, err := e1.RunExperiment(context.Background(), ex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e8 := testEnv(8)
+	e8 := testEnv(t, 8)
 	t8, err := e8.RunExperiment(context.Background(), ex)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +110,7 @@ func TestRecordingDiscoversCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := testEnv(1)
+	e := testEnv(t, 1)
 	plan, ok := e.record(ex)
 	if !ok {
 		t.Fatal("recording pass failed")
@@ -136,7 +139,7 @@ func TestObservedExportAndPreloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1 := testEnv(4)
+	e1 := testEnv(t, 4)
 	t1, run, recs, err := e1.RunExperimentObserved(context.Background(), ex)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +169,7 @@ func TestObservedExportAndPreloadRoundTrip(t *testing.T) {
 		}
 	}
 
-	e2 := testEnv(1)
+	e2 := testEnv(t, 1)
 	e2.PreloadRecords(recs)
 	t2, err := e2.RunExperiment(context.Background(), ex)
 	if err != nil {
@@ -186,7 +189,7 @@ func TestObservedExportAndPreloadRoundTrip(t *testing.T) {
 // TestRunExperimentSharedEnv checks that experiments sharing one Env reuse
 // warmed cells across RunExperiment calls.
 func TestRunExperimentSharedEnv(t *testing.T) {
-	e := testEnv(4)
+	e := testEnv(t, 4)
 	ctx := context.Background()
 	fig7, err := ByID("fig7-speedup")
 	if err != nil {
@@ -224,7 +227,7 @@ func TestExperimentSetupErrorPropagates(t *testing.T) {
 		},
 	}
 	for _, workers := range []int{1, 4} {
-		tb, err := testEnv(workers).RunExperiment(context.Background(), ex)
+		tb, err := testEnv(t, workers).RunExperiment(context.Background(), ex)
 		if err == nil || !strings.Contains(err.Error(), "NoSuchWorkload") {
 			t.Fatalf("workers=%d: err = %v, want unknown-workload error", workers, err)
 		}

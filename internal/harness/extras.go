@@ -205,7 +205,7 @@ func extHybridMemory() Experiment {
 								return w.Run(fw)
 							})
 						})
-						return machine.RunSource(e.Config(kind, w), tr.fw.Space(), tr.source())
+						return machine.RunSource(e.Config(kind, w), tr.fw.Space(), tr.stream)
 					})
 				}
 				row := []string{name}
@@ -304,7 +304,7 @@ func extSeedStability() Experiment {
 					seedRun := func(kind ConfigKind) machine.Result {
 						return e.runCell(runKey{label, size, kind, false, "", seed}, func() machine.Result {
 							tr := e.traceCell(tkey, buildTrace)
-							return machine.RunSource(e.Config(kind, w), tr.fw.Space(), tr.source())
+							return machine.RunSource(e.Config(kind, w), tr.fw.Space(), tr.stream)
 						})
 					}
 					base := seedRun(KindBaseline)

@@ -32,14 +32,15 @@ func extDependentBlock() Experiment {
 			for _, k := range ks {
 				k := k
 				label := fmt.Sprintf("dep:K=%d", k)
-				type depTrace struct {
-					sp *memmap.AddressSpace
-					tr *trace.Trace
-				}
-				buildDep := func() depTrace {
+				// runDep traces the synthetic stream into a spill and
+				// replays it under cfg. The trace is tiny, so each config
+				// cell rebuilds it instead of sharing a trace memo slot.
+				runDep := func(cfg machine.Config) machine.Result {
 					sp := memmap.NewAddressSpace()
 					prop := sp.PMRMalloc(1 << 22)
-					b := trace.NewBuilder(sp, e.Threads)
+					f, sw := e.spill()
+					defer f.Close()
+					b := trace.NewStreamingBuilder(sp, sw)
 					for th := 0; th < e.Threads; th++ {
 						em := b.Thread(th)
 						for i := 0; i < ops/e.Threads; i++ {
@@ -49,20 +50,18 @@ func extDependentBlock() Experiment {
 							em.Compute(k)
 						}
 					}
-					tr := b.Build()
+					st, err := b.Finalize()
+					if err != nil {
+						panic(fmt.Sprintf("harness: finalizing trace spill: %v", err))
+					}
 					sp.Freeze()
-					tr.Freeze()
-					return depTrace{sp: sp, tr: tr}
+					return machine.RunSource(e.scaleCaches(cfg), sp, st)
 				}
-				// The synthetic trace is tiny; each config cell
-				// rebuilds it instead of sharing a trace memo slot.
 				base := e.runCell(runKey{label, ops, KindBaseline, false, "", e.Seed}, func() machine.Result {
-					d := buildDep()
-					return machine.RunTrace(e.scaleCaches(machine.Baseline()), d.sp, d.tr)
+					return runDep(machine.Baseline())
 				})
 				gpim := e.runCell(runKey{label, ops, KindGraphPIM, false, "", e.Seed}, func() machine.Result {
-					d := buildDep()
-					return machine.RunTrace(e.scaleCaches(machine.GraphPIM(false)), d.sp, d.tr)
+					return runDep(machine.GraphPIM(false))
 				})
 				perOpB := float64(base.Cycles) * float64(e.Threads) / ops
 				perOpG := float64(gpim.Cycles) * float64(e.Threads) / ops

@@ -56,7 +56,8 @@ const (
 // slot, so simulation cells may be computed from many goroutines at once
 // (the parallel experiment engine in engine.go does exactly that); each
 // artifact is still built exactly once and every value is a deterministic
-// function of its key, so concurrency never changes any number.
+// function of its key, so concurrency never changes any number. Every
+// memoized trace holds an open spill file: call Close when done.
 type Env struct {
 	// Vertices is the default LDBC graph size.
 	Vertices int
@@ -100,14 +101,6 @@ type Env struct {
 	// stay the speedup denominators. The CLI validates values before
 	// constructing an Env; unknown values panic in policyKind.
 	Policy string
-	// Stream builds every trace through the bounded-buffer streaming
-	// pipeline (DESIGN.md §13): the generator spills v2-encoded chunks
-	// to an unlinked temp file instead of materializing []trace.Instr
-	// per thread, and replays read chunks back through fixed-size decode
-	// windows. Results and tables are byte-identical either way; only
-	// peak memory changes. Call Close when done to release spill files.
-	Stream bool
-
 	// Reporter receives engine progress events (per-cell completions,
 	// per-phase durations); nil means silent. Implementations must be
 	// safe for concurrent use — warm-phase cell completions arrive
@@ -158,15 +151,11 @@ func (s *traceSlot) get() *tracedRun {
 	s.once.Do(func() {
 		s.tr = s.build()
 		s.build = nil
-		// Hand-off point: the trace and its address space are now
-		// shared, possibly by concurrent replays. Freeze both so any
-		// stray post-build mutation panics instead of racing. A
-		// streamed cell has no materialized Trace to freeze — the
-		// spill file is immutable once Finalize returns.
+		// Hand-off point: the address space is now shared, possibly
+		// by concurrent replays. Freeze it so any stray post-build
+		// mutation panics instead of racing; the spill file is
+		// immutable once Finalize returns.
 		s.tr.fw.Space().Freeze()
-		if s.tr.tr != nil {
-			s.tr.tr.Freeze()
-		}
 	})
 	return s.tr
 }
@@ -191,24 +180,13 @@ func (s *runSlot) get() machine.Result {
 	return s.res
 }
 
-// tracedRun is one workload's functional execution and trace. Exactly
-// one of tr (materialized) and stream (spill-file backed, Env.Stream)
-// is non-nil; source() hides the difference from replay sites.
+// tracedRun is one workload's functional execution and its trace: a v2
+// chunk log spilled to an unlinked temp file (DESIGN.md §13).
 type tracedRun struct {
 	fw     *gframe.Framework
-	tr     *trace.Trace
 	stream *trace.Stream
 	spill  *os.File
 	res    workloads.Result
-}
-
-// source returns the replayable instruction source, whichever form the
-// build produced.
-func (t *tracedRun) source() trace.Source {
-	if t.stream != nil {
-		return t.stream
-	}
-	return t.tr
 }
 
 // DefaultEnv returns the scale used for the recorded results in
@@ -350,62 +328,53 @@ func (e *Env) runCell(key runKey, compute func() machine.Result) machine.Result 
 	return s.get()
 }
 
-// buildTraced executes run against a fresh framework over g and returns
-// the finished tracedRun. With e.Stream unset the trace materializes in
-// memory (fw.Trace); with it set the framework spills v2-encoded chunks
-// to an unlinked temp file as the workload emits them, the property
-// arrays are released as soon as the functional run finishes, and the
-// returned cell holds a *trace.Stream over the spill file. Build
-// failures (temp-file IO, encoder errors) panic: trace construction has
-// no error path today and an unwritable temp dir is an environment
-// fault, not an input error.
+// buildTraced executes run against a fresh framework over g whose trace
+// spills v2-encoded chunks to an unlinked temp file as the workload
+// emits them (trace.NewSpill). The property arrays are released as soon
+// as the functional run finishes, so a cell's steady state is CSR plus
+// live chunks; the page cache is the trace's in-memory tier. Build
+// failures (temp-file IO, encoder errors) panic: commands check the temp
+// directory before they start (trace.CheckSpillDir), so a failure here
+// is an environment fault mid-run, not an input error.
 func (e *Env) buildTraced(g *graph.Graph, run func(*gframe.Framework) workloads.Result) *tracedRun {
-	if !e.Stream {
-		fw := gframe.New(g, e.Threads, gframe.DefaultCostModel())
-		res := run(fw)
-		return &tracedRun{fw: fw, tr: fw.Trace(), res: res}
-	}
-	f, err := os.CreateTemp("", "graphpim-spill-*.gpimtrc2")
-	if err != nil {
-		panic(fmt.Sprintf("harness: creating trace spill file: %v", err))
-	}
-	// Unlink immediately: the kernel keeps the inode alive through the
-	// open descriptor, and no crash can leave a stray spill behind.
-	os.Remove(f.Name())
-	sw, err := trace.NewStreamWriter(f, e.Threads, trace.DefaultChunkRecords)
-	if err != nil {
-		f.Close()
-		panic(fmt.Sprintf("harness: starting stream writer: %v", err))
-	}
+	f, sw := e.spill()
 	fw := gframe.NewStreaming(g, e.Threads, gframe.DefaultCostModel(), sw)
 	res := run(fw)
-	// The functional answer is computed; drop the property arrays so a
-	// streamed cell's steady state is CSR + live chunks, not the whole
-	// value set (replays never touch property values).
 	fw.ReleaseProperties()
 	st, err := fw.FinalizeStream()
 	if err != nil {
 		f.Close()
-		panic(fmt.Sprintf("harness: finalizing streamed trace: %v", err))
+		panic(fmt.Sprintf("harness: finalizing trace spill: %v", err))
 	}
 	return &tracedRun{fw: fw, stream: st, spill: f, res: res}
 }
 
-// Close releases every spill file streamed cells hold open. Call it
-// once no further replays will run (streamed cursors read the files on
-// demand); a non-streaming Env's Close is a no-op. The Env remains
-// usable for memoized results afterwards.
+// spill starts a trace spill for e.Threads threads (trace.NewSpill),
+// panicking if the temp file cannot be created.
+func (e *Env) spill() (*os.File, *trace.StreamWriter) {
+	f, sw, err := trace.NewSpill(e.Threads)
+	if err != nil {
+		panic(fmt.Sprintf("harness: starting trace spill: %v", err))
+	}
+	return f, sw
+}
+
+// Close releases every spill file the Env's traces hold and drops those
+// traces from the memo, so a later cell that needs one traces it again.
+// Call it once no replay is running; memoized results stay, and the Env
+// remains usable.
 func (e *Env) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var first error
-	for _, s := range e.traces {
-		if s.tr != nil && s.tr.spill != nil {
-			if err := s.tr.spill.Close(); err != nil && first == nil {
-				first = err
-			}
-			s.tr.spill = nil
+	for k, s := range e.traces {
+		if s.tr == nil {
+			continue
 		}
+		if err := s.tr.spill.Close(); err != nil && first == nil {
+			first = err
+		}
+		delete(e.traces, k)
 	}
 	return first
 }
@@ -479,7 +448,7 @@ func (e *Env) configFor(kind ConfigKind, w workloads.Workload, tr *tracedRun,
 	}
 	_, _, propBytes := tr.fw.Space().Footprint()
 	f := tune.Profile(tr.fw.Graph(), propBytes, uint64(probe.Cache.L3Size),
-		tune.TotalCounts(tr.source()), w.Info().NeedsFPExtension)
+		tune.TotalCounts(tr.stream), w.Info().NeedsFPExtension)
 	d := tune.Choose(f, probe.Substrate())
 	cfg := e.Config(kindForPlacement(d.Placement), w)
 	if adjust != nil {
@@ -513,18 +482,16 @@ func noteDecision(res machine.Result, d *tune.Decision) machine.Result {
 func (e *Env) replay(kind ConfigKind, w workloads.Workload, tr *tracedRun,
 	adjust func(*machine.Config)) machine.Result {
 	cfg, dec := e.configFor(kind, w, tr, adjust)
-	return noteDecision(machine.RunSource(cfg, tr.fw.Space(), tr.source()), dec)
+	return noteDecision(machine.RunSource(cfg, tr.fw.Space(), tr.stream), dec)
 }
 
 // Simulate traces w on g and replays the trace under kind (after the
 // Env's placement override), returning the result and the workload's
 // functional output. Nothing is memoized: every call regenerates the
-// trace, and a streamed trace's spill file is closed before returning.
+// trace, and its spill file is closed before returning.
 func (e *Env) Simulate(g *graph.Graph, w workloads.Workload, kind ConfigKind) (machine.Result, any) {
 	tr := e.buildTraced(g, w.Run)
-	if tr.spill != nil {
-		defer tr.spill.Close()
-	}
+	defer tr.spill.Close()
 	return e.replay(e.policyKind(kind), w, tr, nil), tr.res.Output
 }
 

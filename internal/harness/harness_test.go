@@ -9,10 +9,12 @@ import (
 )
 
 // checkedQuickEnv is QuickEnv with the sanitizer on: every harness-level
-// simulation in the test suite runs fully audited.
-func checkedQuickEnv() *Env {
+// simulation in the test suite runs fully audited. Its spill files are
+// released when the test ends.
+func checkedQuickEnv(t testing.TB) *Env {
 	e := QuickEnv()
 	e.Check = true
+	t.Cleanup(func() { e.Close() })
 	return e
 }
 
@@ -56,7 +58,7 @@ func TestTableRendering(t *testing.T) {
 
 // The static experiments (no simulation) must produce full tables.
 func TestStaticExperiments(t *testing.T) {
-	e := checkedQuickEnv()
+	e := checkedQuickEnv(t)
 	for _, id := range []string{"table1-hmc-atomics", "table2-offload-targets",
 		"table3-applicability", "table4-config", "table5-flits", "table6-datasets",
 		"table7-appconfig"} {
@@ -73,7 +75,7 @@ func TestStaticExperiments(t *testing.T) {
 
 func TestTable1HasAllCommands(t *testing.T) {
 	ex, _ := ByID("table1-hmc-atomics")
-	tb := ex.Run(checkedQuickEnv())
+	tb := ex.Run(checkedQuickEnv(t))
 	if len(tb.Rows) != 20 {
 		t.Fatalf("Table I rows = %d, want 20 (18 HMC 2.0 + 2 extension)", len(tb.Rows))
 	}
@@ -81,7 +83,7 @@ func TestTable1HasAllCommands(t *testing.T) {
 
 func TestTable3CoversSuite(t *testing.T) {
 	ex, _ := ByID("table3-applicability")
-	tb := ex.Run(checkedQuickEnv())
+	tb := ex.Run(checkedQuickEnv(t))
 	if len(tb.Rows) != len(workloads.All()) {
 		t.Fatalf("Table III rows = %d, want %d", len(tb.Rows), len(workloads.All()))
 	}
@@ -90,7 +92,7 @@ func TestTable3CoversSuite(t *testing.T) {
 // Shared-run caching: two experiments touching the same runs must reuse
 // the memoized results.
 func TestRunMemoization(t *testing.T) {
-	e := checkedQuickEnv()
+	e := checkedQuickEnv(t)
 	w, _ := workloads.ByName("DC")
 	r1 := e.Run(w, KindBaseline)
 	r2 := e.Run(w, KindBaseline)
@@ -108,7 +110,7 @@ func TestFig7OrderingsAtQuickScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	e := checkedQuickEnv()
+	e := checkedQuickEnv(t)
 	type speeds struct{ upei, gpim float64 }
 	got := map[string]speeds{}
 	for _, name := range []string{"BFS", "DC", "kCore", "TC"} {
@@ -145,7 +147,7 @@ func TestFig10MissRatesAtQuickScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	e := checkedQuickEnv()
+	e := checkedQuickEnv(t)
 	ex, _ := ByID("fig10-missrate")
 	tb := ex.Run(e)
 	if len(tb.Rows) != len(workloads.EvalSet()) {
@@ -165,7 +167,7 @@ func TestFig16ModelWithinTolerance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	e := checkedQuickEnv()
+	e := checkedQuickEnv(t)
 	ex, _ := ByID("fig16-model-validation")
 	tb := ex.Run(e)
 	last := tb.Rows[len(tb.Rows)-1]
@@ -178,7 +180,7 @@ func TestFig17RunsBothApps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	e := checkedQuickEnv()
+	e := checkedQuickEnv(t)
 	ex, _ := ByID("fig17-realworld")
 	tb := ex.Run(e)
 	if len(tb.Rows) != 2 {
@@ -214,7 +216,7 @@ func TestExtDDRHostDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := ex.Run(checkedQuickEnv())
+	tb := ex.Run(checkedQuickEnv(t))
 	if len(tb.Rows) != len(workloads.EvalSet()) {
 		t.Fatalf("rows = %d, want %d", len(tb.Rows), len(workloads.EvalSet()))
 	}
@@ -237,7 +239,7 @@ func TestExtBackendShootoutStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := ex.Run(checkedQuickEnv())
+	tb := ex.Run(checkedQuickEnv(t))
 	if len(tb.Rows) != len(workloads.EvalSet())+1 {
 		t.Fatalf("rows = %d, want %d workloads + geomean", len(tb.Rows), len(workloads.EvalSet()))
 	}

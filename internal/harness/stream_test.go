@@ -3,43 +3,75 @@ package harness
 import (
 	"context"
 	"os"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"graphpim/internal/gframe"
+	"graphpim/internal/machine"
+	"graphpim/internal/trace"
+	"graphpim/internal/tune"
 	"graphpim/internal/workloads"
 )
 
-// TestStreamTableIdentity is the harness-level gate for the streaming
-// pipeline: the same experiment run with Stream on and off must render
-// byte-identical tables. fig4 replays a stripped trace (the atomic →
-// load+store view), so this also covers the StripSource adapter; the
-// streaming env runs with the sanitizer on, so every replay is audited
-// by the stream-bounds checker too. One experiment keeps the harness
-// race suite inside its timeout; broader table coverage lives in the CI
-// stream-smoke job, which diffs the CLI output of every quick
-// experiment with and without -stream.
+// TestStreamTableIdentity pins the harness's one trace path against the
+// materialized oracle: for every fig4 workload, the memoized baseline
+// cell and its strip variant (both replaying the cell's v2 spill) must
+// equal machine.RunTrace over a gframe.New trace of the same run, and
+// the stripped oracle over trace.StripSource of it. The env runs the
+// sanitizer, so every spill replay is audited by the stream-bounds
+// checker too.
 func TestStreamTableIdentity(t *testing.T) {
 	ex, err := ByID("fig4-atomic-overhead")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := testEnv(1)
-	want, err := ref.RunExperiment(context.Background(), ex)
+	env := testEnv(t, 1)
+	if _, err := env.RunExperiment(context.Background(), ex); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range workloads.EvalSet() {
+		info := w.Info()
+		fw := gframe.New(env.Graph(env.Vertices), env.Threads, gframe.DefaultCostModel())
+		w.Run(fw)
+		tr := fw.Trace()
+		cfg := env.Config(KindBaseline, w)
+		for variant, want := range map[string]machine.Result{
+			"":      machine.RunTrace(cfg, fw.Space(), tr),
+			"strip": machine.RunSource(cfg, fw.Space(), trace.StripSource(tr)),
+		} {
+			key := runKey{info.Name, env.Vertices, KindBaseline, info.NeedsFPExtension, variant, env.Seed}
+			env.mu.Lock()
+			s := env.runs[key]
+			env.mu.Unlock()
+			if s == nil {
+				t.Fatalf("%s/%q: fig4 did not run this cell", info.Name, variant)
+			}
+			if got := s.get(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%q: spill replay %d cycles, materialized oracle %d", info.Name, variant, got.Cycles, want.Cycles)
+			}
+		}
+	}
+}
+
+// TestCloseRetraces: Close releases every spill file and drops its
+// trace from the memo, so a cell run afterwards traces again (rather
+// than reading a closed file) and matches a fresh Env's result.
+func TestCloseRetraces(t *testing.T) {
+	w, err := workloads.ByName("BFS")
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := testEnv(1)
-	env.Stream = true
-	defer env.Close()
-	got, err := env.RunExperiment(context.Background(), ex)
-	if err != nil {
+	env := testEnv(t, 1)
+	env.Run(w, KindBaseline)
+	if err := env.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != want.String() {
-		t.Fatalf("table differs under -stream:\n--- materialized ---\n%s\n--- streamed ---\n%s",
-			want.String(), got.String())
+	got := env.Run(w, KindGraphPIM)
+	if want := testEnv(t, 1).Run(w, KindGraphPIM); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after Close: %d cycles, fresh Env %d", got.Cycles, want.Cycles)
 	}
 }
 
@@ -62,7 +94,6 @@ func TestStreamSmoke(t *testing.T) {
 		Seed:         7,
 		Threads:      16,
 		ScaledCaches: true,
-		Stream:       true,
 	}
 	defer env.Close()
 
@@ -101,9 +132,6 @@ func TestStreamSmoke(t *testing.T) {
 	<-sampler
 
 	tr := env.Trace(w, env.Vertices)
-	if tr.stream == nil {
-		t.Fatal("streaming env materialized its trace")
-	}
 	if res.Instructions != tr.stream.TotalInstructions() {
 		t.Fatalf("retired %d instructions, stream carries %d", res.Instructions, tr.stream.TotalInstructions())
 	}
@@ -112,10 +140,11 @@ func TestStreamSmoke(t *testing.T) {
 	// threads. Peak heap must stay below graph + a fraction of that —
 	// the streamed pipeline's whole point. The graph itself (CSR +
 	// properties) is small next to the trace at this scale.
-	materializedBytes := tr.stream.TotalRecords() * 16
+	records := tune.TotalCounts(tr.stream).Records
+	materializedBytes := records * 16
 	if p := peak.Load(); p >= materializedBytes {
 		t.Fatalf("peak heap %d B not below would-be materialized trace %d B", p, materializedBytes)
 	}
 	t.Logf("1M-vertex BFS: %d records (%d B materialized), peak heap %d B, %d cycles",
-		tr.stream.TotalRecords(), materializedBytes, peak.Load(), res.Cycles)
+		records, materializedBytes, peak.Load(), res.Cycles)
 }

@@ -319,7 +319,7 @@ func TestFaultInjectionDDRBusLane(t *testing.T) {
 	cfg := ddrConfig(Baseline())
 	cfg.Check = check.Periodic
 	cfg.CheckInterval = 64
-	m := New(cfg, sp, tr)
+	m := NewSource(cfg, sp, tr)
 	corruptAtTick(t, 400, func() { m.mem.(*ddr.System).CorruptBusLaneForTest() })
 	f := expectFailure(t, "ddr", func() { m.Run(0) })
 	if f.Cycle == 0 {

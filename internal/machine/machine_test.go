@@ -217,7 +217,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestMaxCyclesGuard(t *testing.T) {
 	sp, tr := synthWorkload(4, 5000, 1<<22, 10)
-	m := New(Baseline(), sp, tr)
+	m := NewSource(Baseline(), sp, tr)
 	res := m.Run(1000)
 	if res.Cycles > 1000 {
 		t.Fatalf("maxCycles not honored: ran %d cycles past the 1000 limit", res.Cycles)
@@ -231,7 +231,7 @@ func TestNewPanicsOnTooManyThreads(t *testing.T) {
 			t.Fatal("17 threads on 16 cores did not panic")
 		}
 	}()
-	New(Baseline(), sp, tr)
+	NewSource(Baseline(), sp, tr)
 }
 
 // TestAtomicRoutedOnceWithoutStaleDecisions pins the route-once contract
@@ -245,7 +245,7 @@ func TestAtomicRoutedOnceWithoutStaleDecisions(t *testing.T) {
 	prop := sp.PMRMalloc(4096)
 	b := trace.NewBuilder(sp, 1)
 	b.Thread(0).Compute(1)
-	m := New(GraphPIM(false), sp, b.Build())
+	m := NewSource(GraphPIM(false), sp, b.Build())
 	host := trace.Instr{Kind: trace.KindAtomic, Atomic: trace.AtomicCAS, Addr: meta, Size: 8, Region: memmap.RegionMeta}
 	pim := trace.Instr{Kind: trace.KindAtomic, Atomic: trace.AtomicCAS, Addr: prop, Size: 8, Region: memmap.RegionProperty}
 	if !m.AtomicBlocking(0, host) || m.AtomicBlocking(0, pim) {

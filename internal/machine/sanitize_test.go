@@ -37,12 +37,12 @@ func TestChecksCleanAndIdentityOnRandomTraces(t *testing.T) {
 		if trial%4 == 3 {
 			maxCycles = 100 + r.Uint64()%3000
 		}
-		plain := New(cfg, sp, tr).Run(maxCycles)
+		plain := NewSource(cfg, sp, tr).Run(maxCycles)
 
 		audited := cfg
 		audited.Check = check.Periodic
 		audited.CheckInterval = 256
-		got := New(audited, sp, tr).Run(maxCycles)
+		got := NewSource(audited, sp, tr).Run(maxCycles)
 		if !reflect.DeepEqual(plain, got) {
 			t.Fatalf("trial %d (%s, max=%d): audited run diverged from plain run\nplain:   %+v\naudited: %+v",
 				trial, cfg.Name, maxCycles, plain, got)
@@ -54,7 +54,7 @@ func TestCheckFinalLevel(t *testing.T) {
 	sp, tr := synthWorkload(4, 100, 1<<14, 5)
 	cfg := GraphPIM(false)
 	cfg.Check = check.Final
-	res := New(cfg, sp, tr).Run(0)
+	res := NewSource(cfg, sp, tr).Run(0)
 	if res.Instructions != tr.TotalInstructions() {
 		t.Fatalf("retired %d of %d", res.Instructions, tr.TotalInstructions())
 	}
@@ -76,10 +76,10 @@ func TestLatencyMonotoneUnderLatencyIncrease(t *testing.T) {
 		sp, tr := randomTrace(r)
 		for which, apply := range bump {
 			base := Baseline()
-			baseRes := New(base, sp, tr).Run(0)
+			baseRes := NewSource(base, sp, tr).Run(0)
 			slow := Baseline()
 			apply(&slow)
-			slowRes := New(slow, sp, tr).Run(0)
+			slowRes := NewSource(slow, sp, tr).Run(0)
 			if slowRes.Cycles < baseRes.Cycles {
 				t.Fatalf("trial %d bump %d: slower caches finished earlier (%d < %d cycles)",
 					trial, which, slowRes.Cycles, baseRes.Cycles)
@@ -121,7 +121,7 @@ func checkedMachine(seed uint64) *Machine {
 	cfg := Baseline()
 	cfg.Check = check.Periodic
 	cfg.CheckInterval = 64
-	return New(cfg, sp, tr)
+	return NewSource(cfg, sp, tr)
 }
 
 // corruptAtTick arranges for corrupt() to run once, at the given tick

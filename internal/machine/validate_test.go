@@ -91,5 +91,5 @@ func TestNewPanicsOnInvalidConfig(t *testing.T) {
 			t.Fatal("New accepted an invalid config")
 		}
 	}()
-	New(cfg, sp, tr)
+	NewSource(cfg, sp, tr)
 }

@@ -175,7 +175,9 @@ type Record struct {
 }
 
 // EnvInfo is the experiment environment a run was produced under —
-// enough to rebuild an equivalent harness Env for replay.
+// enough to rebuild an equivalent harness Env for replay. Manifests from
+// older builds may carry fields since removed ("shards", "stream");
+// neither moved a simulated number, and decoding ignores them.
 type EnvInfo struct {
 	Vertices     int    `json:"vertices"`
 	Seed         uint64 `json:"seed"`
@@ -184,13 +186,9 @@ type EnvInfo struct {
 	SweepSizes   []int  `json:"sweep_sizes"`
 	AppVertices  int    `json:"app_vertices"`
 	Parallelism  int    `json:"parallelism"`
-	// Stream records whether traces were built through the streaming
-	// spill pipeline (DESIGN.md §13). Results are byte-identical either
-	// way; recorded for provenance.
-	Stream bool `json:"stream,omitempty"`
 	// Memory is the memory backend kind the machines were assembled
-	// against ("" means the default HMC chain). Unlike Stream it changes
-	// simulated numbers, so replay must rebuild the same backend.
+	// against ("" means the default HMC chain). It changes simulated
+	// numbers, so replay must rebuild the same backend.
 	Memory string `json:"memory,omitempty"`
 	// Policy is the placement-policy override applied to every offload
 	// cell ("" none, "auto" tuner-decided, "host"/"pim"/"upei" pinned).

@@ -114,10 +114,17 @@ func mulBits(t *[64]uint64, x uint64) uint64 {
 // Intn returns a pseudo-random int in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
-		panic(fmt.Sprintf("sim: Intn called with n=%d", n))
+		panic(intnBound(n))
 	}
 	return int(r.Uint64() % uint64(n))
 }
+
+// intnBound is the panic value of Intn's invalid bound. The message is
+// formatted only when the panic is printed, which keeps Intn within the
+// inliner's budget: the generators draw it several times per edge.
+type intnBound int
+
+func (n intnBound) Error() string { return fmt.Sprintf("sim: Intn called with n=%d", int(n)) }
 
 // Float64 returns a pseudo-random float64 in [0, 1).
 func (r *Rand) Float64() float64 {

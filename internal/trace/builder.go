@@ -51,9 +51,6 @@ func NewStreamingBuilder(space *memmap.AddressSpace, sw *StreamWriter) *Builder 
 	return b
 }
 
-// Streaming reports whether the builder spills to a StreamWriter.
-func (b *Builder) Streaming() bool { return b.sw != nil }
-
 // flush spills thread t's buffered records as one chunk. Unless final, a
 // trailing flag-free, unsaturated compute record stays behind in the
 // fresh buffer: Compute coalesces into the last such record, so keeping
@@ -115,9 +112,9 @@ func (b *Builder) Barrier() {
 	}
 }
 
-// Build finalizes the trace. The Builder may continue to be used; Build
-// snapshots the current streams. Streaming builders cannot materialize —
-// use Finalize.
+// Build snapshots the current streams as a materialized Trace; the
+// Builder may continue to be used. It remains for bench/ and as a test
+// oracle. Streaming builders cannot materialize — use Finalize.
 func (b *Builder) Build() *Trace {
 	if b.sw != nil {
 		panic("trace: Build on a streaming Builder; use Finalize")

@@ -13,7 +13,7 @@ import (
 // one nontrivial behaviour — coalescing and splitting compute batches
 // around the 65535-per-record cap — must never change the dynamic
 // instruction count a trace expands to, and whatever it builds must
-// survive a Write/Read round trip record for record.
+// survive a WriteV2/OpenStream round trip record for record.
 //
 // Script bytes decode as: low 3 bits select the op, the rest is the
 // operand (compute batch length, address index, or flag bits).
@@ -86,16 +86,24 @@ func FuzzBuilder(f *testing.F) {
 		}
 
 		var buf bytes.Buffer
-		if err := Write(&buf, tr, sp); err != nil {
+		if err := WriteV2(&buf, tr, sp); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		again, sp2, err := Read(&buf)
+		st, err := OpenStream(bytes.NewReader(buf.Bytes()))
 		if err != nil {
-			t.Fatalf("read back freshly written trace: %v", err)
+			t.Fatalf("open freshly written trace: %v", err)
 		}
-		if !reflect.DeepEqual(again.Threads, tr.Threads) {
+		again := make([][]Instr, st.NumThreads())
+		for th := range again {
+			again[th] = drain(st.Cursor(th))
+			if again[th] == nil {
+				again[th] = []Instr{}
+			}
+		}
+		if !reflect.DeepEqual(again, tr.Threads) {
 			t.Fatal("round trip changed instruction records")
 		}
+		sp2 := st.Space()
 		// The restored address space must classify the PMR the same way.
 		if sp2.InPMR(prop) != sp.InPMR(prop) || sp2.InPMR(heap) != sp.InPMR(heap) {
 			t.Fatal("round trip changed PMR classification")

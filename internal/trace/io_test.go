@@ -1,10 +1,9 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
-	"io"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -41,39 +40,32 @@ func buildSampleTrace(seed uint64) (*Trace, *memmap.AddressSpace) {
 	return b.Build(), sp
 }
 
-func TestTraceRoundTrip(t *testing.T) {
-	tr, sp := buildSampleTrace(1)
+// roundTrip writes tr in v2 and reopens the bytes as a Stream.
+func roundTrip(t testing.TB, tr *Trace, sp *memmap.AddressSpace) *Stream {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, tr, sp); err != nil {
+	if err := WriteV2(&buf, tr, sp); err != nil {
 		t.Fatal(err)
 	}
-	got, gotSpace, err := Read(&buf)
+	st, err := OpenStream(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return st
+}
+
+func TestTraceRoundTrip(t *testing.T) {
+	tr, sp := buildSampleTrace(1)
+	got := roundTrip(t, tr, sp)
 	if got.NumThreads() != tr.NumThreads() {
 		t.Fatalf("threads %d != %d", got.NumThreads(), tr.NumThreads())
 	}
 	for th := range tr.Threads {
-		if len(got.Threads[th]) != len(tr.Threads[th]) {
-			t.Fatalf("thread %d length differs", th)
-		}
-		for i := range tr.Threads[th] {
-			if got.Threads[th][i] != tr.Threads[th][i] {
-				t.Fatalf("thread %d instr %d: %+v != %+v", th, i, got.Threads[th][i], tr.Threads[th][i])
-			}
-		}
+		diffRecords(t, fmt.Sprintf("thread %d", th), drain(got.Cursor(th)), tr.Threads[th])
 	}
 	// PMR ranges must survive so POU routing is identical.
-	want := sp.UCRanges()
-	have := gotSpace.UCRanges()
-	if len(want) != len(have) {
-		t.Fatalf("UC ranges %d != %d", len(have), len(want))
-	}
-	for i := range want {
-		if want[i] != have[i] {
-			t.Fatalf("range %d: %v != %v", i, have[i], want[i])
-		}
+	if want, have := sp.UCRanges(), got.Space().UCRanges(); !reflect.DeepEqual(have, want) {
+		t.Fatalf("UC ranges %v != %v", have, want)
 	}
 }
 
@@ -81,10 +73,10 @@ func TestTraceRoundTripProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		tr, sp := buildSampleTrace(seed)
 		var buf bytes.Buffer
-		if Write(&buf, tr, sp) != nil {
+		if WriteV2(&buf, tr, sp) != nil {
 			return false
 		}
-		got, gotSpace, err := Read(&buf)
+		got, err := OpenStream(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			return false
 		}
@@ -92,6 +84,7 @@ func TestTraceRoundTripProperty(t *testing.T) {
 			return false
 		}
 		// Spot-check PMR routing equivalence on every atomic address.
+		gotSpace := got.Space()
 		for th := range tr.Threads {
 			for _, in := range tr.Threads[th] {
 				if in.Kind == KindAtomic && sp.InPMR(in.Addr) != gotSpace.InPMR(in.Addr) {
@@ -107,81 +100,31 @@ func TestTraceRoundTripProperty(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, _, err := Read(strings.NewReader("not a trace file")); err == nil {
-		t.Fatal("garbage accepted")
+	for name, data := range map[string]string{
+		"garbage": "not a trace file",
+		"empty":   "",
+		// Valid magic, truncated header.
+		"truncated header": "GPIMTRC2\x01\x00\x00\x00",
+	} {
+		if _, err := OpenStream(strings.NewReader(data)); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
-	if _, _, err := Read(strings.NewReader("")); err == nil {
-		t.Fatal("empty input accepted")
-	}
-	// Valid magic, truncated body.
-	var buf bytes.Buffer
-	buf.Write([]byte("GPIMTRC1"))
-	buf.Write([]byte{1, 0, 0, 0})
-	if _, _, err := Read(&buf); err == nil {
-		t.Fatal("truncated header accepted")
+	// A legacy v1 file is named as such, not reported as garbage.
+	_, err := OpenStream(strings.NewReader("GPIMTRC1\x01\x00\x00\x00\x00\x00\x00\x00"))
+	if err == nil || !strings.Contains(err.Error(), "legacy v1") {
+		t.Fatalf("v1 file: error %v, want a legacy-v1 message", err)
 	}
 }
 
 func TestReadRejectsImplausibleCounts(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte("GPIMTRC1"))
-	// 1M threads.
-	buf.Write([]byte{0, 0, 16, 0, 0, 0, 0, 0})
-	if _, _, err := Read(&buf); err == nil {
-		t.Fatal("implausible thread count accepted")
-	}
-}
-
-// instrBytes encodes one record.
-func instrBytes(in Instr) [16]byte {
-	var b [16]byte
-	binary.LittleEndian.PutUint64(b[0:8], uint64(in.Addr))
-	binary.LittleEndian.PutUint16(b[8:10], in.N)
-	b[10] = in.Size
-	b[11] = byte(in.Kind)
-	b[12] = byte(in.Atomic)
-	b[13] = byte(in.Region)
-	b[14] = in.Flags
-	return b
-}
-
-// Write serializes the trace plus the PMR ranges of its address space in
-// the legacy v1 layout: the fixture writer for Read's v1 path and the
-// FuzzRead seeds.
-func Write(w io.Writer, tr *Trace, space *memmap.AddressSpace) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(traceMagic[:]); err != nil {
-		return err
-	}
-	ranges := space.UCRanges()
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(tr.NumThreads()))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(ranges)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var u64 [8]byte
-	for _, r := range ranges {
-		binary.LittleEndian.PutUint64(u64[:], uint64(r[0]))
-		if _, err := bw.Write(u64[:]); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint64(u64[:], uint64(r[1]))
-		if _, err := bw.Write(u64[:]); err != nil {
-			return err
+	for name, hdr := range map[string][]byte{
+		"1M threads":        {0, 0, 16, 0, 0x00, 0x10, 0, 0},
+		"2^31-record chunk": {1, 0, 0, 0, 0, 0, 0, 0x80},
+	} {
+		data := append([]byte("GPIMTRC2"), hdr...)
+		if _, err := OpenStream(bytes.NewReader(data)); err == nil {
+			t.Fatalf("implausible header (%s) accepted", name)
 		}
 	}
-	for _, th := range tr.Threads {
-		binary.LittleEndian.PutUint64(u64[:], uint64(len(th)))
-		if _, err := bw.Write(u64[:]); err != nil {
-			return err
-		}
-		for _, in := range th {
-			b := instrBytes(in)
-			if _, err := bw.Write(b[:]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
 }

@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"graphpim/internal/memmap"
@@ -209,40 +211,34 @@ func TestStreamCheckpoints(t *testing.T) {
 	}
 }
 
-// TestWriteV2RoundTrip checks the persisted v2 format against Read:
-// records and PMR ranges must survive exactly, as they do for v1.
+// TestWriteV2RoundTrip checks the persisted v2 format: records, PMR
+// ranges and footer counts must survive WriteV2 and OpenStream exactly.
 func TestWriteV2RoundTrip(t *testing.T) {
 	tr, sp := buildSampleTrace(1)
-	var buf bytes.Buffer
-	if err := WriteV2(&buf, tr, sp); err != nil {
-		t.Fatal(err)
-	}
-	got, gotSpace, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumThreads() != tr.NumThreads() {
-		t.Fatalf("threads %d != %d", got.NumThreads(), tr.NumThreads())
+	st := roundTrip(t, tr, sp)
+	if st.NumThreads() != tr.NumThreads() {
+		t.Fatalf("threads %d != %d", st.NumThreads(), tr.NumThreads())
 	}
 	for th := range tr.Threads {
-		diffRecords(t, fmt.Sprintf("thread %d", th), got.Threads[th], tr.Threads[th])
-	}
-	want, have := sp.UCRanges(), gotSpace.UCRanges()
-	if len(want) != len(have) {
-		t.Fatalf("UC ranges %d != %d", len(have), len(want))
-	}
-	for i := range want {
-		if want[i] != have[i] {
-			t.Fatalf("range %d: %v != %v", i, have[i], want[i])
+		diffRecords(t, fmt.Sprintf("thread %d", th), drain(st.Cursor(th)), tr.Threads[th])
+		if got := st.ThreadCounts(th); got != CountRecords(tr.Threads[th]) {
+			t.Fatalf("thread %d counts %+v != %+v", th, got, CountRecords(tr.Threads[th]))
 		}
+	}
+	if !reflect.DeepEqual(st.Space().UCRanges(), sp.UCRanges()) {
+		t.Fatalf("UC ranges %v != %v", st.Space().UCRanges(), sp.UCRanges())
+	}
+	if _, err := OpenStream(bytes.NewReader([]byte("GPIM"))); err == nil {
+		t.Fatal("truncated magic accepted")
 	}
 }
 
-// TestOpenStreamMatchesRead checks the other replay path for persisted
-// files: OpenStream over the bytes WriteV2 produced must see the same
-// records, counts, and PMR ranges that materializing Read sees. It also
-// covers the Finalize contract for non-seekable writers (nil Stream).
-func TestOpenStreamMatchesRead(t *testing.T) {
+// TestOpenStreamMatchesBuilder checks the replay path for persisted
+// files: OpenStream over the bytes a streaming Builder wrote must see
+// the records, counts and PMR ranges a materializing Builder fed the
+// same emissions holds. It also covers the Finalize contract for
+// non-seekable writers (nil Stream).
+func TestOpenStreamMatchesBuilder(t *testing.T) {
 	sp, meta, prop, prop2 := sampleSpace()
 	var buf bytes.Buffer
 	sw, err := NewStreamWriter(&buf, 3, 48)
@@ -259,10 +255,7 @@ func TestOpenStreamMatchesRead(t *testing.T) {
 		t.Fatal("Finalize returned a Stream for a non-ReaderAt writer")
 	}
 
-	tr, trSpace, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, trSpace := materializedSample(3, 2, 80)
 	st, err := OpenStream(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -276,53 +269,11 @@ func TestOpenStreamMatchesRead(t *testing.T) {
 			t.Fatalf("thread %d counts %+v != %+v", th, got, CountRecords(tr.Threads[th]))
 		}
 	}
-	want, have := trSpace.UCRanges(), st.Space().UCRanges()
-	if len(want) != len(have) {
-		t.Fatalf("UC ranges %d != %d", len(have), len(want))
+	if st.NumCheckpoints() != 2 {
+		t.Fatalf("checkpoints %d, want 2 (one per barrier)", st.NumCheckpoints())
 	}
-	for i := range want {
-		if want[i] != have[i] {
-			t.Fatalf("range %d: %v != %v", i, have[i], want[i])
-		}
-	}
-}
-
-// TestOpenPicksReaderByMagic saves one trace in both formats and opens
-// each with Open: the v2 file must come back as a *Stream, the v1 file
-// as a materialized *Trace, and both must carry the same records and
-// PMR ranges.
-func TestOpenPicksReaderByMagic(t *testing.T) {
-	tr, sp := buildSampleTrace(3)
-	var v1, v2 bytes.Buffer
-	if err := Write(&v1, tr, sp); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteV2(&v2, tr, sp); err != nil {
-		t.Fatal(err)
-	}
-	src1, sp1, err := Open(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src2, sp2, err := Open(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := src1.(*Trace); !ok {
-		t.Fatalf("v1 file opened as %T, want *Trace", src1)
-	}
-	if _, ok := src2.(*Stream); !ok {
-		t.Fatalf("v2 file opened as %T, want *Stream", src2)
-	}
-	for th := 0; th < tr.NumThreads(); th++ {
-		diffRecords(t, fmt.Sprintf("v1 thread %d", th), drain(src1.Cursor(th)), tr.Threads[th])
-		diffRecords(t, fmt.Sprintf("v2 thread %d", th), drain(src2.Cursor(th)), tr.Threads[th])
-	}
-	if !reflect.DeepEqual(sp1.UCRanges(), sp.UCRanges()) || !reflect.DeepEqual(sp2.UCRanges(), sp.UCRanges()) {
-		t.Fatal("PMR ranges lost on Open")
-	}
-	if _, _, err := Open(bytes.NewReader([]byte("GPIM"))); err == nil {
-		t.Fatal("truncated magic accepted")
+	if !reflect.DeepEqual(st.Space().UCRanges(), trSpace.UCRanges()) {
+		t.Fatalf("UC ranges %v != %v", st.Space().UCRanges(), trSpace.UCRanges())
 	}
 }
 
@@ -354,61 +305,73 @@ func TestStripSourceStreamMatchesTrace(t *testing.T) {
 	}
 }
 
-// TestV1ReadValidation corrupts individual record fields of a valid v1
-// file and checks each is rejected with a positioned error naming the
-// record, not silently replayed as garbage.
-func TestV1ReadValidation(t *testing.T) {
-	// One thread, no PMR ranges: the first record starts at
-	// magic(8) + header(8) + count(8) = 24.
+// TestRecordValidation corrupts individual record fields of a valid v2
+// log and checks each is rejected with an error naming the record, not
+// silently replayed as garbage.
+func TestRecordValidation(t *testing.T) {
 	sp := memmap.NewAddressSpace()
-	meta := sp.AllocMeta(4096)
+	prop := sp.PMRMalloc(4096)
 	b := NewBuilder(sp, 1)
 	e := b.Thread(0)
-	e.Load(meta, 8, false)
-	e.Store(meta+8, 8, false)
+	e.Atomic(AtomicCAS, prop, 8, false, true, false)
+	e.Load(prop+64, 8, false)
 	tr := b.Build()
 	var buf bytes.Buffer
-	if err := Write(&buf, tr, sp); err != nil {
+	if err := WriteV2(&buf, tr, sp); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
-	const rec0 = 8 + 8 + 8
+	// The one chunk's payload follows the 16-byte header and the chunk
+	// tag, thread, count and length; an atomic record is lead byte
+	// (kind | flags<<3), form, size, region, address delta.
+	rec0, _, err := appendRecord(nil, tr.Threads[0][0], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec1, _, err := appendRecord(nil, tr.Threads[0][1], tr.Threads[0][0].Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := binary.AppendUvarint([]byte{tagChunk, 0, 2}, uint64(len(rec0)+len(rec1)))
+	p0 := 16 + len(hdr)
+	if !bytes.Equal(valid[16:p0], hdr) || !bytes.Equal(valid[p0:p0+len(rec0)], rec0) {
+		t.Fatal("sample log does not have the expected layout")
+	}
 	cases := []struct {
 		name string
 		off  int
 		val  byte
 	}{
-		{"kind", rec0 + 11, 200},
-		{"atomic", rec0 + 12, 99},
-		{"region", rec0 + 13, 77},
-		{"flags", rec0 + 14, 0xF0},
-		{"pad", rec0 + 15, 1},
+		{"kind", p0, valid[p0] | 7},
+		{"atomic", p0 + 1, 99},
+		{"region", p0 + 3, 77},
+		{"flags", p0, valid[p0] | 0x08<<3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			data := append([]byte(nil), valid...)
 			data[tc.off] = tc.val
-			_, _, err := Read(bytes.NewReader(data))
+			_, err := OpenStream(bytes.NewReader(data))
 			if err == nil {
 				t.Fatalf("corrupt %s byte accepted", tc.name)
 			}
-			if !bytes.Contains([]byte(err.Error()), []byte("instr 0")) {
+			if !strings.Contains(err.Error(), "record 0") {
 				t.Fatalf("error not positioned at record 0: %v", err)
 			}
 		})
 	}
 	// The second record must be named too.
 	data := append([]byte(nil), valid...)
-	data[rec0+16+11] = 200
-	if _, _, err := Read(bytes.NewReader(data)); err == nil {
+	data[p0+len(rec0)] |= 7
+	if _, err := OpenStream(bytes.NewReader(data)); err == nil {
 		t.Fatal("corrupt second record accepted")
-	} else if !bytes.Contains([]byte(err.Error()), []byte("instr 1")) {
+	} else if !strings.Contains(err.Error(), "record 1") {
 		t.Fatalf("error not positioned at record 1: %v", err)
 	}
 }
 
-// TestV2ReadRejectsCorrupt feeds structurally broken v2 inputs to both
-// v2 entry points; each must error out rather than panic or accept.
+// TestV2ReadRejectsCorrupt feeds structurally broken v2 inputs to
+// OpenStream; each must error out rather than panic or accept.
 func TestV2ReadRejectsCorrupt(t *testing.T) {
 	tr, sp := buildSampleTrace(2)
 	var buf bytes.Buffer
@@ -434,9 +397,6 @@ func TestV2ReadRejectsCorrupt(t *testing.T) {
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, _, err := Read(bytes.NewReader(data)); err == nil {
-				t.Fatalf("Read accepted %s", name)
-			}
 			if _, err := OpenStream(bytes.NewReader(data)); err == nil {
 				t.Fatalf("OpenStream accepted %s", name)
 			}

@@ -179,27 +179,15 @@ func (i Instr) RetUsed() bool { return i.Flags&FlagRetUsed != 0 }
 // CASFailed reports whether FlagCASFail is set.
 func (i Instr) CASFailed() bool { return i.Flags&FlagCASFail != 0 }
 
-// Trace holds the per-thread instruction streams of one workload run.
-//
-// A trace is built once (single goroutine) and then replayed — possibly by
-// many machines concurrently. Replay only reads Threads, so a frozen trace
-// is safe to share; Freeze records that hand-off point and lets shared
-// traces assert they are no longer being appended to.
+// Trace holds the per-thread instruction streams of one workload run,
+// materialized in memory. It remains for bench/ and as a test oracle:
+// the program itself builds, saves and replays every trace as a v2 chunk
+// log (Stream). Replay only reads Threads, so a built Trace is safe to
+// share between concurrent replays.
 type Trace struct {
 	// Threads is indexed by logical thread (== simulated core).
 	Threads [][]Instr
-
-	frozen bool
 }
-
-// Freeze marks the trace immutable. Replay never mutates a trace; calling
-// Freeze after build documents (and lets assertions enforce) that the
-// builder has handed the trace off for concurrent replay. Freezing twice
-// is a no-op.
-func (t *Trace) Freeze() { t.frozen = true }
-
-// Frozen reports whether Freeze has been called.
-func (t *Trace) Frozen() bool { return t.frozen }
 
 // NumThreads returns the thread count.
 func (t *Trace) NumThreads() int { return len(t.Threads) }

@@ -146,7 +146,6 @@ func TestStripSource(t *testing.T) {
 	e.Compute(1)
 	b.Thread(1).Atomic(AtomicAdd, a, 8, false, false, false)
 	src := b.Build()
-	src.Freeze()
 	stripped := StripSource(src)
 	tr := &Trace{Threads: make([][]Instr, stripped.NumThreads())}
 	for th := range tr.Threads {
@@ -276,17 +275,5 @@ func TestComputeCoalescingRespectsCap(t *testing.T) {
 		if in.N == 0 {
 			t.Fatal("zero-length batch after coalescing")
 		}
-	}
-}
-
-func TestTraceFreeze(t *testing.T) {
-	tr := &Trace{Threads: [][]Instr{{{Kind: KindAtomic, Atomic: AtomicAdd}}}}
-	if tr.Frozen() {
-		t.Fatal("new trace must not be frozen")
-	}
-	tr.Freeze()
-	tr.Freeze() // idempotent
-	if !tr.Frozen() {
-		t.Fatal("Frozen() false after Freeze")
 	}
 }

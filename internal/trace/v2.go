@@ -10,10 +10,11 @@ import (
 )
 
 // Trace format v2 ("GPIMTRC2"): a chunked, delta/varint-compressed
-// stream. Where v1 stores flat 16-byte records per thread, v2 stores a
-// log of per-thread chunks whose payloads encode records compactly
-// (addresses as zigzag deltas against the previous address in the same
-// chunk, batch lengths as varints), interleaved in emission order. The
+// stream, and the only trace format the program reads or writes (the
+// flat v1 layout, "GPIMTRC1", is no longer read). A v2 file is a log of
+// per-thread chunks whose payloads encode records compactly (addresses
+// as zigzag deltas against the previous address in the same chunk,
+// batch lengths as varints), interleaved in emission order. The
 // chunk log is what makes streaming work in bounded memory: the producer
 // spills chunks as threads fill them, and replay decodes one bounded
 // window per thread at a time. Checkpoint tags mark barrier boundaries —
@@ -44,9 +45,10 @@ import (
 // barrier -> nothing. The delta base resets to zero at every chunk start
 // so chunks decode independently. Only canonical records — fields unused
 // by a kind left zero, exactly what Builder emits — are encodable;
-// decoding validates ranges the same way v1's reader does.
+// decoding validates every field range (validateInstr).
 
 var (
+	traceMagicV1    = [8]byte{'G', 'P', 'I', 'M', 'T', 'R', 'C', '1'}
 	traceMagicV2    = [8]byte{'G', 'P', 'I', 'M', 'T', 'R', 'C', '2'}
 	traceMagicV2End = [8]byte{'G', 'P', 'I', 'M', 'T', 'R', 'C', 'E'}
 )
@@ -75,8 +77,32 @@ const (
 	maxRecordBytes = 14
 )
 
-// appendUvarint/readUvarint wrap the binary helpers; zigzag maps signed
-// address deltas onto small varints regardless of direction.
+// flagMask is every defined Instr flag bit.
+const flagMask = FlagDepPrev | FlagRetUsed | FlagCASFail
+
+// validateInstr checks every enum-like field of a record against its
+// defined range. The decoder rejects invalid records at open time: the
+// machine indexes per-region counter arrays by Region and switches on
+// Kind, so a corrupt record must fail the load, not replay as garbage
+// (or panic) later.
+func validateInstr(in Instr) error {
+	if in.Kind > KindBarrier {
+		return fmt.Errorf("invalid kind %d", uint8(in.Kind))
+	}
+	if in.Atomic > AtomicMax {
+		return fmt.Errorf("invalid atomic form %d", uint8(in.Atomic))
+	}
+	if in.Region > memmap.RegionProperty {
+		return fmt.Errorf("invalid region %d", uint8(in.Region))
+	}
+	if in.Flags&^flagMask != 0 {
+		return fmt.Errorf("invalid flags %#x", in.Flags)
+	}
+	return nil
+}
+
+// zigzag maps signed address deltas onto small varints regardless of
+// direction.
 func zigzag(v int64) uint64   { return uint64(v)<<1 ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
@@ -182,6 +208,55 @@ type chunkRef struct {
 	start Counts // cumulative thread counts before this chunk
 }
 
+// logIndex is everything a replay needs of a v2 log besides its bytes:
+// chunk locations, totals, checkpoints and PMR ranges. The writer builds
+// it as it encodes, and OpenStream rebuilds it by scanning a file.
+type logIndex struct {
+	chunkCap    int
+	chunks      [][]chunkRef
+	counts      []Counts
+	checkpoints [][]uint64
+	kinds       [5]uint64
+	atomics     [numAtomicForms]uint64
+	ranges      [][2]memmap.Addr
+}
+
+func newLogIndex(threads, chunkCap int) logIndex {
+	return logIndex{
+		chunkCap: chunkCap,
+		chunks:   make([][]chunkRef, threads),
+		counts:   make([]Counts, threads),
+	}
+}
+
+// addChunk indexes thread tid's chunk recs, whose nbytes of payload
+// start at file offset off.
+func (ix *logIndex) addChunk(tid int, off int64, nbytes int, recs []Instr) {
+	ix.chunks[tid] = append(ix.chunks[tid], chunkRef{
+		off:   off,
+		bytes: int32(nbytes),
+		count: int32(len(recs)),
+		start: ix.counts[tid],
+	})
+	for _, in := range recs {
+		ix.counts[tid].add(in)
+		ix.kinds[in.Kind]++
+		if in.Kind == KindAtomic {
+			ix.atomics[in.Atomic]++
+		}
+	}
+}
+
+// markCheckpoint records every thread's current position as a barrier
+// checkpoint.
+func (ix *logIndex) markCheckpoint() {
+	pos := make([]uint64, len(ix.counts))
+	for t := range pos {
+		pos[t] = ix.counts[t].Records
+	}
+	ix.checkpoints = append(ix.checkpoints, pos)
+}
+
 // chunkMsg travels from the producing (workload) goroutine to the encoder
 // goroutine. A nil recs with checkpoint set marks a barrier boundary.
 type chunkMsg struct {
@@ -196,28 +271,23 @@ type chunkMsg struct {
 // and the spill file — so trace generation overlaps compression. The
 // writer never blocks generation for longer than the ring bound.
 type StreamWriter struct {
-	threads  int
-	chunkCap int
-	ch       chan chunkMsg
-	free     chan []Instr
-	done     chan struct{}
+	threads int
+	ch      chan chunkMsg
+	free    chan []Instr
+	done    chan struct{}
 
 	// space is set by Finalize before the channel close that hands it to
 	// the encoder goroutine (close is the synchronization edge).
 	space *memmap.AddressSpace
 
-	// Encoder-goroutine-owned state; the producer reads it only after
-	// <-done in Finalize.
-	bw          *bufio.Writer
-	off         int64
-	err         error
-	raw         []byte
-	index       [][]chunkRef
-	counts      []Counts
-	kinds       [5]uint64
-	atomics     [numAtomicForms]uint64
-	checkpoints [][]uint64
-	dst         io.Writer
+	// Encoder-goroutine-owned state (chunkCap aside, which never
+	// changes); the producer reads it only after <-done in Finalize.
+	logIndex
+	bw  *bufio.Writer
+	off int64
+	err error
+	raw []byte
+	dst io.Writer
 }
 
 // NewStreamWriter starts a v2 writer over w for numThreads threads.
@@ -235,13 +305,11 @@ func NewStreamWriter(w io.Writer, numThreads, chunkRecords int) (*StreamWriter, 
 	}
 	sw := &StreamWriter{
 		threads:  numThreads,
-		chunkCap: chunkRecords,
 		ch:       make(chan chunkMsg, 2*numThreads),
 		free:     make(chan []Instr, 2*numThreads),
 		done:     make(chan struct{}),
+		logIndex: newLogIndex(numThreads, chunkRecords),
 		bw:       bufio.NewWriterSize(w, 1<<20),
-		index:    make([][]chunkRef, numThreads),
-		counts:   make([]Counts, numThreads),
 		dst:      w,
 	}
 	var hdr [16]byte
@@ -334,10 +402,6 @@ func (w *StreamWriter) writeChunk(tid int, recs []Instr) error {
 		if raw, prev, err = appendRecord(raw, in, prev); err != nil {
 			return fmt.Errorf("trace: thread %d: %w", tid, err)
 		}
-		w.kinds[in.Kind]++
-		if in.Kind == KindAtomic {
-			w.atomics[in.Atomic]++
-		}
 	}
 	w.raw = raw // keep the grown buffer
 
@@ -350,24 +414,12 @@ func (w *StreamWriter) writeChunk(tid int, recs []Instr) error {
 	if err := w.write(hdr[:n]); err != nil {
 		return err
 	}
-	w.index[tid] = append(w.index[tid], chunkRef{
-		off:   w.off,
-		bytes: int32(len(raw)),
-		count: int32(len(recs)),
-		start: w.counts[tid],
-	})
-	for _, in := range recs {
-		w.counts[tid].add(in)
-	}
+	w.addChunk(tid, w.off, len(raw), recs)
 	return w.write(raw)
 }
 
 func (w *StreamWriter) writeCheckpoint() error {
-	pos := make([]uint64, w.threads)
-	for t := range pos {
-		pos[t] = w.counts[t].Records
-	}
-	w.checkpoints = append(w.checkpoints, pos)
+	w.markCheckpoint()
 	return w.write([]byte{tagCheckpoint})
 }
 
@@ -420,38 +472,20 @@ func (w *StreamWriter) Finalize(space *memmap.AddressSpace) (*Stream, error) {
 	if !ok {
 		return nil, nil
 	}
-	return &Stream{
-		ra:          ra,
-		chunkCap:    w.chunkCap,
-		chunks:      w.index,
-		counts:      w.counts,
-		checkpoints: w.checkpoints,
-		kinds:       w.kinds,
-		atomics:     w.atomics,
-		ranges:      ucRangesOf(space),
-	}, nil
-}
-
-func ucRangesOf(space *memmap.AddressSpace) [][2]memmap.Addr {
-	if space == nil {
-		return nil
+	st := &Stream{ra: ra, logIndex: w.logIndex}
+	if space != nil {
+		st.ranges = space.UCRanges()
 	}
-	return space.UCRanges()
+	return st, nil
 }
 
-// Stream is a finalized v2 chunk log: the streamed counterpart of a
-// frozen *Trace. It is immutable and safe to replay from many machines
+// Stream is a finalized v2 chunk log, the one trace form the program
+// replays. It is immutable and safe to replay from many machines
 // concurrently — each Cursor holds its own decode ring; the backing
 // io.ReaderAt is accessed only through offset reads.
 type Stream struct {
-	ra          io.ReaderAt
-	chunkCap    int
-	chunks      [][]chunkRef
-	counts      []Counts
-	checkpoints [][]uint64
-	kinds       [5]uint64
-	atomics     [numAtomicForms]uint64
-	ranges      [][2]memmap.Addr
+	ra io.ReaderAt
+	logIndex
 }
 
 // NumThreads returns the thread count.
@@ -465,15 +499,6 @@ func (s *Stream) TotalInstructions() uint64 {
 	var n uint64
 	for _, c := range s.counts {
 		n += c.Instrs
-	}
-	return n
-}
-
-// TotalRecords returns the record count across threads.
-func (s *Stream) TotalRecords() uint64 {
-	var n uint64
-	for _, c := range s.counts {
-		n += c.Records
 	}
 	return n
 }
@@ -500,8 +525,7 @@ func (s *Stream) AtomicsByKind() map[HostAtomic]uint64 {
 // NumCheckpoints returns the number of barrier checkpoints in the log.
 func (s *Stream) NumCheckpoints() int { return len(s.checkpoints) }
 
-// Space rebuilds an address space carrying the stream's PMR ranges, as
-// Read does for v1 files.
+// Space rebuilds an address space carrying the stream's PMR ranges.
 func (s *Stream) Space() *memmap.AddressSpace {
 	space := memmap.NewAddressSpace()
 	for _, r := range s.ranges {
@@ -631,9 +655,10 @@ func (c *streamCursor) AuditBounds() error {
 	return nil
 }
 
-// WriteV2 serializes a materialized trace in format v2 — the compact
-// on-disk form for persisted traces. Chunk boundaries in a converted
-// file are size-based (no checkpoint tags); Read accepts both formats.
+// WriteV2 serializes a materialized trace in format v2. Chunk boundaries
+// in a converted file are size-based (no checkpoint tags). It remains for
+// bench/ and as a test oracle; the program itself writes traces through a
+// streaming Builder.
 func WriteV2(w io.Writer, tr *Trace, space *memmap.AddressSpace) error {
 	sw, err := NewStreamWriter(w, tr.NumThreads(), DefaultChunkRecords)
 	if err != nil {
@@ -678,25 +703,12 @@ func (c *countingReader) uvarint() (uint64, error) {
 	return binary.ReadUvarint(c)
 }
 
-// v2Scan is the result of walking a v2 chunk log: everything a Stream
-// needs except the ReaderAt, fully validated against the footer.
-type v2Scan struct {
-	chunkCap    int
-	chunks      [][]chunkRef
-	counts      []Counts
-	checkpoints [][]uint64
-	kinds       [5]uint64
-	atomics     [numAtomicForms]uint64
-	ranges      [][2]memmap.Addr
-}
-
 // scanV2 reads a v2 log after its 8-byte magic, decoding and validating
-// every chunk. onChunk (optional) receives each decoded chunk in log
-// order; the slice is reused across calls. The caller has consumed the
-// magic, so the counter starts at 8: chunkRef offsets must be absolute
-// file positions — replay cursors ReadAt the whole file, and the
-// writer-side index (writeChunk) records them that way too.
-func scanV2(r io.Reader, onChunk func(thread int, recs []Instr)) (*v2Scan, error) {
+// every chunk. The caller has consumed the magic, so the counter starts
+// at 8: chunkRef offsets must be absolute file positions — replay
+// cursors ReadAt the whole file, and the writer-side index (writeChunk)
+// records them that way too.
+func scanV2(r io.Reader) (*logIndex, error) {
 	cr := &countingReader{br: bufio.NewReaderSize(r, 1<<20), off: 8}
 	var hdr [8]byte
 	if err := cr.readFull(hdr[:]); err != nil {
@@ -710,11 +722,7 @@ func scanV2(r io.Reader, onChunk func(thread int, recs []Instr)) (*v2Scan, error
 	if chunkCap == 0 || chunkCap > maxChunkRecords {
 		return nil, fmt.Errorf("trace: implausible chunk size %d", chunkCap)
 	}
-	sc := &v2Scan{
-		chunkCap: int(chunkCap),
-		chunks:   make([][]chunkRef, threads),
-		counts:   make([]Counts, threads),
-	}
+	sc := newLogIndex(int(threads), int(chunkCap))
 	var raw []byte
 	var recs []Instr
 	for {
@@ -727,11 +735,7 @@ func scanV2(r io.Reader, onChunk func(thread int, recs []Instr)) (*v2Scan, error
 		}
 		switch tag {
 		case tagCheckpoint:
-			pos := make([]uint64, threads)
-			for t := range pos {
-				pos[t] = sc.counts[t].Records
-			}
-			sc.checkpoints = append(sc.checkpoints, pos)
+			sc.markCheckpoint()
 		case tagChunk:
 			at := cr.off - 1
 			tid, err := cr.uvarint()
@@ -769,22 +773,7 @@ func scanV2(r io.Reader, onChunk func(thread int, recs []Instr)) (*v2Scan, error
 			if err != nil {
 				return nil, fmt.Errorf("trace: chunk at offset %d: %w", at, err)
 			}
-			sc.chunks[tid] = append(sc.chunks[tid], chunkRef{
-				off:   payloadOff,
-				bytes: int32(nbytes),
-				count: int32(count),
-				start: sc.counts[tid],
-			})
-			for _, in := range recs {
-				sc.counts[tid].add(in)
-				sc.kinds[in.Kind]++
-				if in.Kind == KindAtomic {
-					sc.atomics[in.Atomic]++
-				}
-			}
-			if onChunk != nil {
-				onChunk(int(tid), recs)
-			}
+			sc.addChunk(int(tid), payloadOff, int(nbytes), recs)
 		default:
 			return nil, fmt.Errorf("trace: unknown tag 0x%02x at offset %d", tag, cr.off-1)
 		}
@@ -792,10 +781,10 @@ func scanV2(r io.Reader, onChunk func(thread int, recs []Instr)) (*v2Scan, error
 	if err := sc.readFooter(cr); err != nil {
 		return nil, err
 	}
-	return sc, nil
+	return &sc, nil
 }
 
-func (sc *v2Scan) readFooter(cr *countingReader) error {
+func (sc *logIndex) readFooter(cr *countingReader) error {
 	nranges, err := cr.uvarint()
 	if err != nil {
 		return fmt.Errorf("trace: footer ranges: %w", err)
@@ -863,29 +852,6 @@ func (sc *v2Scan) readFooter(cr *countingReader) error {
 	return nil
 }
 
-// Open opens a saved trace for replay, letting the file's magic pick the
-// reader: a v2 file streams chunk by chunk through OpenStream, a legacy
-// v1 file materializes through Read. Replay is byte-identical across
-// the two source kinds.
-func Open(ra io.ReaderAt) (Source, *memmap.AddressSpace, error) {
-	var magic [8]byte
-	if _, err := ra.ReadAt(magic[:], 0); err != nil {
-		return nil, nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if magic == traceMagicV2 {
-		st, err := OpenStream(ra)
-		if err != nil {
-			return nil, nil, err
-		}
-		return st, st.Space(), nil
-	}
-	tr, space, err := Read(io.NewSectionReader(ra, 0, 1<<62))
-	if err != nil {
-		return nil, nil, err
-	}
-	return tr, space, nil
-}
-
 // OpenStream opens a v2 trace file for streamed replay. The whole log is
 // scanned and validated once (every chunk decoded, footer cross-checked)
 // so that replay cursors never see invalid records; only chunk locations
@@ -896,21 +862,15 @@ func OpenStream(ra io.ReaderAt) (*Stream, error) {
 	if _, err := io.ReadFull(sec, magic[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
+	if magic == traceMagicV1 {
+		return nil, fmt.Errorf("trace: legacy v1 trace (magic %q) is no longer read; regenerate it with `graphpim trace -save`", magic[:])
+	}
 	if magic != traceMagicV2 {
 		return nil, fmt.Errorf("trace: not a v2 stream (magic %q)", magic[:])
 	}
-	sc, err := scanV2(sec, nil)
+	ix, err := scanV2(sec)
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{
-		ra:          ra,
-		chunkCap:    sc.chunkCap,
-		chunks:      sc.chunks,
-		counts:      sc.counts,
-		checkpoints: sc.checkpoints,
-		kinds:       sc.kinds,
-		atomics:     sc.atomics,
-		ranges:      sc.ranges,
-	}, nil
+	return &Stream{ra: ra, logIndex: *ix}, nil
 }

@@ -13,7 +13,7 @@
 #          for M in ddr, lpddr, vault.
 #   all    (default) quick, plus `workload` at default scale for
 #          {BFS,PRank,SpMV} x {baseline,upei,graphpim}, BFS with
-#          -policy auto, -stream, -mem vault, -mem ddr and -quick, and
+#          -policy auto, -mem vault, -mem ddr and -quick, and
 #          every examples/ program except the sweep.
 #
 # EQUIVDIR (default $TMPDIR/graphpim-equiv) holds the builds and outputs.
@@ -88,7 +88,6 @@ if [ "$scope" = all ]; then
 		done
 	done
 	check workload-BFS-auto graphpim workload -policy auto BFS
-	check workload-BFS-stream graphpim workload -stream BFS
 	check workload-BFS-vault graphpim workload -mem vault BFS
 	check workload-BFS-ddr graphpim workload -mem ddr BFS
 	check workload-BFS-quick graphpim workload -quick BFS
