@@ -17,7 +17,8 @@ vet:
 # detector silent on every change.
 # The race suite gets an explicit per-package timeout: the harness
 # package replays full (quick-scale) experiments under the detector's
-# ~10x slowdown and takes about 22 minutes on a 2-CPU host.
+# ~10x slowdown and took 2129 s (about 35 minutes) on a 2-CPU host,
+# close to the 40-minute limit.
 test: build vet
 	$(GO) test ./...
 	$(GO) test -race -timeout 40m ./...
@@ -72,7 +73,8 @@ sanitize-sweep:
 # equiv is the output-equivalence gate for refactors that must not move
 # a number: it builds BASE (from git archive) and the working tree, runs
 # both on every quick experiment (plain and -check), the quick run on
-# each non-HMC substrate, default-scale workloads and the examples, and
+# each non-HMC substrate and under -policy pim and auto, default-scale
+# workloads and the examples, and
 # cmp's every stdout/stderr pair (scripts/equiv.sh). EQUIVSCOPE=quick
 # stops after the quick-scale part.
 EQUIVSCOPE ?= all

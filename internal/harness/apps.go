@@ -69,13 +69,13 @@ func (e *Env) appRun(name string) (base, gpim machine.Result) {
 	key := traceKey{"app:" + name, e.AppVertices, e.Seed}
 	run := func(kind ConfigKind) machine.Result {
 		rkey := runKey{"app:" + name, e.AppVertices, kind, false, "", e.Seed}
-		return e.runCell(rkey, func() machine.Result {
+		return e.runCell(rkey, nil, func() machine.Result {
 			tr := e.traceCell(key, func() *tracedRun {
 				return e.buildTraced(mkGraph(), func(fw *gframe.Framework) workloads.Result {
 					return w.Run(fw)
 				})
 			})
-			return machine.RunSource(e.Config(kind, w), tr.fw.Space(), tr.stream)
+			return e.simulate(tr.stream, tr.fw.Space(), e.Config(kind, w))
 		})
 	}
 	return run(KindBaseline), run(KindGraphPIM)

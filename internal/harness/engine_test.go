@@ -2,9 +2,17 @@ package harness
 
 import (
 	"context"
+	"maps"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"graphpim/internal/machine"
+	"graphpim/internal/mem/backends"
+	"graphpim/internal/memmap"
+	"graphpim/internal/trace"
+	"graphpim/internal/workloads"
 )
 
 // testEnv returns a small environment sized for engine tests; its spill
@@ -235,4 +243,148 @@ func TestExperimentSetupErrorPropagates(t *testing.T) {
 			t.Fatalf("workers=%d: got a table alongside the error", workers)
 		}
 	}
+}
+
+// countSimulations swaps the runSource seam for one that counts every
+// simulation by key, restoring it when the test ends.
+func countSimulations(t *testing.T) func() map[simKey]int {
+	var mu sync.Mutex
+	calls := map[simKey]int{}
+	orig := runSource
+	t.Cleanup(func() { runSource = orig })
+	runSource = func(cfg machine.Config, space *memmap.AddressSpace, src trace.Source) machine.Result {
+		mu.Lock()
+		calls[simKey{src, space, cfg}]++
+		mu.Unlock()
+		return orig(cfg, space, src)
+	}
+	return func() map[simKey]int {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(calls)
+	}
+}
+
+// TestSharedSimulationAcrossLabels: fig11's 16-FU column is the Table IV
+// default machine, so after fig7 it must cost no simulation. Every
+// distinct (source, space, config) simulates exactly once, while fig11
+// still exports all 40 FU cells and each fu16 cell carries fig7's
+// GraphPIM result.
+func TestSharedSimulationAcrossLabels(t *testing.T) {
+	calls := countSimulations(t)
+	e := testEnv(t, 2)
+	e.Check = false
+	ctx := context.Background()
+	for _, id := range []string{"fig7-speedup", "fig11-fu-sweep"} {
+		ex, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, recs, err := e.RunExperimentObserved(ctx, ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != "fig11-fu-sweep" {
+			continue
+		}
+		fu := 0
+		for _, r := range recs {
+			if strings.HasPrefix(r.Variant, "fu") {
+				fu++
+			}
+		}
+		if want := 5 * len(workloads.EvalSet()); fu != want {
+			t.Fatalf("fig11 exported %d FU cells, want %d", fu, want)
+		}
+	}
+
+	got := calls()
+	for k, n := range got {
+		if n != 1 {
+			t.Fatalf("%s simulated %d times", k.cfg.Name, n)
+		}
+	}
+	e.mu.Lock()
+	slots := len(e.sims)
+	e.mu.Unlock()
+	// fig7: Baseline, U-PEI and GraphPIM per workload; fig11 adds only
+	// its 8, 4, 2 and 1 FU machines.
+	if want := 7 * len(workloads.EvalSet()); len(got) != want || slots != want {
+		t.Fatalf("%d simulations over %d slots, want %d distinct machines", len(got), slots, want)
+	}
+	for _, w := range workloads.EvalSet() {
+		info := w.Info()
+		key := runKey{info.Name, e.Vertices, KindGraphPIM, info.NeedsFPExtension, "", e.Seed}
+		fu16 := key
+		fu16.variant = "fu16"
+		e.mu.Lock()
+		def, shared := e.runs[key], e.runs[fu16]
+		e.mu.Unlock()
+		if !reflect.DeepEqual(shared.get(), def.get()) {
+			t.Fatalf("%s: fu16 result differs from fig7's GraphPIM result", info.Name)
+		}
+	}
+}
+
+// TestSimKeysHash: every backend's default configuration, and the FU,
+// cube-chain and vault-interleave variants of the default machine, must
+// be usable as simulation keys — a mem.Config holding a slice would
+// panic on insert — and an equal machine built twice must land on the
+// same key.
+func TestSimKeysHash(t *testing.T) {
+	configs := func() []machine.Config {
+		var out []machine.Config
+		for _, kind := range backends.Kinds() {
+			cfg := machine.GraphPIM(false)
+			cfg.Mem, _ = backends.DefaultConfig(kind)
+			out = append(out, cfg)
+		}
+		for _, adjust := range []func(*machine.Config){
+			func(c *machine.Config) { c.HMC.IntFUsPerVault = 8 },
+			func(c *machine.Config) { c.HMCCubes = 2 },
+			func(c *machine.Config) { c.HMC.VaultInterleaveShift = 2 },
+		} {
+			cfg := machine.GraphPIM(false)
+			adjust(&cfg)
+			out = append(out, cfg)
+		}
+		return out
+	}
+	keys := map[simKey]bool{}
+	first := configs()
+	for _, cfgs := range [][]machine.Config{first, configs()} {
+		for _, cfg := range cfgs {
+			keys[simKey{cfg: cfg}] = true
+		}
+	}
+	if len(keys) != len(first) {
+		t.Fatalf("%d distinct keys from %d machines built twice", len(keys), len(first))
+	}
+}
+
+// TestVariantLabelPinsOneMachine: a variant label names one machine; a
+// second RunVariant under the same label whose adjustment builds a
+// different machine must panic instead of returning the first one's
+// result.
+func TestVariantLabelPinsOneMachine(t *testing.T) {
+	orig := runSource
+	t.Cleanup(func() { runSource = orig })
+	runSource = func(machine.Config, *memmap.AddressSpace, trace.Source) machine.Result {
+		return machine.Result{}
+	}
+	w, err := workloads.ByName("BFS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := testEnv(t, 1)
+	e.Vertices = 512
+	e.RunVariant(w, KindGraphPIM, "x", func(c *machine.Config) { c.HMC.IntFUsPerVault = 8 })
+	e.RunVariant(w, KindGraphPIM, "x", func(c *machine.Config) { c.HMC.IntFUsPerVault = 8 })
+	defer func() {
+		r := recover()
+		if s, ok := r.(string); !ok || !strings.Contains(s, "BFS/GraphPIM/x") {
+			t.Fatalf("recovered %v, want a panic naming the label", r)
+		}
+	}()
+	e.RunVariant(w, KindGraphPIM, "x", func(c *machine.Config) { c.HMC.IntFUsPerVault = 4 })
 }

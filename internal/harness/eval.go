@@ -244,8 +244,8 @@ func fig14SizeSweep() Experiment {
 			t.Notes = append(t.Notes,
 				"paper shape: cache bypassing loses its edge (and can go negative) for graphs that fit in the LLC,",
 				"while the speedup over baseline stays, since atomic overhead is size-insensitive",
-				"scale ceiling: with the streaming trace pipeline (§13) and the streaming graph build (§14),",
-				"the sweep extends to million-vertex graphs via -stream; table6's projected rows cover",
+				"scale ceiling: every trace streams through the spill pipeline (§13) and every graph through",
+				"the streaming build (§14); make smoke-stream runs a 1M-vertex BFS; table6's projected rows cover",
 				"the paper-scale datasets beyond simulation reach")
 			return t
 		},

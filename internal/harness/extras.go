@@ -198,14 +198,14 @@ func extHybridMemory() Experiment {
 				hybridRun := func(cov float64, kind ConfigKind) machine.Result {
 					label := fmt.Sprintf("hybrid:%s@%g", name, cov)
 					rkey := runKey{label, e.Vertices, kind, false, "", e.Seed}
-					return e.runCell(rkey, func() machine.Result {
+					return e.runCell(rkey, nil, func() machine.Result {
 						tr := e.traceCell(traceKey{label, e.Vertices, e.Seed}, func() *tracedRun {
 							return e.buildTraced(e.Graph(e.Vertices), func(fw *gframe.Framework) workloads.Result {
 								fw.SetPMRCoverage(cov)
 								return w.Run(fw)
 							})
 						})
-						return machine.RunSource(e.Config(kind, w), tr.fw.Space(), tr.stream)
+						return e.simulate(tr.stream, tr.fw.Space(), e.Config(kind, w))
 					})
 				}
 				row := []string{name}
@@ -302,9 +302,9 @@ func extSeedStability() Experiment {
 						})
 					}
 					seedRun := func(kind ConfigKind) machine.Result {
-						return e.runCell(runKey{label, size, kind, false, "", seed}, func() machine.Result {
+						return e.runCell(runKey{label, size, kind, false, "", seed}, nil, func() machine.Result {
 							tr := e.traceCell(tkey, buildTrace)
-							return machine.RunSource(e.Config(kind, w), tr.fw.Space(), tr.stream)
+							return e.simulate(tr.stream, tr.fw.Space(), e.Config(kind, w))
 						})
 					}
 					base := seedRun(KindBaseline)

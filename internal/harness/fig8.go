@@ -55,12 +55,12 @@ func extDependentBlock() Experiment {
 						panic(fmt.Sprintf("harness: finalizing trace spill: %v", err))
 					}
 					sp.Freeze()
-					return machine.RunSource(e.scaleCaches(cfg), sp, st)
+					return e.simulate(st, sp, e.scaleCaches(cfg))
 				}
-				base := e.runCell(runKey{label, ops, KindBaseline, false, "", e.Seed}, func() machine.Result {
+				base := e.runCell(runKey{label, ops, KindBaseline, false, "", e.Seed}, nil, func() machine.Result {
 					return runDep(machine.Baseline())
 				})
-				gpim := e.runCell(runKey{label, ops, KindGraphPIM, false, "", e.Seed}, func() machine.Result {
+				gpim := e.runCell(runKey{label, ops, KindGraphPIM, false, "", e.Seed}, nil, func() machine.Result {
 					return runDep(machine.GraphPIM(false))
 				})
 				perOpB := float64(base.Cycles) * float64(e.Threads) / ops

@@ -26,6 +26,7 @@ import (
 	"graphpim/internal/graph"
 	"graphpim/internal/machine"
 	"graphpim/internal/mem/backends"
+	"graphpim/internal/memmap"
 	"graphpim/internal/obs"
 	"graphpim/internal/trace"
 	"graphpim/internal/tune"
@@ -51,6 +52,14 @@ const (
 
 // Env fixes the experiment scale and caches simulation artifacts so that
 // experiments sharing runs (Figs. 7, 9, 10, 12, 15, 16) pay for them once.
+//
+// Results are memoized at two levels. Label slots (runs, keyed by
+// runKey) are what experiments name: the engine's plan, the export
+// collector and PreloadRecords work on them. Simulation slots (sims,
+// keyed by simKey) are what the machine computes: one per distinct
+// (trace source, address space, resolved config), so label slots that
+// describe the same machine — fig11's 16-FU column and fig7's GraphPIM
+// cells, say — share one simulation.
 //
 // The memo maps are guarded by a mutex and every entry is a once-guarded
 // slot, so simulation cells may be computed from many goroutines at once
@@ -111,6 +120,7 @@ type Env struct {
 	graphs map[int]*graphSlot
 	traces map[traceKey]*traceSlot
 	runs   map[runKey]*runSlot
+	sims   map[simKey]*simSlot
 	// rec is non-nil during the engine's recording pass (engine.go).
 	rec *recorder
 	// col is non-nil during an observed replay pass (engine.go): it
@@ -133,7 +143,18 @@ type runKey struct {
 	seed     uint64
 }
 
-// graphSlot, traceSlot, and runSlot are once-guarded memo cells: the
+// simKey names one deterministic simulation by everything it reads: the
+// trace source (a *trace.Stream, or trace.StripSource of one), the
+// address space it was traced into, and the fully resolved machine.
+// machine.Config is comparable; a mem.Config holding a slice or map
+// would make the key unhashable (TestSimKeysHash).
+type simKey struct {
+	src   trace.Source
+	space *memmap.AddressSpace
+	cfg   machine.Config
+}
+
+// graphSlot, traceSlot, runSlot and simSlot are once-guarded memo cells: the
 // first goroutine to need the value builds it, concurrent callers block
 // until it is ready, and everyone observes the same artifact.
 type graphSlot struct {
@@ -168,6 +189,11 @@ type runSlot struct {
 	// preloaded from a recorded run); written inside the once guard, so
 	// any get() caller observes it.
 	wall time.Duration
+	// cfg pins the machine a static-kind label resolved to when the slot
+	// was created; nil for KindAuto cells (the tuner needs the trace),
+	// preloaded cells and cells whose key already fixes the machine.
+	// Written once under the Env lock and never again.
+	cfg *machine.Config
 }
 
 func (s *runSlot) get() machine.Result {
@@ -178,6 +204,11 @@ func (s *runSlot) get() machine.Result {
 		s.compute = nil
 	})
 	return s.res
+}
+
+type simSlot struct {
+	once sync.Once
+	res  machine.Result
 }
 
 // tracedRun is one workload's functional execution and its trace: a v2
@@ -220,6 +251,7 @@ func (e *Env) initLocked() {
 		e.graphs = make(map[int]*graphSlot)
 		e.traces = make(map[traceKey]*traceSlot)
 		e.runs = make(map[runKey]*runSlot)
+		e.sims = make(map[simKey]*simSlot)
 	}
 }
 
@@ -302,18 +334,22 @@ func (e *Env) traceCell(key traceKey, build func() *tracedRun) *tracedRun {
 }
 
 // runCell memoizes one simulation cell under key, computing it with
-// compute on first use. During the engine's recording pass the cell is
-// only registered in the plan and a zero Result is returned — experiment
-// logic never branches on result values while recording, and the pass's
-// output is discarded. During an observed replay pass the cell is also
-// registered with the collector, so RunExperimentObserved can export a
-// Record for every cell the experiment touched.
-func (e *Env) runCell(key runKey, compute func() machine.Result) machine.Result {
+// compute on first use. A non-nil cfg is the machine the caller resolved
+// the label to: the first call pins it on the slot, and a later call
+// that resolves the same label to a different machine panics rather
+// than silently reading the first machine's result. During the engine's
+// recording pass the cell is only registered in the plan and a zero
+// Result is returned — experiment logic never branches on result values
+// while recording, and the pass's output is discarded. During an
+// observed replay pass the cell is also registered with the collector,
+// so RunExperimentObserved can export a Record for every cell the
+// experiment touched.
+func (e *Env) runCell(key runKey, cfg *machine.Config, compute func() machine.Result) machine.Result {
 	e.mu.Lock()
 	e.initLocked()
 	s, ok := e.runs[key]
 	if !ok {
-		s = &runSlot{compute: compute}
+		s = &runSlot{compute: compute, cfg: cfg}
 		e.runs[key] = s
 	}
 	rec := e.rec
@@ -321,11 +357,42 @@ func (e *Env) runCell(key runKey, compute func() machine.Result) machine.Result 
 		e.col.add(key, s)
 	}
 	e.mu.Unlock()
+	if cfg != nil && s.cfg != nil && *cfg != *s.cfg {
+		panic(fmt.Sprintf("harness: label %s resolves to two machines:\nfirst:  %+v\nlater:  %+v",
+			cellLabel(key), *s.cfg, *cfg))
+	}
 	if rec != nil {
 		rec.add(key, s)
 		return machine.Result{}
 	}
 	return s.get()
+}
+
+// runSource is the seam through which simulate replays a source. Tests
+// override it to count the simulations an Env runs.
+var runSource = machine.RunSource
+
+// simulate replays src, traced into space, on cfg, memoized under all
+// three: every cell that reaches the same source on an equal machine
+// shares one simulation, whatever label it is filed under. A replay is
+// a deterministic function of the key, so sharing moves no number.
+func (e *Env) simulate(src trace.Source, space *memmap.AddressSpace, cfg machine.Config) machine.Result {
+	key := simKey{src, space, cfg}
+	s := func() *simSlot {
+		// Deferred unlock: an unhashable key panics in the lookup,
+		// and the lock must not outlive that panic.
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		e.initLocked()
+		s, ok := e.sims[key]
+		if !ok {
+			s = &simSlot{}
+			e.sims[key] = s
+		}
+		return s
+	}()
+	s.once.Do(func() { s.res = runSource(cfg, space, src) })
+	return s.res
 }
 
 // buildTraced executes run against a fresh framework over g whose trace
@@ -360,12 +427,14 @@ func (e *Env) spill() (*os.File, *trace.StreamWriter) {
 }
 
 // Close releases every spill file the Env's traces hold and drops those
-// traces from the memo, so a later cell that needs one traces it again.
-// Call it once no replay is running; memoized results stay, and the Env
+// traces from the memo, so a later cell that needs one traces it again,
+// together with the simulation slots keyed by their sources. Call it
+// once no replay is running; label-memoized results stay, and the Env
 // remains usable.
 func (e *Env) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	clear(e.sims)
 	var first error
 	for k, s := range e.traces {
 		if s.tr == nil {
@@ -423,45 +492,45 @@ func kindForPlacement(p tune.Placement) ConfigKind {
 	}
 }
 
+// adjusted is Config(kind, w) with the caller's variant adjustment, if
+// any, applied.
+func (e *Env) adjusted(kind ConfigKind, w workloads.Workload, adjust func(*machine.Config)) machine.Config {
+	cfg := e.Config(kind, w)
+	if adjust != nil {
+		adjust(&cfg)
+	}
+	return cfg
+}
+
 // configFor resolves one cell's machine configuration. Static kinds go
 // through Config (plus the caller's variant adjustment) unchanged;
 // KindAuto profiles the built graph and trace totals, asks the tuner
-// for a placement against the adjusted substrate, and rebuilds the
-// chosen static configuration, renamed after the decision so
-// Result.Config records what the tuner picked. The non-nil Decision
-// carries the features for stats injection.
+// for a placement against the adjusted substrate, and returns the
+// chosen static configuration as is, so an auto cell shares its
+// simulation with the static cell it picked. The non-nil Decision
+// carries the features and the name noteDecision records.
 func (e *Env) configFor(kind ConfigKind, w workloads.Workload, tr *tracedRun,
 	adjust func(*machine.Config)) (machine.Config, *tune.Decision) {
 	if kind != KindAuto {
-		cfg := e.Config(kind, w)
-		if adjust != nil {
-			adjust(&cfg)
-		}
-		return cfg, nil
+		return e.adjusted(kind, w, adjust), nil
 	}
 	// Probe with the GraphPIM assembly: the tuner needs the cell's LLC
 	// capacity and memory substrate, both of which the variant
 	// adjustment may change (e.g. the backend-shootout kind swap).
-	probe := e.Config(KindGraphPIM, w)
-	if adjust != nil {
-		adjust(&probe)
-	}
+	probe := e.adjusted(KindGraphPIM, w, adjust)
 	_, _, propBytes := tr.fw.Space().Footprint()
 	f := tune.Profile(tr.fw.Graph(), propBytes, uint64(probe.Cache.L3Size),
 		tune.TotalCounts(tr.stream), w.Info().NeedsFPExtension)
 	d := tune.Choose(f, probe.Substrate())
-	cfg := e.Config(kindForPlacement(d.Placement), w)
-	if adjust != nil {
-		adjust(&cfg)
-	}
-	// The machine executes exactly what the static kind would; only the
-	// name records that the tuner chose it.
-	cfg.Name = "Auto(" + cfg.Name + ")"
-	return cfg, &d
+	return e.adjusted(kindForPlacement(d.Placement), w, adjust), &d
 }
 
-// noteDecision folds a tuner decision's counters into a result's stats
-// map so JSONL records (and therefore replays) explain the placement.
+// noteDecision marks a tuner-placed result: Result.Config becomes
+// "Auto(<chosen>)" and the decision's counters join the stats map, so
+// JSONL records (and therefore replays) explain the placement. The
+// machine executed exactly what the static kind would; only the record
+// says the tuner chose it. The shared stats map is copied, never
+// written.
 func noteDecision(res machine.Result, d *tune.Decision) machine.Result {
 	if d == nil {
 		return res
@@ -474,15 +543,8 @@ func noteDecision(res machine.Result, d *tune.Decision) machine.Result {
 		stats[k] = v
 	}
 	res.Stats = stats
+	res.Config = "Auto(" + res.Config + ")"
 	return res
-}
-
-// replay runs one cell: it resolves kind's machine for w against the
-// built trace (adjust, if non-nil, tweaks it) and replays the trace.
-func (e *Env) replay(kind ConfigKind, w workloads.Workload, tr *tracedRun,
-	adjust func(*machine.Config)) machine.Result {
-	cfg, dec := e.configFor(kind, w, tr, adjust)
-	return noteDecision(machine.RunSource(cfg, tr.fw.Space(), tr.stream), dec)
 }
 
 // Simulate traces w on g and replays the trace under kind (after the
@@ -492,7 +554,8 @@ func (e *Env) replay(kind ConfigKind, w workloads.Workload, tr *tracedRun,
 func (e *Env) Simulate(g *graph.Graph, w workloads.Workload, kind ConfigKind) (machine.Result, any) {
 	tr := e.buildTraced(g, w.Run)
 	defer tr.spill.Close()
-	return e.replay(e.policyKind(kind), w, tr, nil), tr.res.Output
+	cfg, dec := e.configFor(e.policyKind(kind), w, tr, nil)
+	return noteDecision(machine.RunSource(cfg, tr.fw.Space(), tr.stream), dec), tr.res.Output
 }
 
 // Run simulates w under the given configuration, memoizing results.
@@ -502,22 +565,16 @@ func (e *Env) Run(w workloads.Workload, kind ConfigKind) machine.Result {
 
 // RunSized is Run at an explicit graph size.
 func (e *Env) RunSized(w workloads.Workload, vertices int, kind ConfigKind) machine.Result {
-	kind = e.policyKind(kind)
-	key := runKey{w.Info().Name, vertices, kind, w.Info().NeedsFPExtension, "", e.Seed}
-	return e.runCell(key, func() machine.Result {
-		return e.replay(kind, w, e.Trace(w, vertices), nil)
-	})
+	return e.runLabel(w, vertices, e.policyKind(kind), "", nil)
 }
 
 // RunVariant simulates with a caller-adjusted configuration, memoized
-// under the variant label.
+// under the variant label. A label names one machine per (workload,
+// kind): reusing it with an adjustment that builds a different machine
+// panics.
 func (e *Env) RunVariant(w workloads.Workload, kind ConfigKind, variant string,
 	adjust func(*machine.Config)) machine.Result {
-	kind = e.policyKind(kind)
-	key := runKey{w.Info().Name, e.Vertices, kind, w.Info().NeedsFPExtension, variant, e.Seed}
-	return e.runCell(key, func() machine.Result {
-		return e.replay(kind, w, e.Trace(w, e.Vertices), adjust)
-	})
+	return e.runLabel(w, e.Vertices, e.policyKind(kind), variant, adjust)
 }
 
 // RunAutoVariant simulates w with the autotuner choosing the placement
@@ -526,9 +583,27 @@ func (e *Env) RunVariant(w workloads.Workload, kind ConfigKind, variant string,
 // alike, so backend swaps steer the decision.
 func (e *Env) RunAutoVariant(w workloads.Workload, variant string,
 	adjust func(*machine.Config)) machine.Result {
-	key := runKey{w.Info().Name, e.Vertices, KindAuto, w.Info().NeedsFPExtension, variant, e.Seed}
-	return e.runCell(key, func() machine.Result {
-		return e.replay(KindAuto, w, e.Trace(w, e.Vertices), adjust)
+	return e.runLabel(w, e.Vertices, KindAuto, variant, adjust)
+}
+
+// runLabel is the memoized cell behind Run, RunVariant and
+// RunAutoVariant: w's trace at the given size replayed on kind's
+// machine (adjusted), filed under its label and simulated through
+// simulate. A static kind's machine is resolved before the label slot
+// is looked up, so runCell can pin it; KindAuto resolves inside the
+// cell, where the trace is at hand.
+func (e *Env) runLabel(w workloads.Workload, vertices int, kind ConfigKind, variant string,
+	adjust func(*machine.Config)) machine.Result {
+	key := runKey{w.Info().Name, vertices, kind, w.Info().NeedsFPExtension, variant, e.Seed}
+	var pinned *machine.Config
+	if kind != KindAuto {
+		cfg := e.adjusted(kind, w, adjust)
+		pinned = &cfg
+	}
+	return e.runCell(key, pinned, func() machine.Result {
+		tr := e.Trace(w, vertices)
+		cfg, dec := e.configFor(kind, w, tr, adjust)
+		return noteDecision(e.simulate(tr.stream, tr.fw.Space(), cfg), dec)
 	})
 }
 

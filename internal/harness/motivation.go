@@ -82,9 +82,9 @@ func fig4AtomicOverhead() Experiment {
 				// Replay the stripped trace under the same machine.
 				w := w
 				key := runKey{w.Info().Name, e.Vertices, KindBaseline, w.Info().NeedsFPExtension, "strip", e.Seed}
-				withoutRes := e.runCell(key, func() machine.Result {
+				withoutRes := e.runCell(key, nil, func() machine.Result {
 					tr := e.Trace(w, e.Vertices)
-					return machine.RunSource(e.Config(KindBaseline, w), tr.fw.Space(), trace.StripSource(tr.stream))
+					return e.simulate(trace.StripSource(tr.stream), tr.fw.Space(), e.Config(KindBaseline, w))
 				})
 				norm := float64(withRes.Cycles) / float64(withoutRes.Cycles)
 				overhead := 1 - float64(withoutRes.Cycles)/float64(withRes.Cycles)

@@ -10,7 +10,8 @@
 #
 #   quick  `run -quick -q -format json <id>` for every `list` id, with and
 #          without -check, plus `run -quick -q -format json -mem M all`
-#          for M in ddr, lpddr, vault.
+#          for M in ddr, lpddr, vault and `... -policy P all` for P in
+#          pim, auto (placement remaps kinds before the memo keys).
 #   all    (default) quick, plus `workload` at default scale for
 #          {BFS,PRank,SpMV} x {baseline,upei,graphpim}, BFS with
 #          -policy auto, -mem vault, -mem ddr and -quick, and
@@ -79,6 +80,9 @@ for id in $("$dir/base/graphpim" list | awk '{print $1}'); do
 done
 for m in ddr lpddr vault; do
 	check "run-mem-$m" graphpim run -quick -q -format json -mem "$m" all
+done
+for p in pim auto; do
+	check "run-policy-$p" graphpim run -quick -q -format json -policy "$p" all
 done
 
 if [ "$scope" = all ]; then
