@@ -45,6 +45,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildStream$$' -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzLaneReserve$$' -fuzztime $(FUZZTIME) ./internal/mem/dram/
 	$(GO) test -run '^$$' -fuzz '^FuzzBackendAudit$$' -fuzztime $(FUZZTIME) ./internal/mem/backends/
+	$(GO) test -run '^$$' -fuzz '^FuzzChannelConfig$$' -fuzztime $(FUZZTIME) ./internal/mem/channel/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadRecords$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzTimeq$$' -fuzztime $(FUZZTIME) ./internal/cpu/
 	$(GO) test -run '^$$' -fuzz '^FuzzArrayLRU$$' -fuzztime $(FUZZTIME) ./internal/cache/

@@ -8,7 +8,6 @@ import (
 	"graphpim/internal/graph"
 	"graphpim/internal/machine"
 	"graphpim/internal/mem/backends"
-	"graphpim/internal/mem/ddr"
 	"graphpim/internal/replicate"
 	"graphpim/internal/workloads"
 )
@@ -151,7 +150,7 @@ func extDDRHost() Experiment {
 			t := &Table{ID: "ext-ddr-host",
 				Title:   "Speedups by memory backend (HMC vs PIM-less DDR)",
 				Headers: []string{"workload", "GPIM/base (HMC)", "DDR base vs HMC base", "GPIM/base (DDR)"}}
-			onDDR := func(c *machine.Config) { c.Mem = ddr.DefaultConfig() }
+			onDDR := func(c *machine.Config) { c.Mem, _ = backends.DefaultConfig("ddr") }
 			for _, w := range workloads.EvalSet() {
 				base := e.Run(w, KindBaseline)
 				gpim := e.Run(w, KindGraphPIM)

@@ -8,8 +8,7 @@ import (
 	"graphpim/internal/hmc"
 	"graphpim/internal/mem"
 	"graphpim/internal/mem/backends"
-	"graphpim/internal/mem/ddr"
-	"graphpim/internal/mem/lpddr"
+	"graphpim/internal/mem/channel"
 	"graphpim/internal/memmap"
 	"graphpim/internal/sim"
 	"graphpim/internal/trace"
@@ -47,9 +46,15 @@ func TestExplicitHMCBackendIdentity(t *testing.T) {
 	}
 }
 
+// channelRow returns kind's default row of the channel backend.
+func channelRow(kind string) channel.Config {
+	c, _ := backends.DefaultConfig(kind)
+	return c.(channel.Config)
+}
+
 // ddrConfig returns cfg running on the DDR backend.
 func ddrConfig(cfg Config) Config {
-	cfg.Mem = ddr.DefaultConfig()
+	cfg.Mem = channelRow("ddr")
 	return cfg
 }
 
@@ -222,8 +227,8 @@ func fpTrace() (*memmap.AddressSpace, *trace.Trace) {
 // accumulate to the host path and counts it per op.
 func TestLPDDRFallbackCounterOnFPLessMAC(t *testing.T) {
 	sp, tr := fpTrace()
-	lc := lpddr.DefaultConfig()
-	lc.HasFP = false
+	lc := channelRow("lpddr")
+	lc.Cost[channel.FP] = 0
 	cfg := GraphPIM(true)
 	cfg.Mem = lc
 	cfg.Check = check.Periodic
@@ -243,7 +248,7 @@ func TestLPDDRFallbackCounterOnFPLessMAC(t *testing.T) {
 
 	// The FP-capable default MAC has no fallbacks on the same trace.
 	full := GraphPIM(true)
-	full.Mem = lpddr.DefaultConfig()
+	full.Mem = channelRow("lpddr")
 	full.Check = check.Periodic
 	fres := RunTrace(full, sp, tr)
 	if n := fres.Stats["pou.fallbacks.EXT_FPADD64"]; n != 0 {
@@ -320,7 +325,7 @@ func TestFaultInjectionDDRBusLane(t *testing.T) {
 	cfg.Check = check.Periodic
 	cfg.CheckInterval = 64
 	m := NewSource(cfg, sp, tr)
-	corruptAtTick(t, 400, func() { m.mem.(*ddr.System).CorruptBusLaneForTest() })
+	corruptAtTick(t, 400, func() { m.mem.(*channel.System).CorruptLaneForTest() })
 	f := expectFailure(t, "ddr", func() { m.Run(0) })
 	if f.Cycle == 0 {
 		t.Fatalf("failure carries no cycle: %v", f)

@@ -56,8 +56,9 @@ type Config struct {
 	HMCCubes int
 
 	// Mem selects the main-memory backend. Nil means the default HMC
-	// chain built from HMC/HMCCubes; set it (e.g. to a ddr.Config) to
-	// run the same machine on a different substrate.
+	// chain built from HMC/HMCCubes; set it (e.g. to
+	// backends.DefaultConfig("ddr")) to run the same machine on a
+	// different substrate.
 	Mem mem.Config
 
 	// HostAtomicRMW is the extra in-core cycles a host atomic spends

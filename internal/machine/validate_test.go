@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"graphpim/internal/hmc"
-	"graphpim/internal/mem/ddr"
 )
 
 // TestValidateAcceptsShippedConfigs: every configuration the package
@@ -24,7 +23,7 @@ func TestValidateAcceptsShippedConfigs(t *testing.T) {
 		}
 	}
 	ddrCfg := Baseline()
-	ddrCfg.Mem = ddr.DefaultConfig()
+	ddrCfg.Mem = channelRow("ddr")
 	if err := ddrCfg.Validate(); err != nil {
 		t.Errorf("DDR-backed baseline: %v", err)
 	}
@@ -55,14 +54,14 @@ func TestValidateRejectsPerField(t *testing.T) {
 			c.Mem = hc
 		}, "bank"},
 		{"bad ddr backend", func(c *Config) {
-			dc := ddr.DefaultConfig()
+			dc := channelRow("ddr")
 			dc.Channels = 5
 			c.Mem = dc
 		}, "channel"},
 		{"HMC link too slow for a line", func(c *Config) { c.HMC.LinkBWScale = 0.01 }, "epoch budget"},
 		{"ddr bus too slow for a burst", func(c *Config) {
-			dc := ddr.DefaultConfig()
-			dc.ChannelGBs = 1
+			dc := channelRow("ddr")
+			dc.LaneGBs = 1
 			c.Mem = dc
 		}, "epoch budget"},
 	}

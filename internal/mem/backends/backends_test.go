@@ -9,10 +9,8 @@ import (
 	"graphpim/internal/hmc"
 	"graphpim/internal/hmcatomic"
 	"graphpim/internal/mem"
-	"graphpim/internal/mem/ddr"
+	"graphpim/internal/mem/channel"
 	"graphpim/internal/mem/dram"
-	"graphpim/internal/mem/lpddr"
-	"graphpim/internal/mem/vault"
 	"graphpim/internal/memmap"
 	"graphpim/internal/sim"
 )
@@ -107,31 +105,24 @@ func TestTinyLaneRateRejected(t *testing.T) {
 	// largest bytes.
 	minGBs := func(largest float64) float64 { return largest / dram.EpochCycles * sim.CoreClockGHz }
 	hmcLinks := hmc.DefaultConfig().LinkGBs * float64(hmc.DefaultConfig().NumLinks)
-	cases := []struct {
+	type tcase struct {
 		kind string
 		min  float64
 		set  func(rate float64) mem.Config
-	}{
+	}
+	cases := []tcase{
 		{"hmc", minGBs(5*hmcatomic.FlitBytes) / hmcLinks, func(r float64) mem.Config {
 			c := hmc.DefaultPoolConfig(1)
 			c.Cube.LinkBWScale = r
 			return c
 		}},
-		{"ddr", minGBs(64), func(r float64) mem.Config {
-			c := ddr.DefaultConfig()
-			c.ChannelGBs = r
+	}
+	for _, row := range channel.Rows() {
+		cases = append(cases, tcase{row.Kind(), minGBs(64), func(r float64) mem.Config {
+			c := row
+			c.LaneGBs = r
 			return c
-		}},
-		{"lpddr", minGBs(64), func(r float64) mem.Config {
-			c := lpddr.DefaultConfig()
-			c.ChannelGBs = r
-			return c
-		}},
-		{"vault", minGBs(64), func(r float64) mem.Config {
-			c := vault.DefaultConfig()
-			c.LinkGBs = r
-			return c
-		}},
+		}})
 	}
 	for _, tc := range cases {
 		t.Run(tc.kind, func(t *testing.T) {

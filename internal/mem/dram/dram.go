@@ -1,8 +1,8 @@
 // Package dram is the DRAM core every memory substrate shares: the
 // epoch-budget Lane that meters a link or data bus, the row-buffer
 // Banks model, and the channel-interleaved Route from an address to its
-// bank and row. The hmc, ddr, lpddr and vault backends call these types
-// directly and keep only what makes each of them different: geometry,
+// bank and row. The hmc and channel backends call these types directly
+// and keep only what makes each of them different: geometry, transport,
 // PIM units, counter names and conservation audits.
 package dram
 

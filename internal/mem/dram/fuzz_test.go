@@ -3,16 +3,9 @@ package dram_test
 import (
 	"testing"
 
-	"graphpim/internal/mem/ddr"
+	"graphpim/internal/mem/channel"
 	"graphpim/internal/mem/dram"
-	"graphpim/internal/mem/lpddr"
-	"graphpim/internal/mem/vault"
-	"graphpim/internal/sim"
 )
-
-// bytesPerCycle converts a GB/s rate to bytes per core cycle, the way
-// the byte-metered backends size their lanes.
-func bytesPerCycle(gbs float64) float64 { return gbs * 1e9 / (sim.CoreClockGHz * 1e9) }
 
 // FuzzLaneReserve drives Lane.Reserve with arbitrary ready times and
 // transfer sizes and checks the lane's contract on every call: a
@@ -33,10 +26,9 @@ func FuzzLaneReserve(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 4, 10, 4, 5, 1})
 	f.Add(uint8(1), []byte{255, 8, 0, 8, 128, 2, 7, 7})
 	f.Add(uint8(3), []byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
-	rates := []float64{0.5, 1, 3.75, 15, 30,
-		bytesPerCycle(ddr.DefaultConfig().ChannelGBs),
-		bytesPerCycle(lpddr.DefaultConfig().ChannelGBs),
-		bytesPerCycle(vault.DefaultConfig().LinkGBs),
+	rates := []float64{0.5, 1, 3.75, 15, 30}
+	for _, c := range channel.Rows() { // ddr, lpddr, vault
+		rates = append(rates, dram.BytesPerCycle(c.LaneGBs))
 	}
 	f.Fuzz(func(t *testing.T, rateSel uint8, script []byte) {
 		l := dram.NewLane(rates[int(rateSel)%len(rates)])

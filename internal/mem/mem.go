@@ -2,20 +2,19 @@
 // that owns line fills, posted writebacks, uncacheable sub-line accesses,
 // and — when the substrate has near-memory compute — instruction-level
 // atomic offload. The machine, cache hierarchy, and POU speak only this
-// interface; concrete substrates live in the subpackages:
+// interface; concrete substrates live in two packages:
 //
 //   - internal/hmc — the paper's HMC 2.0 cube chain (Table IV/V);
-//   - mem/ddr — a channel/rank/bank DDR4-style host-memory model with no
-//     PIM units, the conventional-system baseline substrate;
-//   - mem/lpddr — a mobile LPDDR5X-PIM point with bank-group MAC units
-//     in a slower PIM clock domain;
-//   - mem/vault — an UPMEM-style substrate with one general-purpose
-//     scalar core per vault, accepting whole RMW bundles.
+//   - mem/channel — one channel backend with three rows: ddr, a
+//     DDR4-style host memory with no PIM units (the conventional-system
+//     baseline); lpddr, an LPDDR5X-PIM point with bank-group MAC units in
+//     a slower PIM clock; and vault, UPMEM-style vaults with one
+//     general-purpose scalar core each, accepting whole RMW bundles.
 //
-// All four share one DRAM core, mem/dram: the epoch-budget Lane that
-// meters links and buses, the row-buffer Banks model with its outcome
-// audit, and the channel-interleaved Route. A substrate adds only its
-// geometry, interconnect rates, PIM units and counter names.
+// Both share one DRAM core, mem/dram: the epoch-budget Lane that meters
+// links and buses, the row-buffer Banks model with its outcome audit,
+// and the channel-interleaved Route. A channel row adds only data: its
+// geometry, transport, PIM-unit costs and counter names.
 //
 // mem/backends is the fixed list of kinds, in the order CLI listings
 // present them, with each kind's default configuration.
@@ -24,9 +23,9 @@
 // whether the backend can execute an atomic near memory, and the POU
 // falls back to the host-atomic path when it cannot, so a GraphPIM
 // configuration on a PIM-less backend degrades gracefully instead of
-// panicking. Backends whose near-memory units are programmable cores
-// additionally implement BundleBackend, the general-purpose tier that
-// offloads atomics with no fixed-function command.
+// panicking. BundleBackend is the general-purpose tier that offloads
+// atomics with no fixed-function command; CanOffloadBundle reports
+// whether a backend's near-memory units are programmable cores.
 //
 // Counters are backend-namespaced ("hmc.*", "ddr.*"). The package keeps
 // a small alias table from canonical backend-neutral names ("mem.reads",
@@ -141,9 +140,11 @@ const (
 	StatUCReads  = "mem.uc.reads"
 	StatUCWrites = "mem.uc.writes"
 	StatAtomics  = "mem.atomics"
-	// StatReqFlits/StatRspFlits are HMC link traffic; StatReqBytes/
-	// StatRspBytes are DDR data-bus traffic. The units differ, so the
-	// flit and byte aliases are kept separate rather than summed.
+	// StatReqFlits/StatRspFlits are HMC link traffic in FLITs;
+	// StatReqBytes/StatRspBytes are the channel backend's transport
+	// traffic in bytes (the ddr and lpddr data buses, the vault links).
+	// The units differ, so the flit and byte aliases are kept separate
+	// rather than summed.
 	StatReqFlits = "mem.req.flits"
 	StatRspFlits = "mem.rsp.flits"
 	StatReqBytes = "mem.req.bytes"
@@ -172,8 +173,8 @@ var aliasTable = map[string][]string{
 // to (nil for an unknown canonical name).
 func Aliases(canonical string) []string { return aliasTable[canonical] }
 
-// alias returns the alias of canonical in kind's namespace, or "".
-func alias(canonical, kind string) string {
+// Alias returns the alias of canonical in kind's namespace, or "".
+func Alias(canonical, kind string) string {
 	for _, a := range aliasTable[canonical] {
 		if strings.HasPrefix(a, kind+".") {
 			return a
@@ -186,18 +187,18 @@ func alias(canonical, kind string) string {
 // empty when the kind has no alias for it.
 func Names(kind string) CounterNames {
 	return CounterNames{
-		Reads:    alias(StatReads, kind),
-		Writes:   alias(StatWrites, kind),
-		UCReads:  alias(StatUCReads, kind),
-		UCWrites: alias(StatUCWrites, kind),
-		Atomics:  alias(StatAtomics, kind),
+		Reads:    Alias(StatReads, kind),
+		Writes:   Alias(StatWrites, kind),
+		UCReads:  Alias(StatUCReads, kind),
+		UCWrites: Alias(StatUCWrites, kind),
+		Atomics:  Alias(StatAtomics, kind),
 	}
 }
 
 // FlitTraffic reports whether kind's interconnect counters are
 // FLIT-based (HMC links) rather than byte-based (unknown kinds report
 // false).
-func FlitTraffic(kind string) bool { return alias(StatReqFlits, kind) != "" }
+func FlitTraffic(kind string) bool { return Alias(StatReqFlits, kind) != "" }
 
 // Stat resolves a canonical backend-neutral counter name against a
 // stats snapshot, summing every namespace's alias. Exactly one backend
