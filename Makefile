@@ -17,8 +17,8 @@ vet:
 # detector silent on every change.
 # The race suite gets an explicit per-package timeout: the harness
 # package replays full (quick-scale) experiments under the detector's
-# ~10x slowdown and took 2129 s (about 35 minutes) on a 2-CPU host,
-# close to the 40-minute limit.
+# ~10x slowdown and took 2052 s (about 34 minutes) on an otherwise idle
+# 2-CPU host, close to the 40-minute limit.
 test: build vet
 	$(GO) test ./...
 	$(GO) test -race -timeout 40m ./...
@@ -44,6 +44,8 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEdgeList$$' -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildStream$$' -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzLaneReserve$$' -fuzztime $(FUZZTIME) ./internal/mem/dram/
+	$(GO) test -run '^$$' -fuzz '^FuzzLaneSlack$$' -fuzztime $(FUZZTIME) ./internal/mem/dram/
+	$(GO) test -run '^$$' -fuzz '^FuzzFUSlack$$' -fuzztime $(FUZZTIME) ./internal/hmc/
 	$(GO) test -run '^$$' -fuzz '^FuzzBackendAudit$$' -fuzztime $(FUZZTIME) ./internal/mem/backends/
 	$(GO) test -run '^$$' -fuzz '^FuzzChannelConfig$$' -fuzztime $(FUZZTIME) ./internal/mem/channel/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadRecords$$' -fuzztime $(FUZZTIME) ./internal/obs/

@@ -267,9 +267,10 @@ func countSimulations(t *testing.T) func() map[simKey]int {
 
 // TestSharedSimulationAcrossLabels: fig11's 16-FU column is the Table IV
 // default machine, so after fig7 it must cost no simulation. Every
-// distinct (source, space, config) simulates exactly once, while fig11
-// still exports all 40 FU cells and each fu16 cell carries fig7's
-// GraphPIM result.
+// distinct (source, space, config) gets a slot and simulates at most
+// once, while fig11 still exports all 40 FU cells and each fu16 cell
+// carries fig7's GraphPIM result. The FU counts that fig7's 16-FU
+// certificates cover simulate not at all (certified sharing).
 func TestSharedSimulationAcrossLabels(t *testing.T) {
 	calls := countSimulations(t)
 	e := testEnv(t, 2)
@@ -308,9 +309,13 @@ func TestSharedSimulationAcrossLabels(t *testing.T) {
 	slots := len(e.sims)
 	e.mu.Unlock()
 	// fig7: Baseline, U-PEI and GraphPIM per workload; fig11 adds only
-	// its 8, 4, 2 and 1 FU machines.
-	if want := 7 * len(workloads.EvalSet()); len(got) != want || slots != want {
-		t.Fatalf("%d simulations over %d slots, want %d distinct machines", len(got), slots, want)
+	// its 8, 4, 2 and 1 FU machines, of which 14 at this scale reuse a
+	// covering fig7 result.
+	if want := 7 * len(workloads.EvalSet()); slots != want {
+		t.Fatalf("%d slots, want %d distinct machines", slots, want)
+	}
+	if want := 7*len(workloads.EvalSet()) - 14; len(got) != want {
+		t.Fatalf("%d simulations, want %d", len(got), want)
 	}
 	for _, w := range workloads.EvalSet() {
 		info := w.Info()
@@ -323,6 +328,61 @@ func TestSharedSimulationAcrossLabels(t *testing.T) {
 		if !reflect.DeepEqual(shared.get(), def.get()) {
 			t.Fatalf("%s: fu16 result differs from fig7's GraphPIM result", info.Name)
 		}
+	}
+}
+
+// TestCertifiedSharingIsExact is the exactness gate of certified
+// sharing. It runs fig7, fig11 and fig13 at quick scale, serially so
+// that every earlier cell has finished when the next one looks for a
+// covering result, and replays again every machine that reused a family
+// member's result instead of simulating: each fresh replay must equal
+// the shared result. It pins the simulation count, and checks that a
+// machine outside its certificate simulates: CComp's FUs waited at 16,
+// so its fu8 machine must replay.
+func TestCertifiedSharingIsExact(t *testing.T) {
+	calls := countSimulations(t)
+	e := testEnv(t, 1)
+	e.Check = false
+	e.Vertices = 2048
+	ctx := context.Background()
+	for _, id := range []string{"fig7-speedup", "fig11-fu-sweep", "fig13-linkbw"} {
+		ex, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.RunExperiment(ctx, ex); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := calls()
+	e.mu.Lock()
+	sims := maps.Clone(e.sims)
+	e.mu.Unlock()
+	reused := 0
+	for k, s := range sims {
+		if got[k] != 0 {
+			continue
+		}
+		reused++
+		if fresh := machine.RunSource(k.cfg, k.space, k.src); !reflect.DeepEqual(fresh, s.res) {
+			t.Fatalf("%s with %d FUs at link scale %g reused a result its replay does not give:\nreused: %+v\nreplay: %+v",
+				k.cfg.Name, k.cfg.HMC.IntFUsPerVault, k.cfg.HMC.LinkBWScale, s.res, fresh)
+		}
+	}
+	// fig7 simulates 3 machines per workload, fig11 and fig13 add 4
+	// each; 34 of those 64 sweep machines are covered at this scale.
+	n := len(workloads.EvalSet())
+	if len(sims) != 11*n || len(got) != 11*n-34 || reused != 34 {
+		t.Fatalf("%d machines, %d simulated, %d reused; want %d, %d, 34", len(sims), len(got), reused, 11*n, 11*n-34)
+	}
+
+	w := mustWorkload("CComp")
+	tr := e.Trace(w, e.Vertices)
+	fu16 := e.adjusted(KindGraphPIM, w, nil)
+	fu8 := e.adjusted(KindGraphPIM, w, func(c *machine.Config) { c.HMC.IntFUsPerVault = 8 })
+	ran := sims[simKey{tr.stream, tr.fw.Space(), fu16}].res
+	if ran.Covers(fu16, fu8) || got[simKey{tr.stream, tr.fw.Space(), fu8}] != 1 {
+		t.Fatal("CComp's 16-FU result covers its 8-FU machine, or that machine did not simulate once")
 	}
 }
 

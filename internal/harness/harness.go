@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"time"
@@ -59,7 +60,11 @@ const (
 // keyed by simKey) are what the machine computes: one per distinct
 // (trace source, address space, resolved config), so label slots that
 // describe the same machine — fig11's 16-FU column and fig7's GraphPIM
-// cells, say — share one simulation.
+// cells, say — share one simulation. Finished simulations are also
+// filed by family (machine.Config.Family), so a new machine whose only
+// differences a finished one's slack certificate covers — a Fig. 11 FU
+// count or a Fig. 13 link scale the run never pressed on — reuses that
+// result too (certified sharing, DESIGN.md).
 //
 // The memo maps are guarded by a mutex and every entry is a once-guarded
 // slot, so simulation cells may be computed from many goroutines at once
@@ -121,6 +126,9 @@ type Env struct {
 	traces map[traceKey]*traceSlot
 	runs   map[runKey]*runSlot
 	sims   map[simKey]*simSlot
+	// families files every finished simulation under its key's family
+	// (simKey.family), in finishing order.
+	families map[simKey][]*simSlot
 	// rec is non-nil during the engine's recording pass (engine.go).
 	rec *recorder
 	// col is non-nil during an observed replay pass (engine.go): it
@@ -152,6 +160,13 @@ type simKey struct {
 	src   trace.Source
 	space *memmap.AddressSpace
 	cfg   machine.Config
+}
+
+// family is k with the config knobs a slack certificate vouches for
+// zeroed: the keys of every simulation that might cover k's.
+func (k simKey) family() simKey {
+	k.cfg = k.cfg.Family()
+	return k
 }
 
 // graphSlot, traceSlot, runSlot and simSlot are once-guarded memo cells: the
@@ -208,6 +223,7 @@ func (s *runSlot) get() machine.Result {
 
 type simSlot struct {
 	once sync.Once
+	cfg  machine.Config
 	res  machine.Result
 }
 
@@ -252,6 +268,7 @@ func (e *Env) initLocked() {
 		e.traces = make(map[traceKey]*traceSlot)
 		e.runs = make(map[runKey]*runSlot)
 		e.sims = make(map[simKey]*simSlot)
+		e.families = make(map[simKey][]*simSlot)
 	}
 }
 
@@ -376,6 +393,13 @@ var runSource = machine.RunSource
 // three: every cell that reaches the same source on an equal machine
 // shares one simulation, whatever label it is filed under. A replay is
 // a deterministic function of the key, so sharing moves no number.
+//
+// A key seen for the first time reuses instead the result of any
+// finished simulation of its family whose certificate covers cfg
+// (machine.Result.Covers), which proves the replay identical; it never
+// waits for a member still running. Under the sanitizer it replays
+// anyway and panics if the two results differ, so every cell is still
+// audited and so is every certificate.
 func (e *Env) simulate(src trace.Source, space *memmap.AddressSpace, cfg machine.Config) machine.Result {
 	key := simKey{src, space, cfg}
 	s := func() *simSlot {
@@ -386,13 +410,41 @@ func (e *Env) simulate(src trace.Source, space *memmap.AddressSpace, cfg machine
 		e.initLocked()
 		s, ok := e.sims[key]
 		if !ok {
-			s = &simSlot{}
+			s = &simSlot{cfg: cfg}
 			e.sims[key] = s
 		}
 		return s
 	}()
-	s.once.Do(func() { s.res = runSource(cfg, space, src) })
+	s.once.Do(func() {
+		fam := key.family()
+		cover := e.coveringMember(fam, cfg)
+		if cover != nil && cfg.Check == check.Off {
+			s.res = cover.res
+			return
+		}
+		s.res = runSource(cfg, space, src)
+		if cover != nil && !reflect.DeepEqual(s.res, cover.res) {
+			panic(fmt.Sprintf("harness: certified sharing: %+v covers %+v but their replays differ",
+				cover.cfg, cfg))
+		}
+		e.mu.Lock()
+		e.families[fam] = append(e.families[fam], s)
+		e.mu.Unlock()
+	})
 	return s.res
+}
+
+// coveringMember returns the first finished simulation filed under fam
+// whose result covers cfg, or nil.
+func (e *Env) coveringMember(fam simKey, cfg machine.Config) *simSlot {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, m := range e.families[fam] {
+		if m.res.Covers(m.cfg, cfg) {
+			return m
+		}
+	}
+	return nil
 }
 
 // buildTraced executes run against a fresh framework over g whose trace
@@ -435,6 +487,7 @@ func (e *Env) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	clear(e.sims)
+	clear(e.families)
 	var first error
 	for k, s := range e.traces {
 		if s.tr == nil {

@@ -140,6 +140,9 @@ type Cube struct {
 	banks            *dram.Banks
 	intFU            [][]uint64 // [vault][fu] next free cycle
 	fpFU             [][]uint64
+	// maxIntBusy is the most integer FUs of one vault still busy at an
+	// integer op's dataReady (Slack).
+	maxIntBusy int
 
 	mem map[memmap.Addr]hmcatomic.Value // functional store (optional)
 }
@@ -189,6 +192,13 @@ func (c Config) flitsPerCycle() float64 {
 	bytesPerSec := c.LinkGBs * 1e9 * float64(c.NumLinks) * scale
 	bytesPerCycle := bytesPerSec / (sim.CoreClockGHz * 1e9)
 	return bytesPerCycle / hmcatomic.FlitBytes
+}
+
+// CanOffload reports whether the cube executes op in its vault logic:
+// every HMC 2.0 atomic does; the FP extension additionally needs an FP
+// functional unit in the vault.
+func (c Config) CanOffload(op hmcatomic.Op) bool {
+	return !hmcatomic.IsFloat(op) || c.FPFUsPerVault > 0
 }
 
 // New builds a Cube. It panics on a configuration Validate rejects.
@@ -331,7 +341,8 @@ func (c *Cube) Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, no
 	// FU are available.
 	pool := c.intFU[v]
 	busy := c.ctr.fuBusy
-	if hmcatomic.IsFloat(op) {
+	fp := hmcatomic.IsFloat(op)
+	if fp {
 		if len(c.fpFU[v]) == 0 {
 			// No FP unit: the machine layer should not have offloaded
 			// this; treat as a modeling error.
@@ -340,11 +351,17 @@ func (c *Cube) Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, no
 		pool = c.fpFU[v]
 		busy = c.ctr.fpFUBusy
 	}
-	fuIdx := 0
-	for i := range pool {
-		if pool[i] < pool[fuIdx] {
+	fuIdx, inUse := 0, 0
+	for i, free := range pool {
+		if free < pool[fuIdx] {
 			fuIdx = i
 		}
+		if free > dataReady {
+			inUse++
+		}
+	}
+	if !fp && inUse > c.maxIntBusy {
+		c.maxIntBusy = inUse
 	}
 	opStart := max(dataReady, pool[fuIdx])
 	opDone := opStart + fuLat
@@ -366,6 +383,61 @@ func (c *Cube) Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, no
 		t.Flag = r.Flag
 	}
 	return t
+}
+
+// Slack is a replay's certificate of how much of the cube's integer
+// FUs and links it used, from which Admits proves that a cube with
+// another FU count or link scale would have served the same request
+// sequence cycle for cycle.
+type Slack struct {
+	// MaxIntFUsBusy is the most integer FUs of one vault still busy
+	// at an integer op's dataReady. An op waits for an FU exactly when
+	// every FU of its vault is busy then.
+	MaxIntFUsBusy int
+	// Links certifies both link directions.
+	Links dram.LaneSlack
+}
+
+// Slack returns the cube's certificate of every request served so far.
+func (c *Cube) Slack() Slack {
+	return Slack{
+		MaxIntFUsBusy: c.maxIntBusy,
+		Links:         c.reqLink.Slack().Merge(c.rspLink.Slack()),
+	}
+}
+
+// Merge returns the certificate of s's and o's requests together, for
+// cubes of one configuration.
+func (s Slack) Merge(o Slack) Slack {
+	return Slack{MaxIntFUsBusy: max(s.MaxIntFUsBusy, o.MaxIntFUsBusy), Links: s.Links.Merge(o.Links)}
+}
+
+// Family returns c with the knobs a Slack can vouch for zeroed: the
+// integer FU count and the link scale.
+func (c Config) Family() Config {
+	c.IntFUsPerVault, c.LinkBWScale = 0, 0
+	return c
+}
+
+// Admits reports whether a cube configured as to serves the request
+// sequence that a cube configured as from served with slack s, and
+// returns the same cycle for every request. The two must be of one
+// Family, and to must validate.
+//
+// The FU part holds trivially for an equal count. Otherwise: an op
+// claims the FU that frees first and holds it until its start plus
+// latency. While no op waits, a vault of m FUs therefore holds the m
+// latest free times of a larger vault's, so the FUs busy at a dataReady
+// number min(m, busy) on it. No op waited at from's count and none
+// finds all of to's busy, so every op starts at its dataReady on both.
+// The link part is dram.LaneSlack.Admits. Every other part of a
+// request's timing reads only the request, so by induction over the
+// sequence the two cubes agree on every return value.
+func (s Slack) Admits(from, to Config) bool {
+	fus := from.IntFUsPerVault == to.IntFUsPerVault ||
+		s.MaxIntFUsBusy < from.IntFUsPerVault && s.MaxIntFUsBusy < to.IntFUsPerVault
+	return fus && from.Family() == to.Family() && to.Validate() == nil &&
+		s.Links.Admits(from.flitsPerCycle(), to.flitsPerCycle())
 }
 
 // LoadValue reads the functional store (tests/examples only).

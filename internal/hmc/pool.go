@@ -65,6 +65,13 @@ func (c PoolConfig) Validate() error {
 // New implements mem.Config.
 func (c PoolConfig) New(stats *sim.Stats) mem.Backend { return NewPool(c, stats) }
 
+// CanOffload implements mem.Config (see Config.CanOffload).
+func (c PoolConfig) CanOffload(op hmcatomic.Op) bool { return c.Cube.CanOffload(op) }
+
+// CanOffloadBundle implements mem.Config: the cube's PIM units are
+// fixed-function, so it has no bundle tier.
+func (c PoolConfig) CanOffloadBundle() bool { return false }
+
 // NewPool builds the chain. Each cube gets its own stats-sharing Cube
 // model (links, vaults, banks, FUs are all per-cube resources). It
 // panics on a configuration Validate rejects.
@@ -81,6 +88,15 @@ func NewPool(cfg PoolConfig, stats *sim.Stats) *Pool {
 		p.cubes = append(p.cubes, New(cfg.Cube, stats))
 	}
 	return p
+}
+
+// Slack merges every cube's certificate (see Slack.Admits).
+func (p *Pool) Slack() Slack {
+	var s Slack
+	for _, c := range p.cubes {
+		s = s.Merge(c.Slack())
+	}
+	return s
 }
 
 // CubeFor returns the chain position owning addr.
@@ -120,12 +136,8 @@ func (p *Pool) UCWrite(addr memmap.Addr, now uint64) uint64 {
 	return p.cubes[i].UCWrite(addr, now+uint64(i)*p.hopLatency) + p.hops(i)
 }
 
-// CanOffload implements mem.Backend: every HMC 2.0 atomic executes in
-// the vault logic; the FP extension additionally needs an FP functional
-// unit in the vault.
-func (p *Pool) CanOffload(op hmcatomic.Op) bool {
-	return !hmcatomic.IsFloat(op) || p.cubes[0].cfg.FPFUsPerVault > 0
-}
+// CanOffload implements mem.Backend (see Config.CanOffload).
+func (p *Pool) CanOffload(op hmcatomic.Op) bool { return p.cubes[0].cfg.CanOffload(op) }
 
 // Atomic routes a PIM atomic to its owning cube's logic layer.
 func (p *Pool) Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, now uint64) mem.AtomicTiming {

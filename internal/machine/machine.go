@@ -144,6 +144,40 @@ type Result struct {
 	Cycles       uint64
 	Instructions uint64
 	Stats        map[string]uint64
+
+	// slack is the default HMC chain's certificate (see Covers); nil
+	// for other backends and for results not replayed here.
+	slack *hmc.Slack
+}
+
+// Family returns c with every knob zeroed that Covers can vouch for:
+// the default chain's integer FU count and link scale, or, when Mem
+// replaces that chain, the whole chain description, which no part of
+// the machine then reads.
+func (c Config) Family() Config {
+	if c.Mem != nil {
+		c.HMC, c.HMCCubes = hmc.Config{}, 0
+	} else {
+		c.HMC = c.HMC.Family()
+	}
+	return c
+}
+
+// Covers reports whether r, the result of a replay on ran, is exactly
+// what other replays from the same trace: other is of ran's Family,
+// validates, and either runs a Mem backend (so the knobs it changes are
+// never read) or changes only knobs r's slack certificate admits
+// (hmc.Slack.Admits). The machine reaches the backend only through the
+// return values of its calls, so when the cube returns the same cycle
+// for every request, every later request, counter and cycle agrees too.
+func (r Result) Covers(ran, other Config) bool {
+	if ran.Family() != other.Family() || other.Validate() != nil {
+		return false
+	}
+	if ran.Mem != nil {
+		return true
+	}
+	return r.slack != nil && r.slack.Admits(ran.HMC, other.HMC)
 }
 
 // IPC returns the average per-core instructions per cycle, or NaN when
@@ -266,22 +300,14 @@ func (c Config) memConfig() mem.Config {
 	return hc
 }
 
-// substrateOf summarizes a constructed backend's capability tiers for
-// pou.Negotiate.
-func substrateOf(b mem.Backend) pou.Substrate {
-	sub := pou.Substrate{Caps: b}
-	if bb, ok := b.(mem.BundleBackend); ok && bb.CanOffloadBundle() {
-		sub.Bundle = true
-	}
-	return sub
-}
-
-// Substrate resolves the pou.Substrate a machine assembled from c would
-// negotiate against, constructing only the memory backend. The placement
-// tuner (internal/tune) consults it before committing a configuration,
-// so its substrate view is exactly the one machine assembly will use.
+// Substrate resolves the pou.Substrate a machine assembled from c
+// negotiates against, from the memory configuration alone. The
+// placement tuner (internal/tune) consults it before committing a
+// configuration, so its substrate view is exactly the one machine
+// assembly uses.
 func (c Config) Substrate() pou.Substrate {
-	return substrateOf(c.memConfig().New(sim.NewStats()))
+	mc := c.memConfig()
+	return pou.Substrate{Caps: mc, Bundle: mc.CanOffloadBundle()}
 }
 
 // NewSource assembles a machine replaying src, which must have been
@@ -300,7 +326,7 @@ func NewSource(cfg Config, space *memmap.AddressSpace, src trace.Source) *Machin
 	st := sim.NewStats()
 	memCfg := cfg.memConfig()
 	backend := memCfg.New(st)
-	pouCfg := pou.Negotiate(cfg.POU, substrateOf(backend))
+	pouCfg := pou.Negotiate(cfg.POU, cfg.Substrate())
 	m := &Machine{
 		cfg:     cfg,
 		stats:   st,
@@ -650,12 +676,17 @@ func (m *Machine) result(now uint64) Result {
 		retired += c.Retired()
 	}
 	m.stats.Set("machine.cycles", now)
-	return Result{
+	res := Result{
 		Config:       m.cfg.Name,
 		Cycles:       now,
 		Instructions: retired,
 		Stats:        m.stats.Snapshot(),
 	}
+	if p, ok := m.mem.(*hmc.Pool); ok {
+		slack := p.Slack()
+		res.slack = &slack
+	}
+	return res
 }
 
 // RunTrace assembles a machine for cfg and replays the materialized tr.

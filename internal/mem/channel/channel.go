@@ -247,6 +247,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// CanOffload implements mem.Config: op offloads when its class has a
+// cost on this row's units.
+func (c Config) CanOffload(op hmcatomic.Op) bool { return c.Cost[opClass[op]] != 0 }
+
+// CanOffloadBundle implements mem.Config: generic RMW bundles offload
+// when the units price them (programmable cores).
+func (c Config) CanOffloadBundle() bool { return c.Cost[Bundle] != 0 }
+
 // New implements mem.Config.
 func (c Config) New(stats *sim.Stats) mem.Backend {
 	if err := c.Validate(); err != nil {
@@ -400,13 +408,12 @@ func (s *System) UCWrite(addr memmap.Addr, now uint64) uint64 {
 	return s.write(addr, now, s.cfg.PacketBytes)
 }
 
-// CanOffload implements mem.Backend: op offloads when its class has a
-// cost on this row's units.
-func (s *System) CanOffload(op hmcatomic.Op) bool { return s.cfg.Cost[opClass[op]] != 0 }
+// CanOffload implements mem.Backend (see Config.CanOffload).
+func (s *System) CanOffload(op hmcatomic.Op) bool { return s.cfg.CanOffload(op) }
 
-// CanOffloadBundle implements mem.BundleBackend: generic RMW bundles
-// offload when the units price them (programmable cores).
-func (s *System) CanOffloadBundle() bool { return s.cfg.Cost[Bundle] != 0 }
+// CanOffloadBundle implements mem.BundleBackend (see
+// Config.CanOffloadBundle).
+func (s *System) CanOffloadBundle() bool { return s.cfg.CanOffloadBundle() }
 
 // Atomic implements mem.Backend: a fixed-function command executes on
 // the PIM unit next to its bank.

@@ -35,6 +35,7 @@ const EpochSlots = 1 << 14
 type Lane struct {
 	budget  float64 // units per epoch
 	perUnit float64 // serialization cycles per unit
+	slack   LaneSlack
 	slots   [EpochSlots]epochSlot
 }
 
@@ -45,10 +46,15 @@ type epochSlot struct {
 
 // NewLane returns a lane carrying unitsPerCycle units per core cycle.
 func NewLane(unitsPerCycle float64) *Lane {
-	return &Lane{
-		budget:  unitsPerCycle * EpochCycles,
-		perUnit: 1 / unitsPerCycle,
-	}
+	l := &Lane{}
+	l.budget, l.perUnit = laneRate(unitsPerCycle)
+	return l
+}
+
+// laneRate is a lane's epoch budget and per-unit serialization time at
+// unitsPerCycle, in the float arithmetic Reserve books with.
+func laneRate(unitsPerCycle float64) (budget, perUnit float64) {
+	return unitsPerCycle * EpochCycles, 1 / unitsPerCycle
 }
 
 // BytesPerCycle converts a GB/s rate to bytes per core cycle, the unit
@@ -72,6 +78,9 @@ func CheckLaneRate(unitsPerCycle float64, largest int) error {
 // latency).
 func (l *Lane) Reserve(ready uint64, units int) uint64 {
 	need := float64(units)
+	if units > l.slack.MaxUnits {
+		l.slack.MaxUnits = units
+	}
 	for e := ready / EpochCycles; ; e++ {
 		s := &l.slots[e%EpochSlots]
 		if s.epoch != e {
@@ -80,11 +89,69 @@ func (l *Lane) Reserve(ready uint64, units int) uint64 {
 		}
 		if s.load+need <= l.budget {
 			s.load += need
+			if s.load > l.slack.Peak {
+				l.slack.Peak = s.load
+			}
 			// Serialization rounds units*perUnit up to whole cycles, so
 			// 15 FLITs at 15 FLITs/cycle cost exactly 1 cycle.
 			return max(ready, e*EpochCycles) + uint64(math.Ceil(need*l.perUnit))
 		}
+		l.slack.Spilled = true
 	}
+}
+
+// LaneSlack is a lane's certificate of how close its reservations came
+// to its rate, recorded as Reserve books them.
+type LaneSlack struct {
+	// Spilled is set once a transfer found its ready epoch full and
+	// booked a later one.
+	Spilled bool
+	// Peak is the highest load any epoch reached.
+	Peak float64
+	// MaxUnits is the largest transfer booked.
+	MaxUnits int
+}
+
+// Slack returns the certificate of every reservation booked so far.
+func (l *Lane) Slack() LaneSlack { return l.slack }
+
+// Merge returns one certificate for two lanes of one rate: every rate
+// it admits, both lanes admit.
+func (s LaneSlack) Merge(o LaneSlack) LaneSlack {
+	return LaneSlack{
+		Spilled:  s.Spilled || o.Spilled,
+		Peak:     max(s.Peak, o.Peak),
+		MaxUnits: max(s.MaxUnits, o.MaxUnits),
+	}
+}
+
+// Admits reports whether a lane carrying to units per cycle returns the
+// same cycle as one carrying from did, for every reservation of a
+// sequence the from lane booked with slack s. An equal rate is the same
+// lane. Otherwise: without a spill every transfer was booked in its
+// ready epoch and returned ready + ceil(units*perUnit). The epoch loads
+// depend only on the sequence, so a budget that holds the peak books
+// every transfer in its ready epoch too, and where ceil(units*perUnit)
+// agrees for every size up to the largest booked, the returned cycle is
+// the same.
+func (s LaneSlack) Admits(from, to float64) bool {
+	if from == to {
+		return true
+	}
+	if s.Spilled {
+		return false
+	}
+	_, was := laneRate(from)
+	budget, perUnit := laneRate(to)
+	if !(s.Peak <= budget) {
+		return false
+	}
+	for u := 1; u <= s.MaxUnits; u++ {
+		if math.Ceil(float64(u)*was) != math.Ceil(float64(u)*perUnit) {
+			return false
+		}
+	}
+	return true
 }
 
 // Audit verifies that no epoch slot was reserved past the lane's

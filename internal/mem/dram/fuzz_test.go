@@ -57,3 +57,62 @@ func FuzzLaneReserve(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLaneSlack checks the lane certificate: a sequence booked at one
+// rate records a LaneSlack, and every rate the slack admits must return
+// the same cycle for every reservation when a fresh lane books the same
+// sequence. The rate set holds the HMC link rates of the Fig. 13 sweep
+// (7.5, 15 and 30 FLITs/cycle), every channel row's byte rate and slow
+// and fast extremes; its slowest lane still fits the largest transfer.
+//
+// The script decodes as in FuzzLaneReserve, with transfers of 1..16
+// units so that sizes cross the rates' serialization steps.
+func FuzzLaneSlack(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 4, 10, 4, 5, 1})
+	f.Add(uint8(2), []byte{40, 4, 40, 0, 40, 1, 200, 2})
+	f.Add(uint8(3), []byte{1, 15, 1, 15, 1, 15, 1, 15, 1, 15, 1, 15})
+	f.Add(uint8(5), []byte{64, 7, 0, 7, 64, 7, 0, 7, 130, 3})
+	rates := []float64{0.5, 1, 3.75, 7.5, 15, 30, 64}
+	for _, c := range channel.Rows() {
+		rates = append(rates, dram.BytesPerCycle(c.LaneGBs))
+	}
+	f.Fuzz(func(t *testing.T, rateSel uint8, script []byte) {
+		type booking struct {
+			ready uint64
+			units int
+		}
+		var seq []booking
+		var now uint64
+		for i := 0; i+1 < len(script) && i < 4096; i += 2 {
+			delta, szByte := script[i], script[i+1]
+			if delta >= 128 && now >= uint64(delta-128) {
+				now -= uint64(delta - 128)
+			} else {
+				now += uint64(delta)
+			}
+			seq = append(seq, booking{now, 1 + int(szByte)%16})
+		}
+		from := rates[int(rateSel)%len(rates)]
+		l := dram.NewLane(from)
+		want := make([]uint64, len(seq))
+		for i, b := range seq {
+			want[i] = l.Reserve(b.ready, b.units)
+		}
+		slack := l.Slack()
+		if !slack.Admits(from, from) {
+			t.Fatalf("slack %+v does not admit its own rate %g", slack, from)
+		}
+		for _, to := range rates {
+			if to == from || !slack.Admits(from, to) {
+				continue
+			}
+			m := dram.NewLane(to)
+			for i, b := range seq {
+				if got := m.Reserve(b.ready, b.units); got != want[i] {
+					t.Fatalf("slack %+v admits rate %g from %g, but Reserve(ready=%d, units=%d) #%d = %d, want %d",
+						slack, to, from, b.ready, b.units, i, got, want[i])
+				}
+			}
+		}
+	})
+}

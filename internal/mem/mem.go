@@ -103,6 +103,11 @@ type Config interface {
 	Validate() error
 	// New builds the backend, registering its counters on stats.
 	New(stats *sim.Stats) Backend
+	// CanOffload and CanOffloadBundle report, without building the
+	// backend, what its CanOffload and (as a BundleBackend)
+	// CanOffloadBundle answer; capability negotiation reads them.
+	CanOffload(op hmcatomic.Op) bool
+	CanOffloadBundle() bool
 }
 
 // BundleBackend is the optional general-purpose capability tier: a
