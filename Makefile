@@ -76,8 +76,9 @@ sanitize-sweep:
 # equiv is the output-equivalence gate for refactors that must not move
 # a number: it builds BASE (from git archive) and the working tree, runs
 # both on every quick experiment (plain and -check), the quick run on
-# each non-HMC substrate and under -policy pim and auto, default-scale
-# workloads and the examples, and
+# each non-HMC substrate and under -policy pim, auto and host, the
+# extension experiments under -mem ddr, default-scale workloads and the
+# examples, and
 # cmp's every stdout/stderr pair (scripts/equiv.sh). EQUIVSCOPE=quick
 # stops after the quick-scale part.
 EQUIVSCOPE ?= all

@@ -109,7 +109,10 @@ commands:
 
 run, workload, report and trace spill every trace they build to an
 unlinked file in $TMPDIR (default /tmp), which must be writable
-(trace -save writes the save file instead).
+(trace -save writes the save file instead). trace -replay FILE
+[-config baseline|upei|graphpim] replays on the default experiment
+machine; a saved trace names no workload, so replay assumes the FP
+extension and an active PMR.
 
 run/workload flags:
   -quick           small-scale environment (fast)
@@ -200,12 +203,11 @@ func flagValues(fs *flag.FlagSet) map[string]string {
 // checkPolicy validates a -policy flag value; an unknown policy reports
 // the valid values and returns false for a usage (exit 2) failure.
 func checkPolicy(sub, policy string, stderr io.Writer) bool {
-	switch policy {
-	case "", "auto", "host", "pim", "upei":
+	if harness.ValidPolicy(policy) {
 		return true
 	}
 	fmt.Fprintf(stderr, "%s: unknown placement policy %q\n", sub, policy)
-	fmt.Fprintln(stderr, "valid policies: auto, host, pim, upei")
+	fmt.Fprintln(stderr, "valid policies:", harness.Policies())
 	return false
 }
 
@@ -575,22 +577,15 @@ func cmdWorkload(args []string, stdout, stderr io.Writer) int {
 	if !checkSpillDir("workload", stderr) {
 		return 1
 	}
+	if _, ok := harness.KindByName(*config); !ok {
+		fmt.Fprintf(stderr, "unknown config %q\n", *config)
+		return 2
+	}
+	cfg := graphpim.Config(*config)
 	g := graphpim.GenerateLDBC(*vertices, *seed)
 	run := graphpim.NewRun(g, opts)
 
 	base := run.Execute(w, graphpim.ConfigBaseline)
-	var cfg graphpim.Config
-	switch *config {
-	case "baseline":
-		cfg = graphpim.ConfigBaseline
-	case "upei":
-		cfg = graphpim.ConfigUPEI
-	case "graphpim":
-		cfg = graphpim.ConfigGraphPIM
-	default:
-		fmt.Fprintf(stderr, "unknown config %q\n", *config)
-		return 2
-	}
 	res := base
 	if cfg != graphpim.ConfigBaseline {
 		res = run.Execute(w, cfg)

@@ -8,13 +8,17 @@ import (
 
 	"graphpim"
 	"graphpim/internal/gframe"
+	"graphpim/internal/harness"
 	"graphpim/internal/machine"
 	"graphpim/internal/trace"
+	"graphpim/internal/workloads"
 )
 
 // cmdTrace generates a workload's instruction trace as a v2 chunk log,
 // optionally into a save file, and prints its composition; with -replay
-// it replays a saved trace under a machine configuration. Traces are
+// it replays a saved trace under a machine configuration of the default
+// experiment environment. A saved trace names no workload, so replay
+// assumes the FP extension and an active PMR. Traces are
 // expensive to generate (full functional execution), so persisting them
 // lets configuration sweeps replay instead of regenerate.
 func cmdTrace(args []string, stdout, stderr io.Writer) int {
@@ -24,7 +28,8 @@ func cmdTrace(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 7, "generator seed")
 	save := fs.String("save", "", "write the trace to this file (chunked v2 format)")
 	replay := fs.String("replay", "", "replay a saved (v2) trace file instead of generating")
-	config := fs.String("config", "graphpim", "replay config: baseline|upei|graphpim")
+	config := fs.String("config", "graphpim",
+		"replay config: baseline|upei|graphpim (replay assumes the FP extension and an active PMR)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -112,22 +117,14 @@ func replayTrace(path, config string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "cannot replay %s: %v\n", path, err)
 		return 2
 	}
-	var cfg machine.Config
-	switch config {
-	case "baseline":
-		cfg = machine.Baseline()
-	case "upei":
-		cfg = machine.UPEI(true)
-		cfg.POU.PMRActive = true
-	case "graphpim":
-		cfg = machine.GraphPIM(true)
-		cfg.POU.PMRActive = true
-	default:
+	kind, ok := harness.KindByName(config)
+	if !ok {
 		fmt.Fprintf(stderr, "unknown config %q\n", config)
 		return 2
 	}
-	cfg.Cache.L2Size = 128 << 10
-	cfg.Cache.L3Size = 512 << 10
+	// The trace names no workload: describe it as one whose atomics are
+	// offloadable with the FP extension.
+	cfg := harness.DefaultEnv().Config(kind, workloads.Info{NeedsFPExtension: true})
 	res := machine.RunSource(cfg, st.Space(), st)
 	fmt.Fprintf(stdout, "replayed %s under %s:\n", path, res.Config)
 	fmt.Fprintf(stdout, "cycles:     %d\n", res.Cycles)

@@ -225,10 +225,8 @@ func (o Options) Validate() error {
 				o.Memory, strings.Join(backends.Kinds(), ", "))
 		}
 	}
-	switch o.Policy {
-	case "", "auto", "host", "pim", "upei":
-	default:
-		return fmt.Errorf("graphpim: unknown placement policy %q (valid: auto, host, pim, upei)", o.Policy)
+	if !harness.ValidPolicy(o.Policy) {
+		return fmt.Errorf("graphpim: unknown placement policy %q (valid: %s)", o.Policy, harness.Policies())
 	}
 	return nil
 }
@@ -264,13 +262,6 @@ func NewRun(g *Graph, opts Options) *Run {
 	return &Run{g: g, env: env}
 }
 
-// configKinds maps the facade's configurations onto the harness's.
-var configKinds = map[Config]harness.ConfigKind{
-	ConfigBaseline: harness.KindBaseline,
-	ConfigUPEI:     harness.KindUPEI,
-	ConfigGraphPIM: harness.KindGraphPIM,
-}
-
 // Execute runs w under cfg and returns the timing result. The workload's
 // functional output is discarded; use ExecuteFull to keep it.
 func (r *Run) Execute(w Workload, cfg Config) Result {
@@ -281,7 +272,7 @@ func (r *Run) Execute(w Workload, cfg Config) Result {
 // ExecuteFull runs w under cfg and returns both the timing result and the
 // workload's functional output (e.g. BFS depths, PageRank values).
 func (r *Run) ExecuteFull(w Workload, cfg Config) (Result, any) {
-	kind, ok := configKinds[cfg]
+	kind, ok := harness.KindByName(string(cfg))
 	if !ok {
 		panic(fmt.Sprintf("graphpim: unknown config %q", cfg))
 	}

@@ -42,20 +42,6 @@ func (l Level) String() string {
 	return fmt.Sprintf("Level(%d)", uint8(l))
 }
 
-// ParseLevel maps a CLI spelling to a Level. "on" is an alias for
-// "periodic" so `-check` reads naturally as a boolean flag.
-func ParseLevel(s string) (Level, error) {
-	switch s {
-	case "off", "":
-		return Off, nil
-	case "final":
-		return Final, nil
-	case "periodic", "on":
-		return Periodic, nil
-	}
-	return Off, fmt.Errorf("check: unknown level %q (want off, final, or periodic)", s)
-}
-
 // DefaultInterval is the periodic audit spacing in cycles when the
 // machine config leaves it zero. Audits walk whole cache arrays and
 // link-lane windows, so the interval trades detection latency against

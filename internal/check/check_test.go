@@ -6,33 +6,6 @@ import (
 	"testing"
 )
 
-func TestParseLevel(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Level
-		ok   bool
-	}{
-		{"off", Off, true},
-		{"", Off, true},
-		{"final", Final, true},
-		{"periodic", Periodic, true},
-		{"on", Periodic, true},
-		{"bogus", Off, false},
-	}
-	for _, c := range cases {
-		got, err := ParseLevel(c.in)
-		if (err == nil) != c.ok || got != c.want {
-			t.Errorf("ParseLevel(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
-		}
-	}
-	for _, l := range []Level{Off, Final, Periodic} {
-		back, err := ParseLevel(l.String())
-		if err != nil || back != l {
-			t.Errorf("round-trip %v: got %v, %v", l, back, err)
-		}
-	}
-}
-
 func TestOffRegistryIsNil(t *testing.T) {
 	if r := NewRegistry(Off, 0); r != nil {
 		t.Fatalf("NewRegistry(Off) = %v, want nil", r)

@@ -5,7 +5,6 @@ import (
 
 	"graphpim/internal/analytic"
 	"graphpim/internal/energy"
-	"graphpim/internal/gframe"
 	"graphpim/internal/graph"
 	"graphpim/internal/machine"
 	"graphpim/internal/workloads"
@@ -66,19 +65,10 @@ func (e *Env) appRun(name string) (base, gpim machine.Result) {
 	default:
 		panic("harness: unknown application " + name)
 	}
-	key := traceKey{"app:" + name, e.AppVertices, e.Seed}
-	run := func(kind ConfigKind) machine.Result {
-		rkey := runKey{"app:" + name, e.AppVertices, kind, false, "", e.Seed}
-		return e.runCell(rkey, nil, func() machine.Result {
-			tr := e.traceCell(key, func() *tracedRun {
-				return e.buildTraced(mkGraph(), func(fw *gframe.Framework) workloads.Result {
-					return w.Run(fw)
-				})
-			})
-			return e.simulate(tr.stream, tr.fw.Space(), e.Config(kind, w))
-		})
-	}
-	return run(KindBaseline), run(KindGraphPIM)
+	r := recipe{key: traceKey{"app:" + name, e.AppVertices, e.Seed}, build: func() *tracedRun {
+		return e.buildTraced(mkGraph(), w.Run)
+	}}
+	return e.cell(KindBaseline, "", w.Info(), r, nil), e.cell(KindGraphPIM, "", w.Info(), r, nil)
 }
 
 // table8AppCounters reproduces Table VIII: the performance-counter profile

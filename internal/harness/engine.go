@@ -18,7 +18,7 @@ import (
 // own Stats, Clock, and Rand. The engine exploits that independence with
 // a record → warm → replay scheme:
 //
-//  1. Record: run the experiment once with runCell in recording mode.
+//  1. Record: run the experiment once with cell in recording mode.
 //     Cells register themselves (in first-touch order) instead of
 //     simulating, and return zero Results; the pass's table is thrown
 //     away. Cell keys never depend on simulated values, so the recorded
@@ -36,7 +36,7 @@ import (
 // same numbers), and if the recording pass panics the engine falls back
 // to a plain serial run.
 //
-// The replay pass doubles as the observability export: runCell registers
+// The replay pass doubles as the observability export: cell registers
 // every cell the experiment touches (first-touch order, deduplicated)
 // with a collector, and RunExperimentObserved turns the collected cells
 // into obs.Records — the memo key plus headline results plus the full

@@ -377,11 +377,11 @@ func TestCertifiedSharingIsExact(t *testing.T) {
 	}
 
 	w := mustWorkload("CComp")
-	tr := e.Trace(w, e.Vertices)
-	fu16 := e.adjusted(KindGraphPIM, w, nil)
-	fu8 := e.adjusted(KindGraphPIM, w, func(c *machine.Config) { c.HMC.IntFUsPerVault = 8 })
-	ran := sims[simKey{tr.stream, tr.fw.Space(), fu16}].res
-	if ran.Covers(fu16, fu8) || got[simKey{tr.stream, tr.fw.Space(), fu8}] != 1 {
+	tr := e.traceCell(e.ldbc(w, e.Vertices))
+	fu16 := e.adjusted(KindGraphPIM, w.Info(), nil)
+	fu8 := e.adjusted(KindGraphPIM, w.Info(), func(c *machine.Config) { c.HMC.IntFUsPerVault = 8 })
+	ran := sims[simKey{tr.stream, tr.space, fu16}].res
+	if ran.Covers(fu16, fu8) || got[simKey{tr.stream, tr.space, fu8}] != 1 {
 		t.Fatal("CComp's 16-FU result covers its 8-FU machine, or that machine did not simulate once")
 	}
 }

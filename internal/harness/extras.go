@@ -194,23 +194,19 @@ func extHybridMemory() Experiment {
 				w := mustWorkload(name)
 				// Each coverage point is its own trace (PMR coverage
 				// changes where the property array is allocated).
-				hybridRun := func(cov float64, kind ConfigKind) machine.Result {
-					label := fmt.Sprintf("hybrid:%s@%g", name, cov)
-					rkey := runKey{label, e.Vertices, kind, false, "", e.Seed}
-					return e.runCell(rkey, nil, func() machine.Result {
-						tr := e.traceCell(traceKey{label, e.Vertices, e.Seed}, func() *tracedRun {
-							return e.buildTraced(e.Graph(e.Vertices), func(fw *gframe.Framework) workloads.Result {
-								fw.SetPMRCoverage(cov)
-								return w.Run(fw)
-							})
+				hybrid := func(cov float64) recipe {
+					key := traceKey{fmt.Sprintf("hybrid:%s@%g", name, cov), e.Vertices, e.Seed}
+					return recipe{key: key, build: func() *tracedRun {
+						return e.buildTraced(e.Graph(e.Vertices), func(fw *gframe.Framework) workloads.Result {
+							fw.SetPMRCoverage(cov)
+							return w.Run(fw)
 						})
-						return e.simulate(tr.stream, tr.fw.Space(), e.Config(kind, w))
-					})
+					}}
 				}
 				row := []string{name}
-				baseCycles := hybridRun(coverages[0], KindBaseline).Cycles
+				baseCycles := e.cell(KindBaseline, "", w.Info(), hybrid(coverages[0]), nil).Cycles
 				for _, cov := range coverages {
-					gp := hybridRun(cov, KindGraphPIM)
+					gp := e.cell(KindGraphPIM, "", w.Info(), hybrid(cov), nil)
 					var sp float64
 					if gp.Cycles > 0 {
 						sp = float64(baseCycles) / float64(gp.Cycles)
@@ -290,27 +286,16 @@ func extSeedStability() Experiment {
 			}
 			for _, name := range []string{"BFS", "DC"} {
 				w := mustWorkload(name)
-				study := replicate.NewStudy()
+				var speedups []float64
 				for _, seed := range seeds {
-					seed := seed
-					label := "seedstab:" + name
-					tkey := traceKey{label, size, seed}
-					buildTrace := func() *tracedRun {
-						return e.buildTraced(graph.LDBC(size, seed), func(fw *gframe.Framework) workloads.Result {
-							return w.Run(fw)
-						})
-					}
-					seedRun := func(kind ConfigKind) machine.Result {
-						return e.runCell(runKey{label, size, kind, false, "", seed}, nil, func() machine.Result {
-							tr := e.traceCell(tkey, buildTrace)
-							return e.simulate(tr.stream, tr.fw.Space(), e.Config(kind, w))
-						})
-					}
-					base := seedRun(KindBaseline)
-					gpim := seedRun(KindGraphPIM)
-					study.Add("speedup", gpim.Speedup(base))
+					r := recipe{key: traceKey{"seedstab:" + name, size, seed}, build: func() *tracedRun {
+						return e.buildTraced(graph.LDBC(size, seed), w.Run)
+					}}
+					base := e.cell(KindBaseline, "", w.Info(), r, nil)
+					gpim := e.cell(KindGraphPIM, "", w.Info(), r, nil)
+					speedups = append(speedups, gpim.Speedup(base))
 				}
-				sum := study.Get("speedup")
+				sum := replicate.Summarize("speedup", speedups)
 				t.AddRow(name, f2(sum.Mean), f3(sum.StdDev), f2(sum.Min), f2(sum.Max))
 			}
 			t.Notes = append(t.Notes,

@@ -3,9 +3,9 @@ package harness
 import (
 	"fmt"
 
-	"graphpim/internal/machine"
 	"graphpim/internal/memmap"
 	"graphpim/internal/trace"
+	"graphpim/internal/workloads"
 )
 
 // extDependentBlock reproduces the mechanism illustrated in Fig. 8: the
@@ -30,16 +30,14 @@ func extDependentBlock() Experiment {
 				Headers: headers}
 			const ops = 4000
 			for _, k := range ks {
-				k := k
 				label := fmt.Sprintf("dep:K=%d", k)
-				// runDep traces the synthetic stream into a spill and
-				// replays it under cfg. The trace is tiny, so each config
-				// cell rebuilds it instead of sharing a trace memo slot.
-				runDep := func(cfg machine.Config) machine.Result {
+				// The synthetic stream has no graph; its CAS is
+				// offloadable with the base HMC 2.0 command set.
+				info := workloads.Info{Name: label, Applicable: true}
+				r := recipe{key: traceKey{label, ops, e.Seed}, build: func() *tracedRun {
 					sp := memmap.NewAddressSpace()
 					prop := sp.PMRMalloc(1 << 22)
 					f, sw := e.spill()
-					defer f.Close()
 					b := trace.NewStreamingBuilder(sp, sw)
 					for th := 0; th < e.Threads; th++ {
 						em := b.Thread(th)
@@ -52,17 +50,13 @@ func extDependentBlock() Experiment {
 					}
 					st, err := b.Finalize()
 					if err != nil {
+						f.Close()
 						panic(fmt.Sprintf("harness: finalizing trace spill: %v", err))
 					}
-					sp.Freeze()
-					return e.simulate(st, sp, e.scaleCaches(cfg))
-				}
-				base := e.runCell(runKey{label, ops, KindBaseline, false, "", e.Seed}, nil, func() machine.Result {
-					return runDep(machine.Baseline())
-				})
-				gpim := e.runCell(runKey{label, ops, KindGraphPIM, false, "", e.Seed}, nil, func() machine.Result {
-					return runDep(machine.GraphPIM(false))
-				})
+					return &tracedRun{space: sp, stream: st, spill: f}
+				}}
+				base := e.cell(KindBaseline, "", info, r, nil)
+				gpim := e.cell(KindGraphPIM, "", info, r, nil)
 				perOpB := float64(base.Cycles) * float64(e.Threads) / ops
 				perOpG := float64(gpim.Cycles) * float64(e.Threads) / ops
 				t.AddRow(fmt.Sprintf("K=%d", k),

@@ -51,6 +51,55 @@ const (
 	KindAuto ConfigKind = "Auto"
 )
 
+// namedKind is one row of a name table: a spelling the CLI and the
+// facade accept and the kind it selects.
+type namedKind struct {
+	name string
+	kind ConfigKind
+}
+
+// configNames is the one table of configuration names (`-config`, the
+// facade's Config values), in usage order.
+var configNames = []namedKind{
+	{"baseline", KindBaseline}, {"upei", KindUPEI}, {"graphpim", KindGraphPIM},
+}
+
+// policies is the one table of placement policies Env.Policy accepts
+// besides "" (each experiment's own configurations), in usage order,
+// with the kind each remaps offload cells to.
+var policies = []namedKind{
+	{"auto", KindAuto}, {"host", KindBaseline}, {"pim", KindGraphPIM}, {"upei", KindUPEI},
+}
+
+func lookupKind(table []namedKind, name string) (ConfigKind, bool) {
+	for _, n := range table {
+		if n.name == name {
+			return n.kind, true
+		}
+	}
+	return "", false
+}
+
+// KindByName resolves a configuration name: baseline, upei or graphpim.
+func KindByName(name string) (ConfigKind, bool) { return lookupKind(configNames, name) }
+
+// ValidPolicy reports whether Env.Policy accepts p: "" or one of
+// Policies.
+func ValidPolicy(p string) bool {
+	_, ok := lookupKind(policies, p)
+	return ok || p == ""
+}
+
+// Policies lists the placement policies in usage order, comma-separated:
+// "auto, host, pim, upei".
+func Policies() string {
+	names := make([]string, len(policies))
+	for i, p := range policies {
+		names[i] = p.name
+	}
+	return strings.Join(names, ", ")
+}
+
 // Env fixes the experiment scale and caches simulation artifacts so that
 // experiments sharing runs (Figs. 7, 9, 10, 12, 15, 16) pay for them once.
 //
@@ -92,28 +141,32 @@ type Env struct {
 	// runs serially, <= 0 selects GOMAXPROCS.
 	Parallelism int
 	// Check enables the simulation sanitizer (internal/check) in every
-	// machine the experiments assemble: periodic and end-of-run audits
-	// of each subsystem's redundant state. Audits are read-only, so
-	// results — and therefore tables — are byte-identical either way;
-	// an invariant violation panics with subsystem/cycle/core context.
+	// cell's machine: periodic and end-of-run audits of each
+	// subsystem's redundant state. Audits are read-only, so results —
+	// and therefore tables — are byte-identical either way; an
+	// invariant violation panics with subsystem/cycle/core context.
 	Check bool
 	// Deprecated: ignored; the machine always runs the serial event
 	// loop. Kept only so existing callers still compile; the next
 	// benchmark change removes it.
 	Shards int
-	// Memory selects the memory backend kind every machine the
-	// experiments assemble runs against ("" or "hmc" keeps the default
-	// HMC chain; any other kind in the backend list substitutes that
-	// backend's default configuration). Unknown kinds panic in Config —
-	// the CLI validates against backends.Kinds() before constructing an Env.
+	// Memory selects the memory backend kind every cell's machine runs
+	// against ("" or "hmc" keeps the default HMC chain; any other kind
+	// in the backend list substitutes that backend's default
+	// configuration). Unknown kinds panic in Config — the CLI validates
+	// against backends.Kinds() before constructing an Env.
 	Memory string
-	// Policy overrides the offload placement of every non-Baseline cell
-	// the experiments assemble: "" keeps each experiment's requested
-	// configurations (the default), "host"/"pim"/"upei" pin all offload
-	// cells to that static placement, and "auto" hands each cell to the
-	// internal/tune profiler. Baseline cells are never remapped — they
-	// stay the speedup denominators. The CLI validates values before
-	// constructing an Env; unknown values panic in policyKind.
+	// Policy overrides the offload placement of every non-Baseline cell:
+	// "" keeps each experiment's requested configurations (the
+	// default), "host"/"pim"/"upei" pin all offload cells to that static
+	// placement, and "auto" hands each cell to the internal/tune
+	// profiler. Baseline cells are never remapped — they stay the
+	// speedup denominators — and neither are ext-autotune's tuner cells.
+	// The CLI validates values (ValidPolicy) before constructing an Env;
+	// unknown values panic in policyKind.
+	//
+	// Check, Memory and Policy reach every cell, because every cell
+	// resolves its machine through the one cell function (DESIGN.md §3).
 	Policy string
 	// Reporter receives engine progress events (per-cell completions,
 	// per-phase durations); nil means silent. Implementations must be
@@ -169,6 +222,15 @@ func (k simKey) family() simKey {
 	return k
 }
 
+// recipe is how a cell gets its trace: the key the trace is memoized
+// under, the function that builds it on first use, and whether the cell
+// replays it with every atomic stripped (Fig. 4).
+type recipe struct {
+	key   traceKey
+	build func() *tracedRun
+	strip bool
+}
+
 // graphSlot, traceSlot, runSlot and simSlot are once-guarded memo cells: the
 // first goroutine to need the value builds it, concurrent callers block
 // until it is ready, and everyone observes the same artifact.
@@ -191,7 +253,7 @@ func (s *traceSlot) get() *tracedRun {
 		// by concurrent replays. Freeze it so any stray post-build
 		// mutation panics instead of racing; the spill file is
 		// immutable once Finalize returns.
-		s.tr.fw.Space().Freeze()
+		s.tr.space.Freeze()
 	})
 	return s.tr
 }
@@ -205,9 +267,8 @@ type runSlot struct {
 	// any get() caller observes it.
 	wall time.Duration
 	// cfg pins the machine a static-kind label resolved to when the slot
-	// was created; nil for KindAuto cells (the tuner needs the trace),
-	// preloaded cells and cells whose key already fixes the machine.
-	// Written once under the Env lock and never again.
+	// was created; nil for KindAuto cells (the tuner needs the trace) and
+	// preloaded cells. Written once under the Env lock and never again.
 	cfg *machine.Config
 }
 
@@ -228,9 +289,12 @@ type simSlot struct {
 }
 
 // tracedRun is one workload's functional execution and its trace: a v2
-// chunk log spilled to an unlinked temp file (DESIGN.md §13).
+// chunk log spilled to an unlinked temp file (DESIGN.md §13), the
+// address space it was traced into and the graph it ran on (nil for a
+// synthetic stream).
 type tracedRun struct {
-	fw     *gframe.Framework
+	space  *memmap.AddressSpace
+	graph  *graph.Graph
 	stream *trace.Stream
 	spill  *os.File
 	res    workloads.Result
@@ -287,9 +351,11 @@ func (e *Env) scaleCaches(cfg machine.Config) machine.Config {
 	return cfg
 }
 
-// Config assembles one machine configuration for a workload, activating
-// the PMR only when the workload's atomics are offloadable (Table III).
-func (e *Env) Config(kind ConfigKind, w workloads.Workload) machine.Config {
+// Config assembles one machine configuration for a workload (or a bare
+// workloads.Info describing a trace), activating the PMR only when its
+// atomics are offloadable (Table III), on the Env's memory backend and
+// sanitizer level. It is the one place a machine is assembled.
+func (e *Env) Config(kind ConfigKind, w interface{ Info() workloads.Info }) machine.Config {
 	info := w.Info()
 	extended := info.NeedsFPExtension
 	var cfg machine.Config
@@ -334,39 +400,60 @@ func (e *Env) Graph(vertices int) *graph.Graph {
 	return s.g
 }
 
-// traceCell memoizes one functional run + trace under key, building it
-// with build on first use. The build runs outside the Env lock, so
-// distinct traces construct concurrently; the finished trace and its
-// address space are frozen before being shared (see traceSlot.get).
-func (e *Env) traceCell(key traceKey, build func() *tracedRun) *tracedRun {
+// traceCell memoizes r's trace under r.key, building it on first use.
+// The build runs outside the Env lock, so distinct traces construct
+// concurrently; the finished trace and its address space are frozen
+// before being shared (see traceSlot.get).
+func (e *Env) traceCell(r recipe) *tracedRun {
 	e.mu.Lock()
 	e.initLocked()
-	s, ok := e.traces[key]
+	s, ok := e.traces[r.key]
 	if !ok {
-		s = &traceSlot{build: build}
-		e.traces[key] = s
+		s = &traceSlot{build: r.build}
+		e.traces[r.key] = s
 	}
 	e.mu.Unlock()
 	return s.get()
 }
 
-// runCell memoizes one simulation cell under key, computing it with
-// compute on first use. A non-nil cfg is the machine the caller resolved
-// the label to: the first call pins it on the slot, and a later call
-// that resolves the same label to a different machine panics rather
-// than silently reading the first machine's result. During the engine's
-// recording pass the cell is only registered in the plan and a zero
-// Result is returned — experiment logic never branches on result values
-// while recording, and the pass's output is discarded. During an
-// observed replay pass the cell is also registered with the collector,
-// so RunExperimentObserved can export a Record for every cell the
-// experiment touched.
-func (e *Env) runCell(key runKey, cfg *machine.Config, compute func() machine.Result) machine.Result {
+// cell is the one memoized simulation cell every experiment reads: r's
+// trace replayed on kind's machine for info, adjusted, through simulate.
+// It applies the Env's placement policy to kind, then files the cell
+// under its label: r's key, the kind, info's FP flag and the variant. A
+// static kind's machine is resolved through Config before the label
+// slot is looked up and pinned on the slot, so a later call that
+// resolves the same label to a different machine panics rather than
+// silently reading the first machine's result; KindAuto resolves inside
+// the cell, where the trace is at hand.
+//
+// During the engine's recording pass the cell is only registered in the
+// plan and a zero Result is returned — experiment logic never branches
+// on result values while recording, and the pass's output is discarded.
+// During an observed replay pass the cell is also registered with the
+// collector, so RunExperimentObserved can export a Record for every
+// cell the experiment touched.
+func (e *Env) cell(kind ConfigKind, variant string, info workloads.Info, r recipe,
+	adjust func(*machine.Config)) machine.Result {
+	kind = e.policyKind(kind)
+	key := runKey{r.key.workload, r.key.vertices, kind, info.NeedsFPExtension, variant, r.key.seed}
+	var pinned *machine.Config
+	if kind != KindAuto {
+		cfg := e.adjusted(kind, info, adjust)
+		pinned = &cfg
+	}
 	e.mu.Lock()
 	e.initLocked()
 	s, ok := e.runs[key]
 	if !ok {
-		s = &runSlot{compute: compute, cfg: cfg}
+		s = &runSlot{cfg: pinned, compute: func() machine.Result {
+			tr := e.traceCell(r)
+			var src trace.Source = tr.stream
+			if r.strip {
+				src = trace.StripSource(tr.stream)
+			}
+			cfg, dec := e.configFor(kind, info, tr, adjust)
+			return noteDecision(e.simulate(src, tr.space, cfg), dec)
+		}}
 		e.runs[key] = s
 	}
 	rec := e.rec
@@ -374,9 +461,9 @@ func (e *Env) runCell(key runKey, cfg *machine.Config, compute func() machine.Re
 		e.col.add(key, s)
 	}
 	e.mu.Unlock()
-	if cfg != nil && s.cfg != nil && *cfg != *s.cfg {
+	if pinned != nil && s.cfg != nil && *pinned != *s.cfg {
 		panic(fmt.Sprintf("harness: label %s resolves to two machines:\nfirst:  %+v\nlater:  %+v",
-			cellLabel(key), *s.cfg, *cfg))
+			cellLabel(key), *s.cfg, *pinned))
 	}
 	if rec != nil {
 		rec.add(key, s)
@@ -465,7 +552,7 @@ func (e *Env) buildTraced(g *graph.Graph, run func(*gframe.Framework) workloads.
 		f.Close()
 		panic(fmt.Sprintf("harness: finalizing trace spill: %v", err))
 	}
-	return &tracedRun{fw: fw, stream: st, spill: f, res: res}
+	return &tracedRun{space: fw.Space(), graph: g, stream: st, spill: f, res: res}
 }
 
 // spill starts a trace spill for e.Threads threads (trace.NewSpill),
@@ -501,33 +588,26 @@ func (e *Env) Close() error {
 	return first
 }
 
-// Trace returns the cached functional run + trace of w on the LDBC graph
-// of the given size.
-func (e *Env) Trace(w workloads.Workload, vertices int) *tracedRun {
-	return e.traceCell(traceKey{w.Info().Name, vertices, e.Seed}, func() *tracedRun {
+// ldbc is the recipe of w's trace on the LDBC graph of the given size.
+func (e *Env) ldbc(w workloads.Workload, vertices int) recipe {
+	return recipe{key: traceKey{w.Info().Name, vertices, e.Seed}, build: func() *tracedRun {
 		return e.buildTraced(e.Graph(vertices), w.Run)
-	})
+	}}
 }
 
 // policyKind applies the Env's placement-policy override to a requested
 // configuration kind. Baseline cells pass through untouched (they are
-// every experiment's speedup denominator); offload cells remap to the
-// pinned static kind or to KindAuto. Remapping happens before the memo
-// key is built, so e.g. -policy pim dedups U-PEI cells onto the
-// GraphPIM ones rather than simulating both.
+// every experiment's speedup denominator), and so do KindAuto cells
+// (ext-autotune asks for the tuner whatever the policy); offload cells
+// remap to the pinned static kind or to KindAuto. Remapping happens
+// before the memo key is built, so e.g. -policy pim dedups U-PEI cells
+// onto the GraphPIM ones rather than simulating both.
 func (e *Env) policyKind(kind ConfigKind) ConfigKind {
-	if e.Policy == "" || kind == KindBaseline {
+	if e.Policy == "" || kind == KindBaseline || kind == KindAuto {
 		return kind
 	}
-	switch e.Policy {
-	case "auto":
-		return KindAuto
-	case "host":
-		return KindBaseline
-	case "pim":
-		return KindGraphPIM
-	case "upei":
-		return KindUPEI
+	if k, ok := lookupKind(policies, e.Policy); ok {
+		return k
 	}
 	panic(fmt.Sprintf("harness: unknown placement policy %q", e.Policy))
 }
@@ -545,10 +625,10 @@ func kindForPlacement(p tune.Placement) ConfigKind {
 	}
 }
 
-// adjusted is Config(kind, w) with the caller's variant adjustment, if
-// any, applied.
-func (e *Env) adjusted(kind ConfigKind, w workloads.Workload, adjust func(*machine.Config)) machine.Config {
-	cfg := e.Config(kind, w)
+// adjusted is Config(kind, info) with the caller's variant adjustment,
+// if any, applied.
+func (e *Env) adjusted(kind ConfigKind, info workloads.Info, adjust func(*machine.Config)) machine.Config {
+	cfg := e.Config(kind, info)
 	if adjust != nil {
 		adjust(&cfg)
 	}
@@ -562,20 +642,20 @@ func (e *Env) adjusted(kind ConfigKind, w workloads.Workload, adjust func(*machi
 // chosen static configuration as is, so an auto cell shares its
 // simulation with the static cell it picked. The non-nil Decision
 // carries the features and the name noteDecision records.
-func (e *Env) configFor(kind ConfigKind, w workloads.Workload, tr *tracedRun,
+func (e *Env) configFor(kind ConfigKind, info workloads.Info, tr *tracedRun,
 	adjust func(*machine.Config)) (machine.Config, *tune.Decision) {
 	if kind != KindAuto {
-		return e.adjusted(kind, w, adjust), nil
+		return e.adjusted(kind, info, adjust), nil
 	}
 	// Probe with the GraphPIM assembly: the tuner needs the cell's LLC
 	// capacity and memory substrate, both of which the variant
 	// adjustment may change (e.g. the backend-shootout kind swap).
-	probe := e.adjusted(KindGraphPIM, w, adjust)
-	_, _, propBytes := tr.fw.Space().Footprint()
-	f := tune.Profile(tr.fw.Graph(), propBytes, uint64(probe.Cache.L3Size),
-		tune.TotalCounts(tr.stream), w.Info().NeedsFPExtension)
+	probe := e.adjusted(KindGraphPIM, info, adjust)
+	_, _, propBytes := tr.space.Footprint()
+	f := tune.Profile(tr.graph, propBytes, uint64(probe.Cache.L3Size),
+		tune.TotalCounts(tr.stream), info.NeedsFPExtension)
 	d := tune.Choose(f, probe.Substrate())
-	return e.adjusted(kindForPlacement(d.Placement), w, adjust), &d
+	return e.adjusted(kindForPlacement(d.Placement), info, adjust), &d
 }
 
 // noteDecision marks a tuner-placed result: Result.Config becomes
@@ -607,8 +687,8 @@ func noteDecision(res machine.Result, d *tune.Decision) machine.Result {
 func (e *Env) Simulate(g *graph.Graph, w workloads.Workload, kind ConfigKind) (machine.Result, any) {
 	tr := e.buildTraced(g, w.Run)
 	defer tr.spill.Close()
-	cfg, dec := e.configFor(e.policyKind(kind), w, tr, nil)
-	return noteDecision(machine.RunSource(cfg, tr.fw.Space(), tr.stream), dec), tr.res.Output
+	cfg, dec := e.configFor(e.policyKind(kind), w.Info(), tr, nil)
+	return noteDecision(machine.RunSource(cfg, tr.space, tr.stream), dec), tr.res.Output
 }
 
 // Run simulates w under the given configuration, memoizing results.
@@ -618,7 +698,7 @@ func (e *Env) Run(w workloads.Workload, kind ConfigKind) machine.Result {
 
 // RunSized is Run at an explicit graph size.
 func (e *Env) RunSized(w workloads.Workload, vertices int, kind ConfigKind) machine.Result {
-	return e.runLabel(w, vertices, e.policyKind(kind), "", nil)
+	return e.cell(kind, "", w.Info(), e.ldbc(w, vertices), nil)
 }
 
 // RunVariant simulates with a caller-adjusted configuration, memoized
@@ -627,7 +707,7 @@ func (e *Env) RunSized(w workloads.Workload, vertices int, kind ConfigKind) mach
 // panics.
 func (e *Env) RunVariant(w workloads.Workload, kind ConfigKind, variant string,
 	adjust func(*machine.Config)) machine.Result {
-	return e.runLabel(w, e.Vertices, e.policyKind(kind), variant, adjust)
+	return e.cell(kind, variant, w.Info(), e.ldbc(w, e.Vertices), adjust)
 }
 
 // RunAutoVariant simulates w with the autotuner choosing the placement
@@ -636,28 +716,7 @@ func (e *Env) RunVariant(w workloads.Workload, kind ConfigKind, variant string,
 // alike, so backend swaps steer the decision.
 func (e *Env) RunAutoVariant(w workloads.Workload, variant string,
 	adjust func(*machine.Config)) machine.Result {
-	return e.runLabel(w, e.Vertices, KindAuto, variant, adjust)
-}
-
-// runLabel is the memoized cell behind Run, RunVariant and
-// RunAutoVariant: w's trace at the given size replayed on kind's
-// machine (adjusted), filed under its label and simulated through
-// simulate. A static kind's machine is resolved before the label slot
-// is looked up, so runCell can pin it; KindAuto resolves inside the
-// cell, where the trace is at hand.
-func (e *Env) runLabel(w workloads.Workload, vertices int, kind ConfigKind, variant string,
-	adjust func(*machine.Config)) machine.Result {
-	key := runKey{w.Info().Name, vertices, kind, w.Info().NeedsFPExtension, variant, e.Seed}
-	var pinned *machine.Config
-	if kind != KindAuto {
-		cfg := e.adjusted(kind, w, adjust)
-		pinned = &cfg
-	}
-	return e.runCell(key, pinned, func() machine.Result {
-		tr := e.Trace(w, vertices)
-		cfg, dec := e.configFor(kind, w, tr, adjust)
-		return noteDecision(e.simulate(tr.stream, tr.fw.Space(), cfg), dec)
-	})
+	return e.cell(KindAuto, variant, w.Info(), e.ldbc(w, e.Vertices), adjust)
 }
 
 // Table is one experiment's output, rendered as aligned text.

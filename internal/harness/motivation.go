@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"graphpim/internal/machine"
-	"graphpim/internal/trace"
 	"graphpim/internal/workloads"
 )
 
@@ -80,12 +78,9 @@ func fig4AtomicOverhead() Experiment {
 			for _, w := range workloads.EvalSet() {
 				withRes := e.Run(w, KindBaseline)
 				// Replay the stripped trace under the same machine.
-				w := w
-				key := runKey{w.Info().Name, e.Vertices, KindBaseline, w.Info().NeedsFPExtension, "strip", e.Seed}
-				withoutRes := e.runCell(key, nil, func() machine.Result {
-					tr := e.Trace(w, e.Vertices)
-					return e.simulate(trace.StripSource(tr.stream), tr.fw.Space(), e.Config(KindBaseline, w))
-				})
+				stripped := e.ldbc(w, e.Vertices)
+				stripped.strip = true
+				withoutRes := e.cell(KindBaseline, "strip", w.Info(), stripped, nil)
 				norm := float64(withRes.Cycles) / float64(withoutRes.Cycles)
 				overhead := 1 - float64(withoutRes.Cycles)/float64(withRes.Cycles)
 				sumOverhead += overhead

@@ -131,7 +131,7 @@ func TestStreamSmoke(t *testing.T) {
 	close(done)
 	<-sampler
 
-	tr := env.Trace(w, env.Vertices)
+	tr := env.traceCell(env.ldbc(w, env.Vertices))
 	if res.Instructions != tr.stream.TotalInstructions() {
 		t.Fatalf("retired %d instructions, stream carries %d", res.Instructions, tr.stream.TotalInstructions())
 	}

@@ -9,31 +9,9 @@ package replicate
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 )
 
-// Study accumulates named metric samples. It is safe for concurrent use:
-// experiment cells running on the parallel engine may record observations
-// from multiple goroutines.
-type Study struct {
-	mu      sync.Mutex
-	samples map[string][]float64
-}
-
-// NewStudy returns an empty study.
-func NewStudy() *Study {
-	return &Study{samples: make(map[string][]float64)}
-}
-
-// Add records one observation of the named metric.
-func (s *Study) Add(name string, v float64) {
-	s.mu.Lock()
-	s.samples[name] = append(s.samples[name], v)
-	s.mu.Unlock()
-}
-
-// Summary describes one metric's distribution over the study's runs.
+// Summary describes one metric's distribution over a set of runs.
 type Summary struct {
 	Name   string
 	N      int
@@ -47,15 +25,6 @@ type Summary struct {
 func (s Summary) String() string {
 	return fmt.Sprintf("%s: %.3f ± %.3f (n=%d, %.3f..%.3f)",
 		s.Name, s.Mean, s.StdDev, s.N, s.Min, s.Max)
-}
-
-// RelStdDev returns the coefficient of variation (stddev/mean), or 0 for
-// a zero mean.
-func (s Summary) RelStdDev() float64 {
-	if s.Mean == 0 {
-		return 0
-	}
-	return s.StdDev / math.Abs(s.Mean)
 }
 
 // Summarize computes the summary of one sample set.
@@ -85,27 +54,4 @@ func Summarize(name string, values []float64) Summary {
 		out.StdDev = math.Sqrt(ss / float64(len(values)-1))
 	}
 	return out
-}
-
-// Summaries returns every metric's summary, sorted by name.
-func (s *Study) Summaries() []Summary {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.samples))
-	for n := range s.samples {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]Summary, 0, len(names))
-	for _, n := range names {
-		out = append(out, Summarize(n, s.samples[n]))
-	}
-	return out
-}
-
-// Get returns the summary for one metric.
-func (s *Study) Get(name string) Summary {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Summarize(name, s.samples[name])
 }

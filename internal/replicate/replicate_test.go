@@ -27,23 +27,6 @@ func TestSummarizeEdgeCases(t *testing.T) {
 	if s := Summarize("single", []float64{7}); s.StdDev != 0 || s.Mean != 7 {
 		t.Fatalf("single summary %+v", s)
 	}
-	if s := Summarize("zero", []float64{0, 0}); s.RelStdDev() != 0 {
-		t.Fatal("zero-mean RelStdDev must be 0")
-	}
-}
-
-func TestStudyAccumulates(t *testing.T) {
-	st := NewStudy()
-	st.Add("speedup", 2.0)
-	st.Add("speedup", 2.2)
-	st.Add("ipc", 0.05)
-	sums := st.Summaries()
-	if len(sums) != 2 || sums[0].Name != "ipc" || sums[1].Name != "speedup" {
-		t.Fatalf("summaries %v", sums)
-	}
-	if got := st.Get("speedup"); got.N != 2 || math.Abs(got.Mean-2.1) > 1e-12 {
-		t.Fatalf("speedup summary %+v", got)
-	}
 }
 
 // Properties: mean lies in [min,max]; stddev is shift-invariant and

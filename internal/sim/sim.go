@@ -26,20 +26,6 @@ func NsToCycles(ns float64) uint64 {
 	return u
 }
 
-// Clock is the global cycle counter. The zero value starts at cycle 0.
-type Clock struct {
-	cycle uint64
-}
-
-// Now returns the current cycle.
-func (c *Clock) Now() uint64 { return c.cycle }
-
-// Advance moves the clock forward by one cycle.
-func (c *Clock) Advance() { c.cycle++ }
-
-// Reset rewinds the clock to cycle zero.
-func (c *Clock) Reset() { c.cycle = 0 }
-
 // Rand is a small, fast, deterministic PRNG (xorshift64*). The simulator
 // cannot use math/rand's global source because experiments must be exactly
 // reproducible across runs and architectures.

@@ -24,23 +24,6 @@ func TestNsToCycles(t *testing.T) {
 	}
 }
 
-func TestClock(t *testing.T) {
-	var c Clock
-	if c.Now() != 0 {
-		t.Fatalf("fresh clock at %d, want 0", c.Now())
-	}
-	for i := 0; i < 10; i++ {
-		c.Advance()
-	}
-	if c.Now() != 10 {
-		t.Fatalf("after 10 advances clock at %d", c.Now())
-	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("after reset clock at %d", c.Now())
-	}
-}
-
 func TestRandDeterminism(t *testing.T) {
 	a, b := NewRand(42), NewRand(42)
 	for i := 0; i < 1000; i++ {

@@ -76,17 +76,18 @@ func TotalCounts(src trace.Source) trace.Counts {
 // Profile computes the feature vector for one prospective run. counts
 // must be the whole-trace totals (the sum of per-thread Cursor counts —
 // exact and free for both materialized and streamed traces, which carry
-// them in the footer).
+// them in the footer). A nil g — a synthetic stream with no graph —
+// profiles as an empty graph.
 func Profile(g *graph.Graph, propertyBytes, llcBytes uint64, counts trace.Counts, extended bool) Features {
-	n := g.NumVertices()
 	f := Features{
-		Vertices:      n,
-		Edges:         g.NumEdges(),
 		PropertyBytes: propertyBytes,
 		LLCBytes:      llcBytes,
 		Extended:      extended,
 	}
-	if n > 0 {
+	if g != nil {
+		f.Vertices, f.Edges = g.NumVertices(), g.NumEdges()
+	}
+	if n := f.Vertices; n > 0 {
 		mean := float64(g.NumEdges()) / float64(n)
 		var acc float64
 		for v := 0; v < n; v++ {

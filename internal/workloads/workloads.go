@@ -53,6 +53,11 @@ type Info struct {
 	PIMAtomic string
 }
 
+// Info returns i itself, so a bare description serves wherever a
+// workload's Info is asked for (harness.Env.Config on a trace with no
+// registered workload).
+func (i Info) Info() Info { return i }
+
 // ApplicableWith reports offloadability under a command set.
 func (i Info) ApplicableWith(extended bool) bool {
 	return i.Applicable || (extended && i.NeedsFPExtension)

@@ -10,8 +10,10 @@
 #
 #   quick  `run -quick -q -format json <id>` for every `list` id, with and
 #          without -check, plus `run -quick -q -format json -mem M all`
-#          for M in ddr, lpddr, vault and `... -policy P all` for P in
-#          pim, auto (placement remaps kinds before the memo keys).
+#          for M in ddr, lpddr, vault, `... -policy P all` for P in
+#          pim, auto, host (placement remaps kinds before the memo keys),
+#          and the extension experiments under -mem ddr (both flags must
+#          reach every cell, the extensions' own traces included).
 #   all    (default) quick, plus `workload` at default scale for
 #          {BFS,PRank,SpMV} x {baseline,upei,graphpim}, BFS with
 #          -policy auto, -mem vault, -mem ddr and -quick, and
@@ -81,9 +83,11 @@ done
 for m in ddr lpddr vault; do
 	check "run-mem-$m" graphpim run -quick -q -format json -mem "$m" all
 done
-for p in pim auto; do
+for p in pim auto host; do
 	check "run-policy-$p" graphpim run -quick -q -format json -policy "$p" all
 done
+check run-mem-ddr-extras graphpim run -quick -q -format json -mem ddr \
+	$("$dir/base/graphpim" list | awk '$2 == "extra" {print $1}')
 
 if [ "$scope" = all ]; then
 	for w in BFS PRank SpMV; do
