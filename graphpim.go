@@ -179,12 +179,6 @@ type Options struct {
 	// Threads is the logical thread count (one simulated core each,
 	// max 16).
 	Threads int
-	// ScaledCaches shrinks L2/L3 to match scaled datasets; see
-	// DESIGN.md. When false, the full Table IV hierarchy is used. The
-	// facade scales as the default experiment environment does (128 KB
-	// L2, 512 KB L3) at every graph size, whereas `run -quick` uses a
-	// 128 KB L3 for its graphs of 4096 vertices or fewer.
-	ScaledCaches bool
 	// Check enables the simulation sanitizer: periodic and end-of-run
 	// audits of the machine's internal invariants. Audits are read-only
 	// (results are identical either way); a violation panics with
@@ -231,9 +225,9 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// DefaultOptions returns 16 threads with scaled caches.
+// DefaultOptions returns 16 threads.
 func DefaultOptions() Options {
-	return Options{Threads: 16, ScaledCaches: true}
+	return Options{Threads: 16}
 }
 
 // Run binds a graph to the framework so workloads can be simulated under
@@ -248,14 +242,16 @@ type Run struct {
 	env *harness.Env
 }
 
-// NewRun prepares a simulation run over g.
+// NewRun prepares a simulation run over g. Its caches shrink to match
+// scaled datasets (DESIGN.md) as the default experiment environment's
+// do — a 128 KB L2 and a 512 KB L3 at every graph size — whereas `run
+// -quick` uses a 128 KB L3 for its graphs of 4096 vertices or fewer.
 func NewRun(g *Graph, opts Options) *Run {
 	if err := opts.Validate(); err != nil {
 		panic(err.Error())
 	}
 	env := harness.DefaultEnv()
 	env.Threads = opts.Threads
-	env.ScaledCaches = opts.ScaledCaches
 	env.Check = opts.Check
 	env.Memory = opts.Memory
 	env.Policy = opts.Policy

@@ -157,59 +157,58 @@ func resultHash(res Result) uint64 {
 
 // TestRunGoldenResults pins the facade's simulated numbers: every
 // (workload, config, placement policy, memory substrate) cell over a
-// fixed graph must hash to the value recorded before the facade was
-// routed through the harness. SpMV covers the FP-extension naming
-// path.
+// fixed graph must hash to the value recorded here. SpMV covers the
+// FP-extension naming path.
 func TestRunGoldenResults(t *testing.T) {
 	golden := map[string]uint64{
-		"BFS/baseline/policy=/hmc":         0x056bbd36d0b000cd,
-		"BFS/upei/policy=/hmc":             0x617bbfba2d01f66a,
-		"BFS/graphpim/policy=/hmc":         0x1f81aa9cf30e5eff,
+		"BFS/baseline/policy=/hmc":         0x523c844b7cff012c,
+		"BFS/upei/policy=/hmc":             0x765d782e5cc2bd15,
+		"BFS/graphpim/policy=/hmc":         0xb2f097f4650fca6a,
 		"BFS/baseline/policy=/ddr":         0x7ac4a91d7727a226,
 		"BFS/upei/policy=/ddr":             0x064e81b5713d3bdd,
 		"BFS/graphpim/policy=/ddr":         0x8402c6444c43febd,
 		"BFS/baseline/policy=/vault":       0xe75a41e49cbe7b5c,
 		"BFS/upei/policy=/vault":           0xd4e8f5154cf76bd0,
 		"BFS/graphpim/policy=/vault":       0xc1bf033fcb021c5a,
-		"BFS/baseline/policy=auto/hmc":     0x056bbd36d0b000cd,
-		"BFS/upei/policy=auto/hmc":         0xc23c910609dde7fc,
-		"BFS/graphpim/policy=auto/hmc":     0xc23c910609dde7fc,
+		"BFS/baseline/policy=auto/hmc":     0x523c844b7cff012c,
+		"BFS/upei/policy=auto/hmc":         0x4e96724b65fdf001,
+		"BFS/graphpim/policy=auto/hmc":     0x4e96724b65fdf001,
 		"BFS/baseline/policy=auto/ddr":     0x7ac4a91d7727a226,
 		"BFS/upei/policy=auto/ddr":         0x09bc3163e6c0d1ae,
 		"BFS/graphpim/policy=auto/ddr":     0x09bc3163e6c0d1ae,
 		"BFS/baseline/policy=auto/vault":   0xe75a41e49cbe7b5c,
 		"BFS/upei/policy=auto/vault":       0xf5ff0d29bfb2d334,
 		"BFS/graphpim/policy=auto/vault":   0xf5ff0d29bfb2d334,
-		"PRank/baseline/policy=/hmc":       0x82ead60d3b58acd9,
-		"PRank/upei/policy=/hmc":           0x41bbe94f32ebd9f2,
-		"PRank/graphpim/policy=/hmc":       0x801b2bae7670cfd7,
+		"PRank/baseline/policy=/hmc":       0x3778327529fb67dc,
+		"PRank/upei/policy=/hmc":           0xb94fcb5b87bdd86d,
+		"PRank/graphpim/policy=/hmc":       0x261d81584583eb56,
 		"PRank/baseline/policy=/ddr":       0x030ed67236c0719e,
 		"PRank/upei/policy=/ddr":           0xf3fa77559e01edca,
 		"PRank/graphpim/policy=/ddr":       0xfaa7c312a264002a,
 		"PRank/baseline/policy=/vault":     0xffd7bb68a34f5fdd,
 		"PRank/upei/policy=/vault":         0x9c1c7cba7d7b6ca1,
 		"PRank/graphpim/policy=/vault":     0x2496ad561cdcc5a6,
-		"PRank/baseline/policy=auto/hmc":   0x82ead60d3b58acd9,
-		"PRank/upei/policy=auto/hmc":       0x808200de9419d78f,
-		"PRank/graphpim/policy=auto/hmc":   0x808200de9419d78f,
+		"PRank/baseline/policy=auto/hmc":   0x3778327529fb67dc,
+		"PRank/upei/policy=auto/hmc":       0x66b633ce7a3890da,
+		"PRank/graphpim/policy=auto/hmc":   0x66b633ce7a3890da,
 		"PRank/baseline/policy=auto/ddr":   0x030ed67236c0719e,
 		"PRank/upei/policy=auto/ddr":       0x82eef9f909ef0cd9,
 		"PRank/graphpim/policy=auto/ddr":   0x82eef9f909ef0cd9,
 		"PRank/baseline/policy=auto/vault": 0xffd7bb68a34f5fdd,
 		"PRank/upei/policy=auto/vault":     0x77bd7bea141f0d82,
 		"PRank/graphpim/policy=auto/vault": 0x77bd7bea141f0d82,
-		"SpMV/baseline/policy=/hmc":        0xeab442c3f63cd19f,
-		"SpMV/upei/policy=/hmc":            0x92774aeb98a5b03d,
-		"SpMV/graphpim/policy=/hmc":        0xe1c5b84a442636f6,
+		"SpMV/baseline/policy=/hmc":        0x4797e2ee45754138,
+		"SpMV/upei/policy=/hmc":            0x0d0f35a5a87c1be2,
+		"SpMV/graphpim/policy=/hmc":        0x0627085ae72ec51f,
 		"SpMV/baseline/policy=/ddr":        0xf4cffaa3284fd7b1,
 		"SpMV/upei/policy=/ddr":            0xb4c6d7740480d625,
 		"SpMV/graphpim/policy=/ddr":        0xe9da29b271c38f85,
 		"SpMV/baseline/policy=/vault":      0xeb3e7c0c54731ea5,
 		"SpMV/upei/policy=/vault":          0xff882e8326f573b5,
 		"SpMV/graphpim/policy=/vault":      0x8221ae130fd4f79e,
-		"SpMV/baseline/policy=auto/hmc":    0xeab442c3f63cd19f,
-		"SpMV/upei/policy=auto/hmc":        0x356fc93fb8a50285,
-		"SpMV/graphpim/policy=auto/hmc":    0x356fc93fb8a50285,
+		"SpMV/baseline/policy=auto/hmc":    0x4797e2ee45754138,
+		"SpMV/upei/policy=auto/hmc":        0x2ab400be4340df68,
+		"SpMV/graphpim/policy=auto/hmc":    0x2ab400be4340df68,
 		"SpMV/baseline/policy=auto/ddr":    0xf4cffaa3284fd7b1,
 		"SpMV/upei/policy=auto/ddr":        0xbdae8f7c933d3b37,
 		"SpMV/graphpim/policy=auto/ddr":    0xbdae8f7c933d3b37,

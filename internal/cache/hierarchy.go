@@ -164,9 +164,6 @@ func New(cfg Config, backend Backend, stats *sim.Stats) *Hierarchy {
 	return h
 }
 
-// Config returns the hierarchy configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
-
 func bit(core int) uint32 { return 1 << uint(core) }
 
 // dropPrivate removes lineAddr from core's private caches and reports

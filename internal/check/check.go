@@ -23,8 +23,6 @@ type Level uint8
 const (
 	// Off disables the sanitizer entirely (default; zero hot-path cost).
 	Off Level = iota
-	// Final runs every auditor once, after the last event of the run.
-	Final
 	// Periodic runs every auditor at a fixed cycle interval and at end
 	// of run.
 	Periodic
@@ -34,8 +32,6 @@ func (l Level) String() string {
 	switch l {
 	case Off:
 		return "off"
-	case Final:
-		return "final"
 	case Periodic:
 		return "periodic"
 	}
@@ -88,7 +84,6 @@ type auditor struct {
 // Registry holds the auditors for one machine instance and schedules
 // their periodic execution.
 type Registry struct {
-	level    Level
 	interval uint64
 	nextAt   uint64
 	auditors []auditor
@@ -104,13 +99,7 @@ func NewRegistry(level Level, interval uint64) *Registry {
 	if interval == 0 {
 		interval = DefaultInterval
 	}
-	r := &Registry{level: level, interval: interval}
-	if level == Periodic {
-		r.nextAt = interval
-	} else {
-		r.nextAt = ^uint64(0) // final-only: periodic checkpoints never fire
-	}
-	return r
+	return &Registry{interval: interval, nextAt: interval}
 }
 
 // Register adds an auditor. fn must be read-only and return a

@@ -42,18 +42,6 @@ func TestPeriodicSchedule(t *testing.T) {
 	}
 }
 
-func TestFinalLevelNeverDue(t *testing.T) {
-	r := NewRegistry(Final, 0)
-	ran := 0
-	r.Register("hmc", NoCore, func(uint64) error { ran++; return nil })
-	if r.Due(1 << 40) {
-		t.Fatal("final-only registry reported a periodic checkpoint due")
-	}
-	if f := r.Final(123); f != nil || ran != 1 {
-		t.Fatalf("Final: failure=%v ran=%d", f, ran)
-	}
-}
-
 func TestFailureContext(t *testing.T) {
 	r := NewRegistry(Periodic, 0)
 	base := errors.New("rob occupancy 9 exceeds capacity 8")
@@ -73,7 +61,7 @@ func TestFailureContext(t *testing.T) {
 		}
 	}
 	// Non-core failures omit the core clause.
-	r2 := NewRegistry(Final, 0)
+	r2 := NewRegistry(Periodic, 0)
 	r2.Register("hmc", NoCore, func(uint64) error { return base })
 	if msg := r2.Final(1).Error(); strings.Contains(msg, "core") {
 		t.Fatalf("NoCore failure mentions a core: %q", msg)

@@ -365,9 +365,6 @@ type Ctx struct {
 	e   *trace.Emitter
 }
 
-// TID returns the logical thread id.
-func (c *Ctx) TID() int { return c.tid }
-
 // Compute emits n units of independent ALU work.
 func (c *Ctx) Compute(n int) { c.e.Compute(n) }
 

@@ -1,9 +1,12 @@
 package gframe
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"graphpim/internal/graph"
+	"graphpim/internal/hmcatomic"
 	"graphpim/internal/memmap"
 	"graphpim/internal/trace"
 )
@@ -245,4 +248,98 @@ func TestAllocPropertyValidation(t *testing.T) {
 		}
 	}()
 	f.AllocProperty("bad", 32)
+}
+
+// TestHostAtomicsMatchPIMCommands checks the premise offloading rests
+// on: every host atomic form gframe emits computes, on the host, what
+// its HMC command (PIMOp with the FP extension) computes in the vault.
+// Memory holds the element in Lo and its 8-byte neighbour in Hi; the
+// immediate follows Apply's documented layout, and the 16-byte compare
+// forms carry Hi = neighbour so that only Lo decides. The command must
+// write the host's value into Lo, leave Hi alone, and raise its flag
+// exactly when the host succeeded, which the trace records as
+// !FlagCASFail.
+func TestHostAtomicsMatchPIMCommands(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	// operand draws x, equal to old a quarter of the time so that the
+	// compare forms see ties.
+	operand := func(old uint64) uint64 {
+		if r.Intn(4) == 0 {
+			return old
+		}
+		return r.Uint64()
+	}
+	floatBits := func() uint64 { return math.Float64bits((r.Float64() - 0.5) * 1e6) }
+	forms := []struct {
+		form trace.HostAtomic
+		old  func() uint64
+		// host applies the form to element 0 of p, returning its
+		// success and the command's immediate for the neighbour nb.
+		host func(c *Ctx, p *Property, nb uint64) (bool, hmcatomic.Value)
+	}{
+		{trace.AtomicCAS, r.Uint64, func(c *Ctx, p *Property, nb uint64) (bool, hmcatomic.Value) {
+			compare, swap := operand(p.U64(0)), r.Uint64()
+			return c.CAS(p, 0, compare, swap), hmcatomic.Value{Lo: swap, Hi: compare}
+		}},
+		{trace.AtomicAdd, r.Uint64, func(c *Ctx, p *Property, nb uint64) (bool, hmcatomic.Value) {
+			delta := int64(r.Uint64() >> 1)
+			c.AtomicAdd(p, 0, delta)
+			return true, hmcatomic.Value{Lo: uint64(delta)}
+		}},
+		{trace.AtomicSub, r.Uint64, func(c *Ctx, p *Property, nb uint64) (bool, hmcatomic.Value) {
+			delta := -1 - int64(r.Uint64()>>1)
+			c.AtomicAdd(p, 0, delta)
+			return true, hmcatomic.Value{Lo: uint64(delta)}
+		}},
+		{trace.AtomicMin, r.Uint64, func(c *Ctx, p *Property, nb uint64) (bool, hmcatomic.Value) {
+			x := operand(p.U64(0))
+			return c.AtomicMin(p, 0, x), hmcatomic.Value{Lo: x, Hi: nb}
+		}},
+		{trace.AtomicMax, r.Uint64, func(c *Ctx, p *Property, nb uint64) (bool, hmcatomic.Value) {
+			x := operand(p.U64(0))
+			return c.AtomicMax(p, 0, x), hmcatomic.Value{Lo: x, Hi: nb}
+		}},
+		{trace.AtomicFPAdd, floatBits, func(c *Ctx, p *Property, nb uint64) (bool, hmcatomic.Value) {
+			delta := floatBits()
+			c.AtomicAddF64(p, 0, math.Float64frombits(delta))
+			return true, hmcatomic.Value{Lo: delta}
+		}},
+	}
+	const trials = 500
+	for _, tc := range forms {
+		t.Run(tc.form.String(), func(t *testing.T) {
+			op, ok := tc.form.PIMOp(true)
+			if !ok {
+				t.Fatalf("%v has no HMC command", tc.form)
+			}
+			f := New(tinyGraph(), 1, DefaultCostModel())
+			p := f.AllocProperty("prop", 8)
+			c := f.Thread(0)
+			flags := make([]bool, trials)
+			for i := range flags {
+				old, nb := tc.old(), r.Uint64()
+				p.SetU64(0, old)
+				success, imm := tc.host(c, p, nb)
+				res := hmcatomic.Apply(op, hmcatomic.Value{Lo: old, Hi: nb}, imm)
+				if res.New.Lo != p.U64(0) || res.New.Hi != nb || res.Flag != success {
+					t.Fatalf("trial %d: %v on {%#x %#x} with %+v: command wrote %+v flag %v, host %#x success %v",
+						i, op, old, nb, imm, res.New, res.Flag, p.U64(0), success)
+				}
+				flags[i] = res.Flag
+			}
+			i := 0
+			for _, in := range f.Trace().Threads[0] {
+				if in.Kind != trace.KindAtomic {
+					continue
+				}
+				if in.Atomic != tc.form || in.CASFailed() != !flags[i] {
+					t.Fatalf("record %d: %v with CASFailed %v, want %v with %v", i, in.Atomic, in.CASFailed(), tc.form, !flags[i])
+				}
+				i++
+			}
+			if i != trials {
+				t.Fatalf("%d atomic records, want %d", i, trials)
+			}
+		})
+	}
 }

@@ -139,7 +139,6 @@ type EdgeListStream struct {
 	rs    io.ReadSeeker
 	start int64
 	n     int
-	raw   uint64
 }
 
 // NewEdgeListStream validates an edge-list with one scanning pass (all
@@ -181,16 +180,12 @@ func NewEdgeListStream(r io.Reader) (*EdgeListStream, error) {
 	if n > MaxEdgeListVertices {
 		return nil, fmt.Errorf("graph: vertex id space %d exceeds limit %d", n, MaxEdgeListVertices)
 	}
-	return &EdgeListStream{rs: rs, start: start, n: int(n), raw: count}, nil
+	return &EdgeListStream{rs: rs, start: start, n: int(n)}, nil
 }
 
 // NumVertices returns the vertex count (max id + 1, or the header value
 // if larger, floor 2).
 func (s *EdgeListStream) NumVertices() int { return s.n }
-
-// RawEdges returns the edge-line count of the validating scan — the
-// pre-dedup edge count a build of this stream will see.
-func (s *EdgeListStream) RawEdges() uint64 { return s.raw }
 
 // Edges re-parses the edge-list from its starting offset.
 func (s *EdgeListStream) Edges(emit func(src, dst VID, w uint32) bool) error {

@@ -38,9 +38,9 @@ import (
 //
 // The replay pass doubles as the observability export: cell registers
 // every cell the experiment touches (first-touch order, deduplicated)
-// with a collector, and RunExperimentObserved turns the collected cells
-// into obs.Records — the memo key plus headline results plus the full
-// counter snapshot. Because the collector watches the replay rather than
+// in a second cellList, and RunExperimentObserved turns those cells into
+// obs.Records — the memo key plus headline results plus the full
+// counter snapshot. Because that list watches the replay rather than
 // the plan, the export also covers cells the recording pass missed.
 
 // plannedCell pairs a memoized run slot with the key it lives under, so
@@ -50,32 +50,19 @@ type plannedCell struct {
 	slot *runSlot
 }
 
-// recorder collects the simulation cells an experiment touches, in
-// first-touch order and deduplicated, during the recording pass.
-type recorder struct {
-	seen map[*runSlot]bool
-	plan []plannedCell
-}
-
-func (r *recorder) add(key runKey, s *runSlot) {
-	if !r.seen[s] {
-		r.seen[s] = true
-		r.plan = append(r.plan, plannedCell{key: key, slot: s})
-	}
-}
-
-// collector collects the cells an experiment touches during the replay
-// pass, in first-touch order and deduplicated. Unlike the recorder it
-// observes real (memoized) execution, so its cells carry final results.
-type collector struct {
+// cellList collects the simulation cells an experiment touches, in
+// first-touch order and deduplicated. The recording pass fills one as
+// its plan; an observed replay pass fills another, whose cells carry
+// final results because it observes real (memoized) execution.
+type cellList struct {
 	seen  map[*runSlot]bool
 	cells []plannedCell
 }
 
-func (c *collector) add(key runKey, s *runSlot) {
-	if !c.seen[s] {
-		c.seen[s] = true
-		c.cells = append(c.cells, plannedCell{key: key, slot: s})
+func (l *cellList) add(key runKey, s *runSlot) {
+	if !l.seen[s] {
+		l.seen[s] = true
+		l.cells = append(l.cells, plannedCell{key: key, slot: s})
 	}
 }
 
@@ -83,7 +70,7 @@ func (c *collector) add(key runKey, s *runSlot) {
 // the pass (an experiment that divides by a not-yet-simulated value, say)
 // aborts recording; the caller then just runs serially.
 func (e *Env) record(ex Experiment) (plan []plannedCell, ok bool) {
-	rec := &recorder{seen: make(map[*runSlot]bool)}
+	rec := &cellList{seen: make(map[*runSlot]bool)}
 	e.mu.Lock()
 	e.rec = rec
 	e.mu.Unlock()
@@ -96,7 +83,7 @@ func (e *Env) record(ex Experiment) (plan []plannedCell, ok bool) {
 		}
 	}()
 	ex.Run(e)
-	return rec.plan, true
+	return rec.cells, true
 }
 
 // reporter returns the Env's Reporter, or the silent one.
@@ -189,7 +176,7 @@ func (e *Env) RunExperimentObserved(ctx context.Context, ex Experiment) (*Table,
 		rep.PlanReady(ex.ID, 0)
 	}
 
-	col := &collector{seen: make(map[*runSlot]bool)}
+	col := &cellList{seen: make(map[*runSlot]bool)}
 	e.mu.Lock()
 	e.col = col
 	e.mu.Unlock()
@@ -273,17 +260,16 @@ func (e *Env) PreloadRecords(recs []obs.Record) {
 // Info captures the Env's configuration for a run manifest.
 func (e *Env) Info() obs.EnvInfo {
 	return obs.EnvInfo{
-		Vertices:     e.Vertices,
-		Seed:         e.Seed,
-		Threads:      e.Threads,
-		ScaledCaches: e.ScaledCaches,
-		SweepSizes:   append([]int(nil), e.SweepSizes...),
-		AppVertices:  e.AppVertices,
-		Parallelism:  e.Parallelism,
-		Memory:       e.Memory,
-		Policy:       e.Policy,
-		NumCPU:       runtime.NumCPU(),
-		Gomaxprocs:   runtime.GOMAXPROCS(0),
+		Vertices:    e.Vertices,
+		Seed:        e.Seed,
+		Threads:     e.Threads,
+		SweepSizes:  append([]int(nil), e.SweepSizes...),
+		AppVertices: e.AppVertices,
+		Parallelism: e.Parallelism,
+		Memory:      e.Memory,
+		Policy:      e.Policy,
+		NumCPU:      runtime.NumCPU(),
+		Gomaxprocs:  runtime.GOMAXPROCS(0),
 	}
 }
 
@@ -291,14 +277,13 @@ func (e *Env) Info() obs.EnvInfo {
 // produced under.
 func EnvFromInfo(info obs.EnvInfo) *Env {
 	return &Env{
-		Vertices:     info.Vertices,
-		Seed:         info.Seed,
-		Threads:      info.Threads,
-		ScaledCaches: info.ScaledCaches,
-		SweepSizes:   append([]int(nil), info.SweepSizes...),
-		AppVertices:  info.AppVertices,
-		Parallelism:  info.Parallelism,
-		Memory:       info.Memory,
-		Policy:       info.Policy,
+		Vertices:    info.Vertices,
+		Seed:        info.Seed,
+		Threads:     info.Threads,
+		SweepSizes:  append([]int(nil), info.SweepSizes...),
+		AppVertices: info.AppVertices,
+		Parallelism: info.Parallelism,
+		Memory:      info.Memory,
+		Policy:      info.Policy,
 	}
 }

@@ -19,14 +19,13 @@ import (
 // files are released when the test ends.
 func testEnv(t testing.TB, parallelism int) *Env {
 	e := &Env{
-		Vertices:     1024,
-		Seed:         7,
-		Threads:      16,
-		ScaledCaches: true,
-		SweepSizes:   []int{512, 1024},
-		AppVertices:  1024,
-		Parallelism:  parallelism,
-		Check:        true,
+		Vertices:    1024,
+		Seed:        7,
+		Threads:     16,
+		SweepSizes:  []int{512, 1024},
+		AppVertices: 1024,
+		Parallelism: parallelism,
+		Check:       true,
 	}
 	t.Cleanup(func() { e.Close() })
 	return e

@@ -104,8 +104,8 @@ func Policies() string {
 // experiments sharing runs (Figs. 7, 9, 10, 12, 15, 16) pay for them once.
 //
 // Results are memoized at two levels. Label slots (runs, keyed by
-// runKey) are what experiments name: the engine's plan, the export
-// collector and PreloadRecords work on them. Simulation slots (sims,
+// runKey) are what experiments name: the engine's plan, the export's
+// cell list and PreloadRecords work on them. Simulation slots (sims,
 // keyed by simKey) are what the machine computes: one per distinct
 // (trace source, address space, resolved config), so label slots that
 // describe the same machine — fig11's 16-FU column and fig7's GraphPIM
@@ -128,9 +128,6 @@ type Env struct {
 	Seed uint64
 	// Threads is the logical thread count (== cores used).
 	Threads int
-	// ScaledCaches shrinks L2/L3 to match the scaled dataset (see the
-	// package comment). When false, Table IV capacities are used.
-	ScaledCaches bool
 	// SweepSizes are the Fig. 14 graph sizes (scaled stand-ins for
 	// Table VI's 1K..1M family).
 	SweepSizes []int
@@ -183,10 +180,10 @@ type Env struct {
 	// (simKey.family), in finishing order.
 	families map[simKey][]*simSlot
 	// rec is non-nil during the engine's recording pass (engine.go).
-	rec *recorder
+	rec *cellList
 	// col is non-nil during an observed replay pass (engine.go): it
 	// collects every cell the experiment touches, in first-touch order.
-	col *collector
+	col *cellList
 }
 
 type traceKey struct {
@@ -304,24 +301,22 @@ type tracedRun struct {
 // EXPERIMENTS.md.
 func DefaultEnv() *Env {
 	return &Env{
-		Vertices:     16384,
-		Seed:         7,
-		Threads:      16,
-		ScaledCaches: true,
-		SweepSizes:   []int{1024, 4096, 16384},
-		AppVertices:  16384,
+		Vertices:    16384,
+		Seed:        7,
+		Threads:     16,
+		SweepSizes:  []int{1024, 4096, 16384},
+		AppVertices: 16384,
 	}
 }
 
 // QuickEnv returns a small scale for tests and benchmark iterations.
 func QuickEnv() *Env {
 	return &Env{
-		Vertices:     2048,
-		Seed:         7,
-		Threads:      16,
-		ScaledCaches: true,
-		SweepSizes:   []int{512, 2048},
-		AppVertices:  2048,
+		Vertices:    2048,
+		Seed:        7,
+		Threads:     16,
+		SweepSizes:  []int{512, 2048},
+		AppVertices: 2048,
 	}
 }
 
@@ -340,9 +335,6 @@ func (e *Env) initLocked() {
 // The scaled L3 keeps the paper's relationship LLC << property footprint
 // << structure footprint.
 func (e *Env) scaleCaches(cfg machine.Config) machine.Config {
-	if !e.ScaledCaches {
-		return cfg
-	}
 	cfg.Cache.L2Size = 128 << 10
 	cfg.Cache.L3Size = 512 << 10
 	if e.Vertices <= 4096 {
@@ -429,9 +421,9 @@ func (e *Env) traceCell(r recipe) *tracedRun {
 // During the engine's recording pass the cell is only registered in the
 // plan and a zero Result is returned — experiment logic never branches
 // on result values while recording, and the pass's output is discarded.
-// During an observed replay pass the cell is also registered with the
-// collector, so RunExperimentObserved can export a Record for every
-// cell the experiment touched.
+// During an observed replay pass the cell is also registered in e.col,
+// so RunExperimentObserved can export a Record for every cell the
+// experiment touched.
 func (e *Env) cell(kind ConfigKind, variant string, info workloads.Info, r recipe,
 	adjust func(*machine.Config)) machine.Result {
 	kind = e.policyKind(kind)

@@ -90,10 +90,9 @@ func TestStreamSmoke(t *testing.T) {
 		t.Skip("set GRAPHPIM_STREAM_SMOKE=1 to run the 1M-vertex streaming smoke")
 	}
 	env := &Env{
-		Vertices:     1 << 20,
-		Seed:         7,
-		Threads:      16,
-		ScaledCaches: true,
+		Vertices: 1 << 20,
+		Seed:     7,
+		Threads:  16,
 	}
 	defer env.Close()
 

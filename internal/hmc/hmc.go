@@ -55,18 +55,6 @@ type Config struct {
 	// same vault. Zero (the HMC default) interleaves single 64-byte
 	// blocks across vaults for maximal parallelism.
 	VaultInterleaveShift int
-
-	// OpenPage keeps DRAM rows open between accesses: a row-buffer hit
-	// pays only tCL, a conflict pays tRP+tRCD+tCL. The default (closed
-	// page) is what vault controllers use for irregular traffic.
-	OpenPage bool
-	// RowBytes is the DRAM row size per bank for the open-page policy.
-	RowBytes uint64
-
-	// Functional enables the functional data store so that PIM atomics
-	// actually read-modify-write values (used by tests and examples; the
-	// timing model does not need it).
-	Functional bool
 }
 
 // DefaultConfig returns the Table IV HMC configuration.
@@ -96,27 +84,25 @@ type cubeCounters struct {
 	reads, writes     sim.Counter
 	ucReads, ucWrites sim.Counter
 
-	atomics      sim.Counter
-	atomicByOp   [hmcatomic.NumOps]sim.Counter
-	fuBusy       sim.Counter
-	fpFUBusy     sim.Counter
-	fuQueue      sim.Counter
-	atomicWrites sim.Counter
+	atomics    sim.Counter
+	atomicByOp [hmcatomic.NumOps]sim.Counter
+	fuBusy     sim.Counter
+	fpFUBusy   sim.Counter
+	fuQueue    sim.Counter
 }
 
 func resolveCubeCounters(stats *sim.Stats) cubeCounters {
 	c := cubeCounters{
-		flitsReq:     stats.Counter("hmc.flits.req"),
-		flitsRsp:     stats.Counter("hmc.flits.rsp"),
-		reads:        stats.Counter("hmc.reads"),
-		writes:       stats.Counter("hmc.writes"),
-		ucReads:      stats.Counter("hmc.uc.reads"),
-		ucWrites:     stats.Counter("hmc.uc.writes"),
-		atomics:      stats.Counter("hmc.atomics"),
-		fuBusy:       stats.Counter("hmc.fu.busy_cycles"),
-		fpFUBusy:     stats.Counter("hmc.fpfu.busy_cycles"),
-		fuQueue:      stats.Counter("hmc.fu.queue_cycles"),
-		atomicWrites: stats.Counter("hmc.dram.atomic_writes"),
+		flitsReq: stats.Counter("hmc.flits.req"),
+		flitsRsp: stats.Counter("hmc.flits.rsp"),
+		reads:    stats.Counter("hmc.reads"),
+		writes:   stats.Counter("hmc.writes"),
+		ucReads:  stats.Counter("hmc.uc.reads"),
+		ucWrites: stats.Counter("hmc.uc.writes"),
+		atomics:  stats.Counter("hmc.atomics"),
+		fuBusy:   stats.Counter("hmc.fu.busy_cycles"),
+		fpFUBusy: stats.Counter("hmc.fpfu.busy_cycles"),
+		fuQueue:  stats.Counter("hmc.fu.queue_cycles"),
 	}
 	for op := 0; op < hmcatomic.NumOps; op++ {
 		c.atomicByOp[op] = stats.Counter("hmc.atomic." + hmcatomic.Op(op).String())
@@ -126,9 +112,8 @@ func resolveCubeCounters(stats *sim.Stats) cubeCounters {
 
 // Cube is one HMC device.
 type Cube struct {
-	cfg   Config
-	stats *sim.Stats
-	ctr   cubeCounters
+	cfg Config
+	ctr cubeCounters
 
 	// flitsPerCycle is the serialization rate of the aggregate link in
 	// FLITs per core cycle, each direction.
@@ -143,8 +128,6 @@ type Cube struct {
 	// maxIntBusy is the most integer FUs of one vault still busy at an
 	// integer op's dataReady (Slack).
 	maxIntBusy int
-
-	mem map[memmap.Addr]hmcatomic.Value // functional store (optional)
 }
 
 // Validate reports the first out-of-range cube parameter as a
@@ -209,17 +192,13 @@ func New(cfg Config, stats *sim.Stats) *Cube {
 	if cfg.LinkBWScale == 0 {
 		cfg.LinkBWScale = 1
 	}
-	if cfg.RowBytes == 0 {
-		cfg.RowBytes = 4096
-	}
 	c := &Cube{
 		cfg:           cfg,
-		stats:         stats,
 		ctr:           resolveCubeCounters(stats),
 		flitsPerCycle: cfg.flitsPerCycle(),
 		vaultBits:     uint(bits.TrailingZeros(uint(cfg.NumVaults))),
 		banks: dram.NewBanks(stats, "hmc", cfg.NumVaults, cfg.BanksPerVault,
-			dram.Timing{TRCDNs: cfg.TRCDNs, TCLNs: cfg.TCLNs, TRPNs: cfg.TRPNs, TRASNs: cfg.TRASNs}, cfg.OpenPage),
+			dram.Timing{TRCDNs: cfg.TRCDNs, TCLNs: cfg.TCLNs, TRPNs: cfg.TRPNs, TRASNs: cfg.TRASNs}, false),
 	}
 	c.reqLink = dram.NewLane(c.flitsPerCycle)
 	c.rspLink = dram.NewLane(c.flitsPerCycle)
@@ -232,14 +211,8 @@ func New(cfg Config, stats *sim.Stats) *Cube {
 			c.fpFU[v] = make([]uint64, cfg.FPFUsPerVault)
 		}
 	}
-	if cfg.Functional {
-		c.mem = make(map[memmap.Addr]hmcatomic.Value)
-	}
 	return c
 }
-
-// Config returns the cube configuration.
-func (c *Cube) Config() Config { return c.cfg }
 
 // VaultBank maps an address to its vault and bank. By default HMC
 // interleaves consecutive 64-byte blocks across vaults, then banks,
@@ -268,11 +241,12 @@ func (c *Cube) sendResponse(ready uint64, flits int) uint64 {
 
 // reserveBank reserves addr's bank starting no earlier than arrive,
 // holding it for the RMW extension extra (0 for plain reads/writes), and
-// returns the cycle at which data is available. Rows are numbered by
-// physical address, not by the bank-local line index of dram.Route.
+// returns the cycle at which data is available. Vault controllers run
+// closed-page for irregular traffic, so every access activates its row
+// and the row number is never read.
 func (c *Cube) reserveBank(addr memmap.Addr, arrive, extra uint64) uint64 {
 	v, b := c.VaultBank(addr)
-	return c.banks.Access(v, b, uint64(addr)/c.cfg.RowBytes+1, arrive, extra)
+	return c.banks.Access(v, b, 0, arrive, extra)
 }
 
 // ReadLine implements cache.Backend: a 64-byte line fill on the critical
@@ -321,10 +295,9 @@ func (c *Cube) UCWrite(addr memmap.Addr, now uint64) uint64 {
 	return done
 }
 
-// Atomic executes op at addr as a PIM operation in the vault logic die.
-// imm is used only in functional mode, where the result's Flag is the
-// atomic flag.
-func (c *Cube) Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, now uint64) mem.AtomicTiming {
+// Atomic times op at addr as a PIM operation in the vault logic die
+// (see mem.Backend.Atomic; imm is ignored).
+func (c *Cube) Atomic(op hmcatomic.Op, addr memmap.Addr, _ hmcatomic.Value, now uint64) mem.AtomicTiming {
 	c.ctr.atomics.Inc()
 	c.ctr.atomicByOp[op].Inc()
 	cost := hmcatomic.AtomicCost(op)
@@ -371,18 +344,10 @@ func (c *Cube) Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, no
 		c.ctr.fuQueue.Add(wait)
 	}
 
-	t := mem.AtomicTiming{Accepted: max(now+2, arrive-c.cfg.LinkLatency)}
-	t.ResponseAt = c.sendResponse(opDone, cost.Response)
-
-	if c.mem != nil {
-		r := hmcatomic.Apply(op, c.mem[addr], imm)
-		if r.Wrote {
-			c.mem[addr] = r.New
-			c.ctr.atomicWrites.Inc()
-		}
-		t.Flag = r.Flag
+	return mem.AtomicTiming{
+		Accepted:   max(now+2, arrive-c.cfg.LinkLatency),
+		ResponseAt: c.sendResponse(opDone, cost.Response),
 	}
-	return t
 }
 
 // Slack is a replay's certificate of how much of the cube's integer
@@ -439,21 +404,3 @@ func (s Slack) Admits(from, to Config) bool {
 	return fus && from.Family() == to.Family() && to.Validate() == nil &&
 		s.Links.Admits(from.flitsPerCycle(), to.flitsPerCycle())
 }
-
-// LoadValue reads the functional store (tests/examples only).
-func (c *Cube) LoadValue(addr memmap.Addr) hmcatomic.Value {
-	if c.mem == nil {
-		return hmcatomic.Value{}
-	}
-	return c.mem[addr]
-}
-
-// StoreValue writes the functional store (tests/examples only).
-func (c *Cube) StoreValue(addr memmap.Addr, v hmcatomic.Value) {
-	if c.mem != nil {
-		c.mem[addr] = v
-	}
-}
-
-// FlitsPerCycle exposes the link serialization rate (tests).
-func (c *Cube) FlitsPerCycle() float64 { return c.flitsPerCycle }

@@ -41,13 +41,13 @@ func TestFlitsPerCycle(t *testing.T) {
 	c, _ := newCube()
 	// 4 links x 120 GB/s = 480 GB/s; at 2GHz that is 240 B/cycle = 15
 	// FLITs/cycle.
-	if got := c.FlitsPerCycle(); got < 14.9 || got > 15.1 {
+	if got := c.flitsPerCycle; got < 14.9 || got > 15.1 {
 		t.Fatalf("FlitsPerCycle = %v, want 15", got)
 	}
 	cfg := DefaultConfig()
 	cfg.LinkBWScale = 0.5
 	half := New(cfg, sim.NewStats())
-	if got := half.FlitsPerCycle(); got < 7.4 || got > 7.6 {
+	if got := half.flitsPerCycle; got < 7.4 || got > 7.6 {
 		t.Fatalf("half-BW FlitsPerCycle = %v, want 7.5", got)
 	}
 }
@@ -158,23 +158,15 @@ func TestFPAtomicNeedsFPFU(t *testing.T) {
 	c.Atomic(hmcatomic.ExtFPAdd64, 0, hmcatomic.Value{}, 0)
 }
 
-func TestFunctionalAtomics(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Functional = true
-	c := New(cfg, sim.NewStats())
-	addr := memmap.Addr(0x3000)
-	c.StoreValue(addr, hmcatomic.Value{Lo: 10})
-	c.Atomic(hmcatomic.TwoAdd8, addr, hmcatomic.Value{Lo: 5}, 0)
-	if got := c.LoadValue(addr); got.Lo != 15 {
-		t.Fatalf("functional add: %+v", got)
+func TestClosedPageHasNoRowHits(t *testing.T) {
+	c, st := newCube()
+	c.ReadLine(0x10000, 0)
+	c.ReadLine(0x10000, 5000)
+	if st.Get("hmc.dram.row_hits") != 0 {
+		t.Fatal("closed-page policy recorded row hits")
 	}
-	tm := c.Atomic(hmcatomic.CasEQ8, addr, hmcatomic.Value{Lo: 99, Hi: 15}, 10)
-	if !tm.Flag || c.LoadValue(addr).Lo != 99 {
-		t.Fatalf("functional CAS hit failed: flag=%v val=%+v", tm.Flag, c.LoadValue(addr))
-	}
-	tm = c.Atomic(hmcatomic.CasEQ8, addr, hmcatomic.Value{Lo: 1, Hi: 0}, 20)
-	if tm.Flag || c.LoadValue(addr).Lo != 99 {
-		t.Fatalf("functional CAS miss mutated memory: flag=%v val=%+v", tm.Flag, c.LoadValue(addr))
+	if st.Get("hmc.dram.activates") != 2 {
+		t.Fatalf("activates = %d", st.Get("hmc.dram.activates"))
 	}
 }
 

@@ -104,9 +104,6 @@ func (p *Pool) CubeFor(addr memmap.Addr) int {
 	return int((uint64(addr) >> uint(6+p.interleaveShift)) & p.mask)
 }
 
-// NumCubes returns the chain length.
-func (p *Pool) NumCubes() int { return len(p.cubes) }
-
 // hops returns the extra round-trip latency to reach cube i.
 func (p *Pool) hops(i int) uint64 {
 	return 2 * uint64(i) * p.hopLatency

@@ -15,8 +15,8 @@ func TestPoolRouting(t *testing.T) {
 		t.Fatalf("page routing wrong: %d %d %d %d",
 			p.CubeFor(0), p.CubeFor(4096), p.CubeFor(2*4096), p.CubeFor(4*4096))
 	}
-	if p.NumCubes() != 4 {
-		t.Fatalf("NumCubes = %d", p.NumCubes())
+	if len(p.cubes) != 4 {
+		t.Fatalf("chain length = %d", len(p.cubes))
 	}
 }
 
@@ -46,25 +46,29 @@ func TestPoolCapacityParallelism(t *testing.T) {
 	}
 }
 
+// TestPoolAtomicRouting checks that an atomic runs in its owning
+// cube's vault logic: one atomic to cube 0 and two to cube 1, all to
+// vault 4, leave exactly that many integer FUs reserved in each cube.
 func TestPoolAtomicRouting(t *testing.T) {
 	st := sim.NewStats()
-	cfg := DefaultPoolConfig(2)
-	cfg.Cube.Functional = true
-	p := NewPool(cfg, st)
-	a0 := memmap.Addr(0x100)  // cube 0
-	a1 := memmap.Addr(0x1100) // cube 1
-	p.Atomic(hmcatomic.TwoAdd8, a0, hmcatomic.Value{Lo: 5}, 0)
-	p.Atomic(hmcatomic.TwoAdd8, a1, hmcatomic.Value{Lo: 7}, 0)
-	if got := p.cubes[0].LoadValue(a0); got.Lo != 5 {
-		t.Fatalf("cube 0 value %d", got.Lo)
+	p := NewPool(DefaultPoolConfig(2), st)
+	a0 := memmap.Addr(0x100)  // cube 0, vault 4
+	a1 := memmap.Addr(0x1100) // cube 1, vault 4
+	p.Atomic(hmcatomic.TwoAdd8, a0, hmcatomic.Value{}, 0)
+	p.Atomic(hmcatomic.TwoAdd8, a1, hmcatomic.Value{}, 0)
+	p.Atomic(hmcatomic.TwoAdd8, a1, hmcatomic.Value{}, 0)
+	for i, want := range []int{1, 2} {
+		reserved := 0
+		for _, free := range p.cubes[i].intFU[4] {
+			if free > 0 {
+				reserved++
+			}
+		}
+		if reserved != want {
+			t.Fatalf("cube %d reserved %d FUs, want %d", i, reserved, want)
+		}
 	}
-	if got := p.cubes[1].LoadValue(a1); got.Lo != 7 {
-		t.Fatalf("cube 1 value %d", got.Lo)
-	}
-	if got := p.cubes[1].LoadValue(a0); got.Lo != 0 {
-		t.Fatal("atomic leaked to the wrong cube")
-	}
-	if st.Get("hmc.atomics") != 2 {
+	if st.Get("hmc.atomics") != 3 {
 		t.Fatalf("atomics = %d", st.Get("hmc.atomics"))
 	}
 }

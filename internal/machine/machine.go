@@ -353,9 +353,6 @@ func NewSource(cfg Config, space *memmap.AddressSpace, src trace.Source) *Machin
 	return m
 }
 
-// Stats exposes the live counter registry.
-func (m *Machine) Stats() *sim.Stats { return m.stats }
-
 // Load implements cpu.MemorySystem.
 func (m *Machine) Load(core int, in trace.Instr, now uint64) cpu.MemResult {
 	d := m.pou.Route(in)

@@ -50,16 +50,6 @@ func TestChecksCleanAndIdentityOnRandomTraces(t *testing.T) {
 	}
 }
 
-func TestCheckFinalLevel(t *testing.T) {
-	sp, tr := synthWorkload(4, 100, 1<<14, 5)
-	cfg := GraphPIM(false)
-	cfg.Check = check.Final
-	res := NewSource(cfg, sp, tr).Run(0)
-	if res.Instructions != tr.TotalInstructions() {
-		t.Fatalf("retired %d of %d", res.Instructions, tr.TotalInstructions())
-	}
-}
-
 // TestLatencyMonotoneUnderLatencyIncrease is the metamorphic property
 // the paper's latency model must respect: making any single cache level
 // slower can never make the whole run faster. (Deterministic seeds make

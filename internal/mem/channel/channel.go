@@ -73,11 +73,10 @@ type Config struct {
 	// BanksPerChannel is the bank count behind each channel (power of
 	// two).
 	BanksPerChannel int
-	// Timing is the DRAM core timing in nanoseconds.
+	// Timing is the DRAM core timing in nanoseconds. Rows stay open
+	// between accesses: a row-buffer hit pays only tCL, a conflict
+	// tRP+tRCD+tCL.
 	Timing dram.Timing
-	// OpenPage keeps rows open between accesses: a row-buffer hit pays
-	// only tCL, a conflict tRP+tRCD+tCL.
-	OpenPage bool
 	// RowBytes is the row size per bank (a power of two, at least a
 	// line).
 	RowBytes uint64
@@ -112,11 +111,6 @@ type Config struct {
 	// StageLatency is paid between the bank access and the unit, to
 	// stage the operand (the WRAM scratchpad on vault).
 	StageLatency uint64
-
-	// Functional attaches a value store so offloaded atomics execute
-	// functionally (tests cross-check against the host semantics).
-	// Generic bundles have no fixed semantics and leave it untouched.
-	Functional bool
 }
 
 // unitNames names a kind's PIM-unit counters. A kind keeps a count it
@@ -142,8 +136,7 @@ var rows = [...]struct {
 	// units.
 	{cfg: Config{
 		kind: "ddr", Channels: 4, BanksPerChannel: 2 * 16, Timing: cubeTiming,
-		OpenPage: true, RowBytes: 8192,
-		LaneGBs: 19.2, Latency: 18, PacketBytes: 64,
+		RowBytes: 8192, LaneGBs: 19.2, Latency: 18, PacketBytes: 64,
 	}},
 	// lpddr, after LP5X-PIM Sim (PAPERS.md): 8 x16 channels of 4 bank
 	// groups x 4 banks, mobile timings with 2KB rows, 8.5 GB/s per
@@ -153,8 +146,7 @@ var rows = [...]struct {
 	{cfg: Config{
 		kind: "lpddr", Channels: 8, BanksPerChannel: 4 * 4,
 		Timing:   dram.Timing{TRCDNs: 18, TCLNs: 17, TRPNs: 18, TRASNs: 42},
-		OpenPage: true, RowBytes: 2048,
-		LaneGBs: 8.5, Latency: 22, PacketBytes: 32,
+		RowBytes: 2048, LaneGBs: 8.5, Latency: 22, PacketBytes: 32,
 		UnitsPerChannel: 4, Cost: [NumClasses]uint64{Int: 2, CAS: 2, FP: 8},
 		CycleMult: 4, AlignGrant: true,
 	}, unit: unitNames{
@@ -170,8 +162,7 @@ var rows = [...]struct {
 	// RMW.
 	{cfg: Config{
 		kind: "vault", Channels: 16, BanksPerChannel: 8, Timing: cubeTiming,
-		OpenPage: true, RowBytes: 8192,
-		LaneGBs: 40, LinkPair: true, Latency: 12, PacketBytes: 16,
+		RowBytes: 8192, LaneGBs: 40, LinkPair: true, Latency: 12, PacketBytes: 16,
 		UnitsPerChannel: 1, Cost: [NumClasses]uint64{Int: 4, CAS: 6, FP: 24, Bundle: 10},
 		CycleMult: 4, StageLatency: 3,
 	}, unit: unitNames{
@@ -265,7 +256,7 @@ func (c Config) New(stats *sim.Stats) mem.Backend {
 		cfg:   c,
 		ctr:   resolveCounters(stats, c.kind, unit),
 		route: dram.NewRoute(c.Channels, c.BanksPerChannel, c.RowBytes),
-		banks: dram.NewBanks(stats, c.kind, c.Channels, c.BanksPerChannel, c.Timing, c.OpenPage),
+		banks: dram.NewBanks(stats, c.kind, c.Channels, c.BanksPerChannel, c.Timing, true),
 		grid:  1,
 	}
 	rate := dram.BytesPerCycle(c.LaneGBs)
@@ -289,9 +280,6 @@ func (c Config) New(stats *sim.Stats) mem.Backend {
 	}
 	if c.AlignGrant {
 		s.grid = c.CycleMult
-	}
-	if c.Functional {
-		s.store = make(map[memmap.Addr]hmcatomic.Value)
 	}
 	return s
 }
@@ -357,9 +345,6 @@ type System struct {
 	// redundant per-unit ledger of unit cycles the audit checks against
 	// the aggregate work counter.
 	unitFree, unitWork []uint64
-
-	// store is the functional value store (nil unless cfg.Functional).
-	store map[memmap.Addr]hmcatomic.Value
 }
 
 // read is the shared critical-path read timing: command to the bank,
@@ -416,22 +401,13 @@ func (s *System) CanOffload(op hmcatomic.Op) bool { return s.cfg.CanOffload(op) 
 func (s *System) CanOffloadBundle() bool { return s.cfg.CanOffloadBundle() }
 
 // Atomic implements mem.Backend: a fixed-function command executes on
-// the PIM unit next to its bank.
-func (s *System) Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, now uint64) mem.AtomicTiming {
-	t := s.execute(opClass[op], addr, now)
-	if s.store != nil {
-		r := hmcatomic.Apply(op, s.store[addr], imm)
-		if r.Wrote {
-			s.store[addr] = r.New
-		}
-		t.Flag = r.Flag
-	}
-	return t
+// the PIM unit next to its bank (imm is ignored).
+func (s *System) Atomic(op hmcatomic.Op, addr memmap.Addr, _ hmcatomic.Value, now uint64) mem.AtomicTiming {
+	return s.execute(opClass[op], addr, now)
 }
 
 // AtomicBundle implements mem.BundleBackend: a generic read-modify-write
-// with no fixed-function encoding. It has no defined value semantics,
-// so the functional store is left untouched.
+// with no fixed-function encoding.
 func (s *System) AtomicBundle(addr memmap.Addr, now uint64) mem.AtomicTiming {
 	return s.execute(Bundle, addr, now)
 }
@@ -473,7 +449,3 @@ func (s *System) execute(class Class, addr memmap.Addr, now uint64) mem.AtomicTi
 	resp := s.rd[ch].Reserve(start+busy, packet) + s.cfg.Latency
 	return mem.AtomicTiming{Accepted: max(now+2, arrive-s.cfg.Latency), ResponseAt: resp}
 }
-
-// Value returns the functional store's value at addr (functional
-// configurations only; tests).
-func (s *System) Value(addr memmap.Addr) hmcatomic.Value { return s.store[addr] }

@@ -133,8 +133,7 @@ func TestReadLatencyIdle(t *testing.T) {
 }
 
 // TestRowBufferPolicy checks the open-page outcomes: same row hits,
-// different row in the same bank conflicts, closed-page always
-// activates.
+// different row in the same bank conflicts.
 func TestRowBufferPolicy(t *testing.T) {
 	for _, cfg := range Rows() {
 		t.Run(cfg.Kind(), func(t *testing.T) {
@@ -151,18 +150,6 @@ func TestRowBufferPolicy(t *testing.T) {
 			s.ReadLine(interleave*memmap.Addr(cfg.RowBytes/dram.LineBytes), 2000) // row 2
 			if c := st.Get(ns + "row_conflicts"); c != 1 {
 				t.Fatalf("row conflicts = %d, want 1", c)
-			}
-
-			closed := cfg
-			closed.OpenPage = false
-			s2, st2 := newSystem(t, closed)
-			s2.ReadLine(0, 0)
-			s2.ReadLine(interleave, 1000)
-			if a := st2.Get(ns + "activates"); a != 2 {
-				t.Fatalf("closed-page activates = %d, want 2", a)
-			}
-			if h := st2.Get(ns + "row_hits"); h != 0 {
-				t.Fatalf("closed-page row hits = %d, want 0", h)
 			}
 		})
 	}
@@ -380,106 +367,60 @@ func TestLatencyWeakMonotonicity(t *testing.T) {
 	}
 }
 
-// TestFunctionalMatchesHostModel drives a randomized atomic stream
-// through a Functional system and a host-side reference: offloading to
-// a bank-group MAC or a vault core may change timing, never values or
-// flags.
-func TestFunctionalMatchesHostModel(t *testing.T) {
-	for _, kind := range pimKinds {
-		t.Run(kind, func(t *testing.T) {
-			cfg := row(t, kind)
-			cfg.Functional = true
-			s, _ := newSystem(t, cfg)
-
-			host := map[memmap.Addr]hmcatomic.Value{}
-			r := rand.New(rand.NewSource(42))
-			addrs := make([]memmap.Addr, 32)
-			for i := range addrs {
-				addrs[i] = memmap.Addr(r.Intn(1<<20) * 16)
-			}
-			var now uint64
-			for step := 0; step < 5000; step++ {
-				op := hmcatomic.Op(r.Intn(hmcatomic.NumOps))
-				addr := addrs[r.Intn(len(addrs))]
-				imm := hmcatomic.Value{Lo: r.Uint64(), Hi: r.Uint64()}
-				want := hmcatomic.Apply(op, host[addr], imm)
-				if want.Wrote {
-					host[addr] = want.New
-				}
-				tm := s.Atomic(op, addr, imm, now)
-				if tm.Flag != want.Flag {
-					t.Fatalf("step %d: %v at %#x flag %v, host model %v", step, op, addr, tm.Flag, want.Flag)
-				}
-				if got := s.Value(addr); got != host[addr] {
-					t.Fatalf("step %d: %v at %#x left %+v, host model %+v", step, op, addr, got, host[addr])
-				}
-				now += uint64(r.Intn(8))
-			}
-			if err := s.Audit(now); err != nil {
-				t.Fatalf("audit after functional stream: %v", err)
-			}
-		})
-	}
-}
-
 // TestCountersAndAuditRandomized drives a randomized mix of every
 // request the row serves — line fills and writebacks, UC accesses,
-// atomics and bundles where the units take them — under both page
-// policies, and checks the audit's identities at a quiescent point.
+// atomics and bundles where the units take them — and checks the
+// audit's identities at a quiescent point.
 func TestCountersAndAuditRandomized(t *testing.T) {
 	seeds := map[string]int64{"ddr": 42, "lpddr": 7, "vault": 7}
-	for _, def := range Rows() {
-		t.Run(def.Kind(), func(t *testing.T) {
-			for _, open := range []bool{true, false} {
-				cfg := def
-				cfg.OpenPage = open
-				s, st := newSystem(t, cfg)
-				kinds := 4
-				if s.CanOffload(hmcatomic.TwoAdd8) {
-					kinds++
+	for _, cfg := range Rows() {
+		t.Run(cfg.Kind(), func(t *testing.T) {
+			s, st := newSystem(t, cfg)
+			kinds := 4
+			if s.CanOffload(hmcatomic.TwoAdd8) {
+				kinds++
+			}
+			if s.CanOffloadBundle() {
+				kinds++
+			}
+			rng := rand.New(rand.NewSource(seeds[cfg.Kind()]))
+			var now uint64
+			for i := 0; i < 4000; i++ {
+				// 8MB footprint: several rows per bank, so the run sees
+				// both row hits and conflicts.
+				addr := memmap.Addr(rng.Uint64() >> 44 << 3)
+				now += uint64(rng.Intn(6))
+				switch rng.Intn(kinds) {
+				case 0:
+					s.ReadLine(memmap.LineAddr(addr), now)
+				case 1:
+					s.WriteLine(memmap.LineAddr(addr), now)
+				case 2:
+					s.UCRead(addr, now)
+				case 3:
+					s.UCWrite(addr, now)
+				case 4:
+					s.Atomic(hmcatomic.TwoAdd8, addr, hmcatomic.Value{}, now)
+				default:
+					s.AtomicBundle(addr, now)
 				}
-				if s.CanOffloadBundle() {
-					kinds++
-				}
-				rng := rand.New(rand.NewSource(seeds[cfg.Kind()]))
-				var now uint64
-				for i := 0; i < 4000; i++ {
-					// 8MB footprint: several rows per bank, so open-page
-					// runs see both row hits and conflicts.
-					addr := memmap.Addr(rng.Uint64() >> 44 << 3)
-					now += uint64(rng.Intn(6))
-					switch rng.Intn(kinds) {
-					case 0:
-						s.ReadLine(memmap.LineAddr(addr), now)
-					case 1:
-						s.WriteLine(memmap.LineAddr(addr), now)
-					case 2:
-						s.UCRead(addr, now)
-					case 3:
-						s.UCWrite(addr, now)
-					case 4:
-						s.Atomic(hmcatomic.TwoAdd8, addr, hmcatomic.Value{}, now)
-					default:
-						s.AtomicBundle(addr, now)
-					}
-				}
-				if err := s.Audit(now); err != nil {
-					t.Fatalf("open=%v: audit after clean run: %v", open, err)
-				}
-				n := mem.Names(cfg.Kind())
-				total := st.Get(n.Reads) + st.Get(n.Writes) + st.Get(n.UCReads) + st.Get(n.UCWrites)
-				if n.Atomics != "" {
-					total += st.Get(n.Atomics)
-				}
-				if total != 4000 {
-					t.Fatalf("open=%v: request counters sum to %d, want 4000", open, total)
-				}
-				if hits := st.Get(cfg.Kind() + ".dram.row_hits"); open != (hits > 0) {
-					t.Errorf("open=%v: %d row hits", open, hits)
-				}
-				if s.CanOffloadBundle() && s.ctr.ops[Bundle].Value() == 0 {
-					t.Errorf("open=%v: randomized mix issued no bundles", open)
-				}
+			}
+			if err := s.Audit(now); err != nil {
+				t.Fatalf("audit after clean run: %v", err)
+			}
+			n := mem.Names(cfg.Kind())
+			total := st.Get(n.Reads) + st.Get(n.Writes) + st.Get(n.UCReads) + st.Get(n.UCWrites)
+			if n.Atomics != "" {
+				total += st.Get(n.Atomics)
+			}
+			if total != 4000 {
+				t.Fatalf("request counters sum to %d, want 4000", total)
+			}
+			if hits := st.Get(cfg.Kind() + ".dram.row_hits"); hits == 0 {
+				t.Error("no row hits")
+			}
+			if s.CanOffloadBundle() && s.ctr.ops[Bundle].Value() == 0 {
+				t.Error("randomized mix issued no bundles")
 			}
 		})
 	}

@@ -14,7 +14,7 @@ import (
 // channel — so no case allocates more than a few MB, while every field
 // still reaches values Validate must reject.
 func perturb(c *Config, field, v byte) {
-	switch field % 21 {
+	switch field % 19 {
 	case 0:
 		c.Channels = int(v % 17)
 	case 1:
@@ -22,35 +22,31 @@ func perturb(c *Config, field, v byte) {
 	case 2:
 		c.RowBytes = 32 * uint64(v) // 0, 32, 64, 96, ...
 	case 3:
-		c.OpenPage = v&1 == 1
-	case 4:
 		c.Timing.TRCDNs = float64(v) / 4
-	case 5:
+	case 4:
 		c.Timing.TCLNs = float64(v) / 4
-	case 6:
+	case 5:
 		c.Timing.TRPNs = float64(v) / 4
-	case 7:
+	case 6:
 		c.Timing.TRASNs = float64(v) / 4
-	case 8:
+	case 7:
 		c.LaneGBs = float64(v) / 4
-	case 9:
+	case 8:
 		c.LinkPair = v&1 == 1
-	case 10:
+	case 9:
 		c.Latency = uint64(v)
-	case 11:
+	case 10:
 		c.PacketBytes = int(v % 129)
-	case 12:
+	case 11:
 		c.UnitsPerChannel = int(v % 65)
-	case 13, 14, 15, 16:
-		c.Cost[field%21-13] = uint64(v % 33)
-	case 17:
+	case 12, 13, 14, 15:
+		c.Cost[field%19-12] = uint64(v % 33)
+	case 16:
 		c.CycleMult = uint64(v % 17)
-	case 18:
+	case 17:
 		c.AlignGrant = v&1 == 1
-	case 19:
+	case 18:
 		c.StageLatency = uint64(v)
-	case 20:
-		c.Functional = v&1 == 1
 	}
 }
 

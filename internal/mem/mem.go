@@ -51,9 +51,6 @@ import (
 type AtomicTiming struct {
 	Accepted   uint64
 	ResponseAt uint64
-	// Flag is the atomic flag from functional execution; meaningful only
-	// for backends built with a functional store.
-	Flag bool
 }
 
 // LineBackend is the cache-facing subset of Backend: ReadLine is on the
@@ -82,8 +79,10 @@ type Backend interface {
 	// near-memory atomic. The POU consults it when routing (capability
 	// negotiation); Atomic must only be called for ops it accepts.
 	CanOffload(op hmcatomic.Op) bool
-	// Atomic executes an offloaded atomic. imm is used only by
-	// functional backends.
+	// Atomic times an offloaded atomic. Offloading changes when an
+	// atomic completes, never what it computes (the host trace already
+	// carries every value), so backends model no data and ignore imm;
+	// the parameter stays for callers that record or forward requests.
 	Atomic(op hmcatomic.Op, addr memmap.Addr, imm hmcatomic.Value, now uint64) AtomicTiming
 
 	// Audit cross-checks the backend's redundant internal state (the

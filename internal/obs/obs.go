@@ -176,16 +176,16 @@ type Record struct {
 
 // EnvInfo is the experiment environment a run was produced under —
 // enough to rebuild an equivalent harness Env for replay. Manifests from
-// older builds may carry fields since removed ("shards", "stream");
-// neither moved a simulated number, and decoding ignores them.
+// older builds may carry fields since removed ("shards", "stream",
+// "scaled_caches", which every run set); none moved a simulated number,
+// and decoding ignores them.
 type EnvInfo struct {
-	Vertices     int    `json:"vertices"`
-	Seed         uint64 `json:"seed"`
-	Threads      int    `json:"threads"`
-	ScaledCaches bool   `json:"scaled_caches"`
-	SweepSizes   []int  `json:"sweep_sizes"`
-	AppVertices  int    `json:"app_vertices"`
-	Parallelism  int    `json:"parallelism"`
+	Vertices    int    `json:"vertices"`
+	Seed        uint64 `json:"seed"`
+	Threads     int    `json:"threads"`
+	SweepSizes  []int  `json:"sweep_sizes"`
+	AppVertices int    `json:"app_vertices"`
+	Parallelism int    `json:"parallelism"`
 	// Memory is the memory backend kind the machines were assembled
 	// against ("" means the default HMC chain). It changes simulated
 	// numbers, so replay must rebuild the same backend.

@@ -84,7 +84,7 @@ func TestRecordJSONRoundTrip(t *testing.T) {
 
 func TestRunWriterAndLoad(t *testing.T) {
 	dir := t.TempDir()
-	env := EnvInfo{Vertices: 512, Seed: 7, Threads: 16, ScaledCaches: true,
+	env := EnvInfo{Vertices: 512, Seed: 7, Threads: 16,
 		SweepSizes: []int{512}, AppVertices: 512, Parallelism: 2}
 	w, err := NewRunWriter(dir, env, map[string]string{"format": "text"})
 	if err != nil {

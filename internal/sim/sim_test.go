@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNsToCycles(t *testing.T) {
@@ -66,25 +65,6 @@ func TestRandFloat64Range(t *testing.T) {
 		if f < 0 || f >= 1 {
 			t.Fatalf("Float64() = %v out of [0,1)", f)
 		}
-	}
-}
-
-func TestRandPermIsPermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := NewRand(seed)
-		n := 1 + int(seed%64)
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

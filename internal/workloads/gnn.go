@@ -371,55 +371,3 @@ func (w *TCFeat) Run(f *gframe.Framework) Result {
 	f.Barrier()
 	return Result{Output: TCFeatOutput{Feat: snapshotDims(acc), Total: total}, EdgesVisited: edges}
 }
-
-// ---------------------------------------------------------------------------
-// Reference implementations
-
-// RefGNNMean computes mean aggregation directly from the graph.
-func RefGNNMean(g *graph.Graph, dims int) [][]uint64 {
-	n := g.NumVertices()
-	out := make([][]uint64, dims)
-	for d := range out {
-		out[d] = make([]uint64, n)
-	}
-	for v := 0; v < n; v++ {
-		u := graph.VID(v)
-		for d := 0; d < dims; d++ {
-			fv := featHash(u, d)
-			for _, nb := range g.OutNeighbors(u) {
-				out[d][nb] += fv
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		indeg := uint64(g.InDegree(graph.VID(v)))
-		if indeg == 0 {
-			continue
-		}
-		for d := 0; d < dims; d++ {
-			out[d][v] /= indeg
-		}
-	}
-	return out
-}
-
-// RefGNNMax computes max-pooling aggregation directly from the graph.
-func RefGNNMax(g *graph.Graph, dims int) [][]uint64 {
-	n := g.NumVertices()
-	out := make([][]uint64, dims)
-	for d := range out {
-		out[d] = make([]uint64, n)
-	}
-	for v := 0; v < n; v++ {
-		u := graph.VID(v)
-		for d := 0; d < dims; d++ {
-			fv := featHash(u, d)
-			for _, nb := range g.OutNeighbors(u) {
-				if fv > out[d][nb] {
-					out[d][nb] = fv
-				}
-			}
-		}
-	}
-	return out
-}
