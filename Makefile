@@ -90,8 +90,9 @@ equiv:
 # constrained GC target: a 1M-vertex BFS traced through the spill
 # pipeline and replayed end to end must fit a 1GiB heap — less than
 # half of what the materialized trace alone would need (~2GB, 127M
-# records x 16B), on top of the ~600MB graph + property live set both
-# pipelines share.
+# records x 16B), on top of the graph + property live set both
+# pipelines share (BFS never reads in-edges, so the in-CSR, built on
+# first use, is never built here).
 smoke-stream:
 	GRAPHPIM_STREAM_SMOKE=1 GOMEMLIMIT=1GiB \
 		$(GO) test -run '^TestStreamSmoke$$' -v -timeout 30m ./internal/harness/

@@ -36,9 +36,3 @@ func (h *Hierarchy) prefetch(lineAddr memmap.Addr, now uint64) {
 		h.l3.meta[v].prefetched = true
 	}
 }
-
-// PrefetchAccuracy returns issued prefetches and how many were later hit
-// by demand accesses.
-func (h *Hierarchy) PrefetchAccuracy() (issued, useful uint64) {
-	return h.stats.Get("cache.prefetch.issued"), h.stats.Get("cache.prefetch.useful")
-}

@@ -811,7 +811,3 @@ func (c *Core) peek() (trace.Instr, bool) {
 	}
 	return c.win[c.pc], true
 }
-
-// LastReason exposes the core's current stall classification (tests and
-// the machine's breakdown reporting).
-func (c *Core) LastReason() StallReason { return c.lastReason }

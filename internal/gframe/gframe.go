@@ -325,25 +325,6 @@ func BalanceFrontier(g *graph.Graph, vs []graph.VID, threads int) [][]graph.VID 
 	return out
 }
 
-// ChunkRanges partitions [0, n) into contiguous per-thread ranges, the
-// framework's static work distribution.
-func ChunkRanges(n, threads int) [][2]int {
-	out := make([][2]int, threads)
-	chunk := (n + threads - 1) / threads
-	for t := 0; t < threads; t++ {
-		lo := t * chunk
-		hi := lo + chunk
-		if lo > n {
-			lo = n
-		}
-		if hi > n {
-			hi = n
-		}
-		out[t] = [2]int{lo, hi}
-	}
-	return out
-}
-
 // scatter maps an edge index to a pseudo-random slot, modeling the heap
 // placement of pointer-linked edge objects.
 func (f *Framework) scatter(idx uint64) uint64 {
@@ -518,15 +499,6 @@ func (c *Ctx) AtomicAdd(p *Property, v graph.VID, delta int64) {
 	}
 	c.e.Atomic(kind, p.Addr(v), int(p.elem), false, false, false)
 	p.vals[v] = uint64(int64(p.vals[v]) + delta)
-}
-
-// AtomicAddRet is AtomicAdd whose fetched old value feeds later
-// instructions (e.g. kCore's degree decrement feeding the <k test).
-func (c *Ctx) AtomicAddRet(p *Property, v graph.VID, delta int64) uint64 {
-	old := p.vals[v]
-	c.e.Atomic(trace.AtomicAdd, p.Addr(v), int(p.elem), false, true, false)
-	p.vals[v] = uint64(int64(old) + delta)
-	return old
 }
 
 // AtomicAddF64 accumulates into a float property — a CAS loop on the

@@ -104,7 +104,7 @@ func (b *Builder) Build(dedup bool) *Graph {
 		fill[e.Src]++
 	}
 
-	// In-CSR.
+	// In-CSR, built eagerly: the oracle shares no code with transpose.
 	g.inPtr = make([]uint64, n+1)
 	g.inSrc = make([]VID, len(edges))
 	for _, e := range edges {
@@ -121,6 +121,7 @@ func (b *Builder) Build(dedup bool) *Graph {
 		g.inSrc[idx] = e.Src
 		fill[e.Dst]++
 	}
+	g.inOnce.Do(func() {}) // already built
 	if uniform {
 		g.setUniform(uw)
 	}

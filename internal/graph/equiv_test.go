@@ -53,17 +53,19 @@ func requireIdentical(t *testing.T, want, got *Graph) {
 	if want.uniformW != got.uniformW {
 		t.Fatalf("uniform weight %d != %d", got.uniformW, want.uniformW)
 	}
-	for i := range want.inPtr {
-		if want.inPtr[i] != got.inPtr[i] {
-			t.Fatalf("inPtr[%d]: %d != %d", i, got.inPtr[i], want.inPtr[i])
+	wantPtr, wantSrc := want.inCSR()
+	gotPtr, gotSrc := got.inCSR()
+	for i := range wantPtr {
+		if wantPtr[i] != gotPtr[i] {
+			t.Fatalf("inPtr[%d]: %d != %d", i, gotPtr[i], wantPtr[i])
 		}
 	}
-	if len(want.inSrc) != len(got.inSrc) {
-		t.Fatalf("in-edge count %d != %d", len(got.inSrc), len(want.inSrc))
+	if len(wantSrc) != len(gotSrc) {
+		t.Fatalf("in-edge count %d != %d", len(gotSrc), len(wantSrc))
 	}
-	for i := range want.inSrc {
-		if want.inSrc[i] != got.inSrc[i] {
-			t.Fatalf("inSrc[%d]: %d != %d", i, got.inSrc[i], want.inSrc[i])
+	for i := range wantSrc {
+		if wantSrc[i] != gotSrc[i] {
+			t.Fatalf("inSrc[%d]: %d != %d", i, gotSrc[i], wantSrc[i])
 		}
 	}
 }

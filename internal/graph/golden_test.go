@@ -28,10 +28,11 @@ func csrHash(g *Graph) uint64 {
 			put(uint64(d)<<32 | uint64(ws[i]))
 		}
 	}
-	for _, p := range g.inPtr {
+	inPtr, inSrc := g.inCSR()
+	for _, p := range inPtr {
 		put(p)
 	}
-	for _, s := range g.inSrc {
+	for _, s := range inSrc {
 		put(uint64(s))
 	}
 	return h.Sum64()

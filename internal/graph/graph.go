@@ -1,9 +1,12 @@
 // Package graph provides the property-graph substrate the workloads run
-// on: a compressed sparse row (CSR) representation with both out- and
-// in-edge adjacency, plus deterministic synthetic generators standing in
-// for the paper's datasets (LDBC social-network graphs, and the Bitcoin
-// and Twitter graphs of the real-world applications).
+// on: a compressed sparse row (CSR) representation with out-edge
+// adjacency and, built on first use, in-edge adjacency, plus
+// deterministic synthetic generators standing in for the paper's
+// datasets (LDBC social-network graphs, and the Bitcoin and Twitter
+// graphs of the real-world applications).
 package graph
+
+import "sync"
 
 // VID is a vertex identifier.
 type VID uint32
@@ -15,9 +18,11 @@ type Edge struct {
 	Weight   uint32
 }
 
-// Graph is an immutable directed graph in CSR form. In-edges are
-// materialized too, as the transpose of the out-CSR, since several
-// workloads (PageRank, Betweenness Centrality) pull along reverse edges.
+// Graph is an immutable directed graph in CSR form. In-edges, which
+// several workloads (Betweenness Centrality, CComp, kCore, GNN
+// aggregation) pull along, are the transpose of the out-CSR, built by
+// the first InNeighbors or InDegree call: push-style workloads such as
+// BFS and PageRank never pay for them.
 type Graph struct {
 	numVertices int
 
@@ -35,9 +40,10 @@ type Graph struct {
 	// window of the right length without allocating.
 	uniformBuf []uint32
 
-	// In-CSR.
-	inPtr []uint64
-	inSrc []VID
+	// In-CSR, written once by transpose (see inCSR).
+	inOnce sync.Once
+	inPtr  []uint64
+	inSrc  []VID
 }
 
 // NumVertices returns the vertex count.
@@ -53,7 +59,8 @@ func (g *Graph) OutDegree(v VID) int {
 
 // InDegree returns the in-degree of v.
 func (g *Graph) InDegree(v VID) int {
-	return int(g.inPtr[v+1] - g.inPtr[v])
+	inPtr, _ := g.inCSR()
+	return int(inPtr[v+1] - inPtr[v])
 }
 
 // OutNeighbors returns the destinations of v's out-edges. The slice
@@ -72,20 +79,19 @@ func (g *Graph) OutWeights(v VID) []uint32 {
 	return g.outW[g.outPtr[v]:g.outPtr[v+1]]
 }
 
-// UniformWeight reports whether every edge carries the same weight (the
-// representation then stores no per-edge weight array) and, if so, that
-// weight. An edgeless graph is uniform with weight 1.
-func (g *Graph) UniformWeight() (uint32, bool) {
-	if g.outW != nil {
-		return 0, false
-	}
-	return g.uniformW, true
-}
-
 // InNeighbors returns the sources of v's in-edges. The slice aliases
 // internal storage and must not be modified.
 func (g *Graph) InNeighbors(v VID) []VID {
-	return g.inSrc[g.inPtr[v]:g.inPtr[v+1]]
+	inPtr, inSrc := g.inCSR()
+	return inSrc[inPtr[v]:inPtr[v+1]]
+}
+
+// inCSR returns the in-CSR, transposing the out-CSR on the first call;
+// racing first calls build it once, and every later call costs one
+// atomic load.
+func (g *Graph) inCSR() ([]uint64, []VID) {
+	g.inOnce.Do(g.transpose)
+	return g.inPtr, g.inSrc
 }
 
 // OutEdgeIndex returns the global CSR index of v's first out-edge; the
@@ -110,13 +116,13 @@ func (g *Graph) setUniform(w uint32) {
 	}
 }
 
-// StructureBytes estimates the memory footprint of the CSR structure,
-// used for Table VI reporting. Uniform-weight graphs carry no per-edge
-// weight array, only the shared max-degree buffer.
+// StructureBytes is the memory footprint of the CSR structure, in-CSR
+// included whether or not it has been built yet (so it never forces the
+// transpose). Uniform-weight graphs carry no per-edge weight array,
+// only the shared max-degree buffer.
 func (g *Graph) StructureBytes() uint64 {
-	return uint64(len(g.outPtr))*8 + uint64(len(g.outDst))*4 + uint64(len(g.outW))*4 +
-		uint64(len(g.uniformBuf))*4 +
-		uint64(len(g.inPtr))*8 + uint64(len(g.inSrc))*4
+	return EstimateCSRBytes(uint64(g.numVertices), uint64(len(g.outDst)), g.outW != nil) +
+		uint64(len(g.uniformBuf))*4
 }
 
 // EstimateCSRBytes is the closed-form StructureBytes of a CSR over the

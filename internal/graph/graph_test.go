@@ -259,6 +259,27 @@ func TestStructureBytes(t *testing.T) {
 	if big.StructureBytes() <= g.StructureBytes() {
 		t.Fatal("footprint does not grow with graph size")
 	}
+	// The in-CSR counts whether or not it is built yet, and reading the
+	// footprint does not build it. The values were recorded when every
+	// graph built its in-CSR eagerly.
+	for _, c := range []struct {
+		name string
+		g    *Graph
+		want uint64
+	}{
+		{"ldbc", LDBC(1000, 1), 332216},
+		{"twitter", TwitterLike(1000, 1), 77148},
+		{"bitcoin", BitcoinLike(1000, 1), 46304},
+	} {
+		before := c.g.StructureBytes()
+		if InBuilt(c.g) {
+			t.Fatalf("%s: StructureBytes built the in-CSR", c.name)
+		}
+		c.g.InNeighbors(0)
+		if after := c.g.StructureBytes(); before != c.want || after != c.want {
+			t.Errorf("%s: StructureBytes %d before first use, %d after, want %d", c.name, before, after, c.want)
+		}
+	}
 }
 
 func TestLDBCSizesTable(t *testing.T) {

@@ -234,26 +234,27 @@ func TestValidateCatchesInSrcSwap(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	last := len(g.inSrc) - 1
+	inPtr, inSrc := g.inCSR()
+	last := len(inSrc) - 1
 	within := -1 // an index whose entry differs from its run neighbor
 	for v := 0; v < g.NumVertices() && within < 0; v++ {
-		for i := g.inPtr[v] + 1; i < g.inPtr[v+1]; i++ {
-			if g.inSrc[i] != g.inSrc[i-1] {
+		for i := inPtr[v] + 1; i < inPtr[v+1]; i++ {
+			if inSrc[i] != inSrc[i-1] {
 				within = int(i)
 				break
 			}
 		}
 	}
-	if within < 0 || g.inSrc[0] == g.inSrc[last] {
+	if within < 0 || inSrc[0] == inSrc[last] {
 		t.Fatal("fixture graph lacks the swaps this test needs")
 	}
 	for _, swap := range [][2]int{{within - 1, within}, {0, last}} {
 		i, j := swap[0], swap[1]
-		g.inSrc[i], g.inSrc[j] = g.inSrc[j], g.inSrc[i]
+		inSrc[i], inSrc[j] = inSrc[j], inSrc[i]
 		if err := g.Validate(); err == nil {
 			t.Errorf("Validate accepted inSrc[%d] and inSrc[%d] swapped", i, j)
 		}
-		g.inSrc[i], g.inSrc[j] = g.inSrc[j], g.inSrc[i]
+		inSrc[i], inSrc[j] = inSrc[j], inSrc[i]
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("restored graph invalid: %v", err)

@@ -81,9 +81,10 @@ func (s *sliceStream) split(parts int) []EdgeStream {
 
 // BuildStream builds the CSR graph of s without materializing an edge
 // list (DESIGN.md §14): pass 1 counts out-degrees, pass 2 scatters each
-// edge into its out-CSR slot, out-runs are sorted (and deduped) in
-// place, and the in-CSR is the transpose of the final out-CSR. A
-// splittable stream runs as one part per worker. The result is
+// edge into its out-CSR slot, and out-runs are sorted (and deduped) in
+// place. The in-CSR, the transpose of the final out-CSR, is left to the
+// first InNeighbors or InDegree call. A splittable stream runs as one
+// part per worker. The result is
 // byte-identical at any part count to the materializing oracle in
 // builder_test.go: out-edges ordered by (src, dst, weight), dedup
 // keeping the minimum-weight copy of each parallel edge, in-edges
@@ -138,7 +139,6 @@ func buildStream(s EdgeStream, workers int, dedup bool) (*Graph, error) {
 	if uniform {
 		g.setUniform(uw)
 	}
-	g.transpose()
 	return g, nil
 }
 
@@ -154,15 +154,13 @@ type partCount struct {
 // scatterOut runs both passes over the parts and returns the unsorted
 // out-CSR. Part k's slots for vertex v follow those of parts 0..k−1 and
 // end where part k+1's begin (the last part's at outPtr[v+1]); pass 2
-// checks every write against that end, kept read-only in ends. Part 0's
-// cursor array, dead after pass 2, is left in g.inPtr for the transpose
-// to reuse, so a one-part build never holds more than the final graph.
+// checks every write against that end, kept read-only in ends.
 func scatterOut(n int, parts []EdgeStream) (*Graph, bool, uint32, error) {
 	P := len(parts)
 	// Pass 1: part k counts its out-degrees into cur[k].
 	cur := make([][]uint64, P)
 	for k := range cur {
-		cur[k] = make([]uint64, n+1) // n+1: the in-CSR pointers' length
+		cur[k] = make([]uint64, n)
 	}
 	counts := make([]partCount, P)
 	forEach(P, func(k int) { counts[k] = countPart(parts[k], n, cur[k]) })
@@ -194,12 +192,12 @@ func scatterOut(n int, parts []EdgeStream) (*Graph, bool, uint32, error) {
 	}
 	ends := make([][]uint64, P)
 	for k := range P - 1 {
-		ends[k] = slices.Clone(cur[k+1][:n])
+		ends[k] = slices.Clone(cur[k+1])
 	}
 	ends[P-1] = outPtr[1:]
 
 	// Pass 2: scatter through the per-part cursors.
-	g := &Graph{numVertices: n, outPtr: outPtr, outDst: make([]VID, m), inPtr: cur[0]}
+	g := &Graph{numVertices: n, outPtr: outPtr, outDst: make([]VID, m)}
 	if !uniform {
 		g.outW = make([]uint32, m)
 	}
@@ -341,15 +339,14 @@ func dedupOut(g *Graph, uniform bool) {
 	}
 }
 
-// transpose builds the in-CSR from the final out-CSR, reusing g.inPtr's
-// n+1 words: count in-degrees, then scatter sources in ascending order,
-// so every in-run comes out sorted, and duplicate-free whenever the
+// transpose builds the in-CSR from the final out-CSR (inCSR calls it
+// once): count in-degrees, then scatter sources in ascending order, so
+// every in-run comes out sorted, and duplicate-free whenever the
 // out-CSR is. The in-pointers serve as write cursors and are shifted
 // back down afterwards.
 func (g *Graph) transpose() {
 	n := g.numVertices
-	inPtr := g.inPtr
-	clear(inPtr)
+	inPtr := make([]uint64, n+1)
 	for _, d := range g.outDst {
 		inPtr[d+1]++
 	}

@@ -133,9 +133,6 @@ func (s *AddressSpace) PMRMalloc(size uint64) Addr {
 // is a no-op.
 func (s *AddressSpace) Freeze() { s.frozen = true }
 
-// Frozen reports whether Freeze has been called.
-func (s *AddressSpace) Frozen() bool { return s.frozen }
-
 func (s *AddressSpace) bump(next *Addr, segBase Addr, size uint64) Addr {
 	if s.frozen {
 		panic("memmap: allocation from frozen AddressSpace")

@@ -491,9 +491,6 @@ type Stream struct {
 // NumThreads returns the thread count.
 func (s *Stream) NumThreads() int { return len(s.chunks) }
 
-// ThreadCounts returns thread t's stream totals.
-func (s *Stream) ThreadCounts(t int) Counts { return s.counts[t] }
-
 // TotalInstructions mirrors Trace.TotalInstructions.
 func (s *Stream) TotalInstructions() uint64 {
 	var n uint64

@@ -12,8 +12,11 @@
 #          without -check, plus `run -quick -q -format json -mem M all`
 #          for M in ddr, lpddr, vault, `... -policy P all` for P in
 #          pim, auto, host (placement remaps kinds before the memo keys),
-#          and the extension experiments under -mem ddr (both flags must
-#          reach every cell, the extensions' own traces included).
+#          the extension experiments under -mem ddr (both flags must
+#          reach every cell, the extensions' own traces included), and
+#          `graph gen -kind ldbc -vertices 4096` to stdout followed by
+#          `graph info` on the base build's generated file (the edge-list
+#          bytes, the in+out degree percentiles and the CSR footprint).
 #   all    (default) quick, plus `workload` at default scale for
 #          {BFS,PRank,SpMV} x {baseline,upei,graphpim}, BFS with
 #          -policy auto, -mem vault, -mem ddr and -quick, and
@@ -88,6 +91,8 @@ for p in pim auto host; do
 done
 check run-mem-ddr-extras graphpim run -quick -q -format json -mem ddr \
 	$("$dir/base/graphpim" list | awk '$2 == "extra" {print $1}')
+check graph-gen graphpim graph gen -kind ldbc -vertices 4096
+check graph-info graphpim graph info "$dir/out/graph-gen.base.out"
 
 if [ "$scope" = all ]; then
 	for w in BFS PRank SpMV; do
