@@ -17,8 +17,9 @@ vet:
 # detector silent on every change.
 # The race suite gets an explicit per-package timeout: the harness
 # package replays full (quick-scale) experiments under the detector's
-# ~10x slowdown and took 2052 s (about 34 minutes) on an otherwise idle
-# 2-CPU host, close to the 40-minute limit.
+# ~10x slowdown and took 1432 s (about 24 minutes) of a 26-minute
+# `make race` on an otherwise idle 2-CPU host, against the 40-minute
+# limit.
 test: build vet
 	$(GO) test ./...
 	$(GO) test -race -timeout 40m ./...

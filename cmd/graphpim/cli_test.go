@@ -306,6 +306,41 @@ func TestVerticesBelowGeneratorMinimumExitsTwo(t *testing.T) {
 	}
 }
 
+// TestGraphInfoOutput pins graph info's report on small generated edge
+// lists, bitcoin's with parallel edges kept: the in+out degree
+// percentiles count in-degrees from the out-edges, and must match what
+// the transposed in-CSR gives.
+func TestGraphInfoOutput(t *testing.T) {
+	for _, tc := range []struct {
+		kind, vertices, want string
+	}{
+		{"ldbc", "256", `vertices:   256
+edges:      5993
+avg degree: 23.41 (out)
+degree p50: 33   p90: 109   p99: 187   max: 265 (in+out)
+structure:  0.1 MB CSR footprint
+`},
+		{"bitcoin", "64", `vertices:   64
+edges:      160
+avg degree: 2.50 (out)
+degree p50: 4   p90: 7   p99: 22   max: 23 (in+out)
+structure:  0.0 MB CSR footprint
+`},
+	} {
+		path := filepath.Join(t.TempDir(), tc.kind+".el")
+		if _, stderr, code := runCLI("graph", "gen", "-kind", tc.kind, "-vertices", tc.vertices, "-o", path); code != 0 {
+			t.Fatalf("graph gen %s: exit %d: %s", tc.kind, code, stderr)
+		}
+		out, stderr, code := runCLI("graph", "info", path)
+		if code != 0 {
+			t.Fatalf("graph info %s: exit %d: %s", tc.kind, code, stderr)
+		}
+		if out != tc.want {
+			t.Fatalf("graph info %s:\n%s\nwant:\n%s", tc.kind, out, tc.want)
+		}
+	}
+}
+
 // TestTraceSaveReplay saves a trace (v2, the only format written) and
 // replays it; the removed -v1 and -stream flags are usage errors.
 func TestTraceSaveReplay(t *testing.T) {

@@ -125,12 +125,18 @@ func cmdGraphInfo(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
+	// In+out degrees in one pass over the out-edges: counting each
+	// edge's destination gives the in-degrees without building the
+	// in-CSR.
 	degs := make([]int, g.NumVertices())
-	total := 0
 	for v := range degs {
-		degs[v] = g.OutDegree(graphpim.VID(v)) + g.InDegree(graphpim.VID(v))
-		total += g.OutDegree(graphpim.VID(v))
+		out := g.OutNeighbors(graphpim.VID(v))
+		degs[v] += len(out)
+		for _, w := range out {
+			degs[w]++
+		}
 	}
+	total := g.NumEdges()
 	sort.Ints(degs)
 	pick := func(q float64) int { return degs[int(q*float64(len(degs)-1))] }
 	fmt.Fprintf(stdout, "vertices:   %d\n", g.NumVertices())

@@ -83,11 +83,11 @@ func (c *Core) Audit(now uint64) error {
 		return fmt.Errorf("core done with %d retired, stream expands to %d", c.retired, exp)
 	}
 	// Retirement progress must be monotonic in time and rate-bounded:
-	// at most IssueWidth retires per elapsed cycle, plus one ROB of
-	// completed entries a truncation drain may pop at once. The compute
-	// fast-forward books a whole stretch of retires at its tick time, so
-	// progress is measured against the fast-forward horizon, within
-	// which those retires architecturally happen.
+	// at most IssueWidth retires per elapsed cycle, plus one ROB: the
+	// compute fast-forward drains the whole completed ROB at once when
+	// it starts a stretch. It also books the stretch's retires at its
+	// tick time, so progress is measured against the fast-forward
+	// horizon, within which those retires architecturally happen.
 	eff := max(now, c.ffUntil)
 	if c.auditPrimed {
 		if eff < c.auditPrevAt {

@@ -18,7 +18,6 @@ package cpu
 import (
 	"fmt"
 
-	"graphpim/internal/arena"
 	"graphpim/internal/sim"
 	"graphpim/internal/trace"
 )
@@ -274,20 +273,24 @@ func NewCoreCursor(id int, cfg Config, mem MemorySystem, cur trace.Cursor, stats
 	if cfg.ALUWidth <= 0 {
 		cfg.ALUWidth = cfg.IssueWidth
 	}
-	// All four fixed-capacity queues share one backing slab: the ROB
+	// All four fixed-capacity queues share one backing array: the ROB
 	// ring and the three timeq buffers hold plain uint64 completion
-	// times, so a core costs one queue allocation instead of four.
-	slab := arena.NewSlab[uint64](cfg.ROBSize + cfg.WriteBufferSize + cfg.MSHRs + cfg.AtomicQueue)
+	// times, so a core costs one queue allocation instead of four. The
+	// three-index slices clip each queue's capacity to its own span.
+	rob := cfg.ROBSize
+	wb := rob + cfg.WriteBufferSize
+	mshr := wb + cfg.MSHRs
+	buf := make([]uint64, mshr+cfg.AtomicQueue)
 	return &Core{
 		id:    id,
 		cfg:   cfg,
 		mem:   mem,
 		ctr:   resolveCoreCounters(stats),
 		cur:   cur,
-		rob:   slab.Take(cfg.ROBSize),
-		wb:    newTimeqOn(slab, cfg.WriteBufferSize),
-		mshr:  newTimeqOn(slab, cfg.MSHRs),
-		atomq: newTimeqOn(slab, cfg.AtomicQueue),
+		rob:   buf[:rob:rob],
+		wb:    newTimeq(buf[rob:wb:wb]),
+		mshr:  newTimeq(buf[wb:mshr:mshr]),
+		atomq: newTimeq(buf[mshr:]),
 	}
 }
 
@@ -402,23 +405,6 @@ func (c *Core) retire(now uint64) {
 	}
 	if n > 0 {
 		c.retired += uint64(n)
-		c.ctr.retired.Add(uint64(n))
-	}
-}
-
-// DrainCompleted retires every completed entry at the head of the ROB,
-// ignoring the per-cycle retire width. Only maxCycles truncation uses
-// it: "retired by the cutoff" must count the whole completed prefix,
-// so the count at the cutoff does not depend on where within the
-// width-limited drain the cutoff happens to fall.
-func (c *Core) DrainCompleted(now uint64) {
-	n := 0
-	for c.robN > 0 && c.robHead() <= now {
-		c.robPop()
-		c.retired++
-		n++
-	}
-	if n > 0 {
 		c.ctr.retired.Add(uint64(n))
 	}
 }

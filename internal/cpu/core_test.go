@@ -66,6 +66,33 @@ func computeTrace(n int) []trace.Instr {
 	return []trace.Instr{{Kind: trace.KindCompute, N: uint16(n)}}
 }
 
+// TestCoreQueuesAreDisjoint pins the one backing array NewCoreCursor
+// slices: the ROB and the three timeq buffers each hold exactly their
+// configured capacity, and no write into one shows in another.
+func TestCoreQueuesAreDisjoint(t *testing.T) {
+	cfg := DefaultConfig()
+	c := NewCore(0, cfg, &mockMem{}, computeTrace(1), sim.NewStats())
+	queues := []struct {
+		buf  []uint64
+		want int
+	}{{c.rob, cfg.ROBSize}, {c.wb.buf, cfg.WriteBufferSize}, {c.mshr.buf, cfg.MSHRs}, {c.atomq.buf, cfg.AtomicQueue}}
+	for i, q := range queues {
+		if len(q.buf) != q.want || cap(q.buf) != q.want {
+			t.Fatalf("queue %d: len %d cap %d, want %d", i, len(q.buf), cap(q.buf), q.want)
+		}
+		for j := range q.buf {
+			q.buf[j] = uint64(i + 1)
+		}
+	}
+	for i, q := range queues {
+		for _, v := range q.buf {
+			if v != uint64(i+1) {
+				t.Fatalf("queue %d overlaps queue %d", i, v-1)
+			}
+		}
+	}
+}
+
 func TestPureComputeIPC(t *testing.T) {
 	st := sim.NewStats()
 	c := NewCore(0, DefaultConfig(), &mockMem{}, computeTrace(4000), st)

@@ -20,7 +20,7 @@ func FuzzTimeq(f *testing.F) {
 	f.Add(uint8(1), []byte{0, 2, 0, 2, 0, 2})
 	f.Fuzz(func(t *testing.T, capSel uint8, script []byte) {
 		capacity := 1 + int(capSel)%32
-		q := newTimeq(capacity)
+		q := newTimeq(make([]uint64, capacity))
 		var model []uint64
 		var now uint64
 		for step, b := range script {

@@ -1,7 +1,5 @@
 package cpu
 
-import "graphpim/internal/arena"
-
 // timeq is a fixed-capacity bag of completion times backing the core's
 // write buffer, MSHR file, and atomic queue. The legacy representation
 // (a plain slice re-filtered through expire() every tick) rebuilt the
@@ -19,15 +17,10 @@ type timeq struct {
 	min uint64 // min over buf[:n]; ^uint64(0) when empty
 }
 
-// newTimeq returns a queue holding at most capacity entries.
-func newTimeq(capacity int) timeq {
-	return timeq{buf: make([]uint64, capacity), min: ^uint64(0)}
-}
-
-// newTimeqOn is newTimeq with the buffer carved from a shared slab, so
-// one core's queues cost a single allocation (see NewCore).
-func newTimeqOn(slab *arena.Slab[uint64], capacity int) timeq {
-	return timeq{buf: slab.Take(capacity), min: ^uint64(0)}
+// newTimeq returns an empty queue holding at most len(buf) entries in
+// buf (NewCoreCursor carves one core's buffers from a single array).
+func newTimeq(buf []uint64) timeq {
+	return timeq{buf: buf, min: ^uint64(0)}
 }
 
 // len returns the number of live entries.

@@ -7,7 +7,7 @@ import (
 )
 
 func TestTimeqBasics(t *testing.T) {
-	q := newTimeq(4)
+	q := newTimeq(make([]uint64, 4))
 	if !q.empty() || q.len() != 0 {
 		t.Fatal("new timeq not empty")
 	}
@@ -40,7 +40,7 @@ func TestTimeqBasics(t *testing.T) {
 }
 
 func TestTimeqCapacityPanics(t *testing.T) {
-	q := newTimeq(2)
+	q := newTimeq(make([]uint64, 2))
 	q.add(1)
 	q.add(2)
 	defer func() {
@@ -56,7 +56,7 @@ func TestTimeqCapacityPanics(t *testing.T) {
 // checks count, minimum, and maximum stay identical.
 func TestTimeqRandomizedAgainstSlice(t *testing.T) {
 	r := sim.NewRand(11)
-	q := newTimeq(64)
+	q := newTimeq(make([]uint64, 64))
 	var legacy []uint64
 	now := uint64(0)
 	for step := 0; step < 50000; step++ {

@@ -152,12 +152,10 @@ func (e *Env) RunExperiment(ctx context.Context, ex Experiment) (*Table, error) 
 // without simulating (see PreloadRecords).
 func (e *Env) RunExperimentObserved(ctx context.Context, ex Experiment) (*Table, obs.ExperimentRun, []obs.Record, error) {
 	rep := e.reporter()
-	rep.ExperimentStart(ex.ID)
 	start := time.Now()
 	run := obs.ExperimentRun{ID: ex.ID, Paper: ex.Paper, Title: ex.Title}
 	endPhase := func(p obs.Phase, d time.Duration) {
 		run.Phases = append(run.Phases, obs.PhaseTiming{Phase: p, WallNs: d.Nanoseconds()})
-		rep.PhaseFinish(ex.ID, p, d)
 	}
 
 	if workers := parallel.Workers(e.Parallelism); workers > 1 {

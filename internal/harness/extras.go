@@ -8,7 +8,6 @@ import (
 	"graphpim/internal/graph"
 	"graphpim/internal/machine"
 	"graphpim/internal/mem/backends"
-	"graphpim/internal/replicate"
 	"graphpim/internal/workloads"
 )
 
@@ -40,11 +39,7 @@ func extAutotune() Experiment {
 			family := workloads.GNNSet()
 			wins := 0
 			for _, kind := range backends.Kinds() {
-				kind := kind
-				adjust := func(*machine.Config) {}
-				if kind != "hmc" {
-					adjust = func(c *machine.Config) { c.Mem, _ = backends.DefaultConfig(kind) }
-				}
+				adjust := onBackend(kind)
 				logSums := make([]float64, 3)
 				for _, w := range family {
 					base := e.RunVariant(w, KindBaseline, kind, adjust)
@@ -102,8 +97,7 @@ func extBackendShootout() Experiment {
 				gpim := e.Run(w, KindGraphPIM)
 				speedups := []float64{gpim.Speedup(base)}
 				for _, kind := range []string{"ddr", "lpddr", "vault"} {
-					kind := kind
-					onKind := func(c *machine.Config) { c.Mem, _ = backends.DefaultConfig(kind) }
+					onKind := onBackend(kind)
 					b := e.RunVariant(w, KindBaseline, kind, onKind)
 					g := e.RunVariant(w, KindGraphPIM, kind, onKind)
 					speedups = append(speedups, g.Speedup(b))
@@ -150,7 +144,7 @@ func extDDRHost() Experiment {
 			t := &Table{ID: "ext-ddr-host",
 				Title:   "Speedups by memory backend (HMC vs PIM-less DDR)",
 				Headers: []string{"workload", "GPIM/base (HMC)", "DDR base vs HMC base", "GPIM/base (DDR)"}}
-			onDDR := func(c *machine.Config) { c.Mem, _ = backends.DefaultConfig("ddr") }
+			onDDR := onBackend("ddr")
 			for _, w := range workloads.EvalSet() {
 				base := e.Run(w, KindBaseline)
 				gpim := e.Run(w, KindGraphPIM)
@@ -295,14 +289,45 @@ func extSeedStability() Experiment {
 					gpim := e.cell(KindGraphPIM, "", w.Info(), r, nil)
 					speedups = append(speedups, gpim.Speedup(base))
 				}
-				sum := replicate.Summarize("speedup", speedups)
-				t.AddRow(name, f2(sum.Mean), f3(sum.StdDev), f2(sum.Min), f2(sum.Max))
+				sum := summarize(speedups)
+				t.AddRow(name, f2(sum.mean), f3(sum.stdDev), f2(sum.min), f2(sum.max))
 			}
 			t.Notes = append(t.Notes,
 				"low dispersion across instances: the headline conclusions are not seed artifacts")
 			return t
 		},
 	}
+}
+
+// summary is one metric's distribution over repeated runs.
+type summary struct {
+	mean, stdDev, min, max float64 // stdDev is the sample (n-1) deviation
+}
+
+// summarize returns the summary of values; it is all zeros when values
+// is empty, and its stdDev is 0 for a single value.
+func summarize(values []float64) summary {
+	var out summary
+	if len(values) == 0 {
+		return out
+	}
+	out.min, out.max = values[0], values[0]
+	var sum float64
+	for _, v := range values {
+		sum += v
+		out.min = min(out.min, v)
+		out.max = max(out.max, v)
+	}
+	out.mean = sum / float64(len(values))
+	if len(values) > 1 {
+		var ss float64
+		for _, v := range values {
+			d := v - out.mean
+			ss += d * d
+		}
+		out.stdDev = math.Sqrt(ss / float64(len(values)-1))
+	}
+	return out
 }
 
 // extVaultMapping sweeps the HMC address-to-vault interleaving

@@ -1,4 +1,4 @@
-package replicate
+package harness
 
 import (
 	"math"
@@ -7,30 +7,26 @@ import (
 )
 
 func TestSummarizeBasics(t *testing.T) {
-	s := Summarize("x", []float64{1, 2, 3, 4})
-	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 {
+	s := summarize([]float64{1, 2, 3, 4})
+	if s.mean != 2.5 || s.min != 1 || s.max != 4 {
 		t.Fatalf("summary %+v", s)
 	}
 	// Sample stddev of 1,2,3,4 is sqrt(5/3).
-	if math.Abs(s.StdDev-math.Sqrt(5.0/3.0)) > 1e-12 {
-		t.Fatalf("stddev = %v", s.StdDev)
-	}
-	if s.String() == "" {
-		t.Fatal("empty String")
+	if math.Abs(s.stdDev-math.Sqrt(5.0/3.0)) > 1e-12 {
+		t.Fatalf("stddev = %v", s.stdDev)
 	}
 }
 
 func TestSummarizeEdgeCases(t *testing.T) {
-	if s := Summarize("empty", nil); s.N != 0 || s.Mean != 0 || s.StdDev != 0 {
+	if s := summarize(nil); s != (summary{}) {
 		t.Fatalf("empty summary %+v", s)
 	}
-	if s := Summarize("single", []float64{7}); s.StdDev != 0 || s.Mean != 7 {
+	if s := summarize([]float64{7}); s.stdDev != 0 || s.mean != 7 || s.min != 7 || s.max != 7 {
 		t.Fatalf("single summary %+v", s)
 	}
 }
 
-// Properties: mean lies in [min,max]; stddev is shift-invariant and
-// scales with the data.
+// Properties: mean lies in [min,max]; stddev is shift-invariant.
 func TestSummaryProperties(t *testing.T) {
 	f := func(raw []float64) bool {
 		vals := make([]float64, 0, len(raw))
@@ -42,16 +38,15 @@ func TestSummaryProperties(t *testing.T) {
 		if len(vals) < 2 {
 			return true
 		}
-		s := Summarize("p", vals)
-		if s.Mean < s.Min-1e-9 || s.Mean > s.Max+1e-9 {
+		s := summarize(vals)
+		if s.mean < s.min-1e-9 || s.mean > s.max+1e-9 {
 			return false
 		}
 		shifted := make([]float64, len(vals))
 		for i, v := range vals {
 			shifted[i] = v + 1000
 		}
-		s2 := Summarize("p", shifted)
-		return math.Abs(s.StdDev-s2.StdDev) < 1e-6*(1+s.StdDev)
+		return math.Abs(s.stdDev-summarize(shifted).stdDev) < 1e-6*(1+s.stdDev)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -362,18 +362,29 @@ func (e *Env) Config(kind ConfigKind, w interface{ Info() workloads.Info }) mach
 		panic(fmt.Sprintf("harness: unknown config kind %q", kind))
 	}
 	cfg.POU.PMRActive = cfg.POU.OffloadAtomics && info.ApplicableWith(extended)
-	if e.Memory != "" && e.Memory != "hmc" {
-		mc, ok := backends.DefaultConfig(e.Memory)
-		if !ok {
-			panic(fmt.Sprintf("harness: unknown memory backend kind %q (registered: %s)",
-				e.Memory, strings.Join(backends.Kinds(), ", ")))
-		}
-		cfg.Mem = mc
-	}
+	onBackend(e.Memory)(&cfg)
 	if e.Check {
 		cfg.Check = check.Periodic
 	}
 	return e.scaleCaches(cfg)
+}
+
+// onBackend returns the adjustment that puts a machine on memory backend
+// kind's default configuration; "" and "hmc" leave the machine's own HMC
+// in place. Env.Memory and the cross-backend extensions both pick their
+// substrate through it. An unknown kind panics when applied.
+func onBackend(kind string) func(*machine.Config) {
+	return func(c *machine.Config) {
+		if kind == "" || kind == "hmc" {
+			return
+		}
+		mc, ok := backends.DefaultConfig(kind)
+		if !ok {
+			panic(fmt.Sprintf("harness: unknown memory backend kind %q (registered: %s)",
+				kind, strings.Join(backends.Kinds(), ", ")))
+		}
+		c.Mem = mc
+	}
 }
 
 // Graph returns the cached LDBC graph of the given size. Graphs are

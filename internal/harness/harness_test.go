@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -8,14 +9,25 @@ import (
 	"graphpim/internal/workloads"
 )
 
-// checkedQuickEnv is QuickEnv with the sanitizer on: every harness-level
-// simulation in the test suite runs fully audited. Its spill files are
-// released when the test ends.
-func checkedQuickEnv(t testing.TB) *Env {
+// checkedQuickEnv is the one Env the experiment-level tests share: a
+// cell one test simulated is a memo hit for the next (every cell of
+// ext-ddr-host, fig10 and fig16 is among the backend shootout's). Tests
+// that count memo entries or compare environments build their own.
+var checkedQuickEnv = newCheckedQuickEnv()
+
+// newCheckedQuickEnv is QuickEnv with the sanitizer on: every
+// harness-level simulation in the test suite runs fully audited.
+func newCheckedQuickEnv() *Env {
 	e := QuickEnv()
 	e.Check = true
-	t.Cleanup(func() { e.Close() })
 	return e
+}
+
+// TestMain releases the shared Env's spill files after the suite.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	checkedQuickEnv.Close()
+	os.Exit(code)
 }
 
 func TestAllExperimentsRegistered(t *testing.T) {
@@ -58,7 +70,7 @@ func TestTableRendering(t *testing.T) {
 
 // The static experiments (no simulation) must produce full tables.
 func TestStaticExperiments(t *testing.T) {
-	e := checkedQuickEnv(t)
+	e := checkedQuickEnv
 	for _, id := range []string{"table1-hmc-atomics", "table2-offload-targets",
 		"table3-applicability", "table4-config", "table5-flits", "table6-datasets",
 		"table7-appconfig"} {
@@ -75,7 +87,7 @@ func TestStaticExperiments(t *testing.T) {
 
 func TestTable1HasAllCommands(t *testing.T) {
 	ex, _ := ByID("table1-hmc-atomics")
-	tb := ex.Run(checkedQuickEnv(t))
+	tb := ex.Run(checkedQuickEnv)
 	if len(tb.Rows) != 20 {
 		t.Fatalf("Table I rows = %d, want 20 (18 HMC 2.0 + 2 extension)", len(tb.Rows))
 	}
@@ -83,7 +95,7 @@ func TestTable1HasAllCommands(t *testing.T) {
 
 func TestTable3CoversSuite(t *testing.T) {
 	ex, _ := ByID("table3-applicability")
-	tb := ex.Run(checkedQuickEnv(t))
+	tb := ex.Run(checkedQuickEnv)
 	if len(tb.Rows) != len(workloads.All()) {
 		t.Fatalf("Table III rows = %d, want %d", len(tb.Rows), len(workloads.All()))
 	}
@@ -92,7 +104,8 @@ func TestTable3CoversSuite(t *testing.T) {
 // Shared-run caching: two experiments touching the same runs must reuse
 // the memoized results.
 func TestRunMemoization(t *testing.T) {
-	e := checkedQuickEnv(t)
+	e := newCheckedQuickEnv()
+	t.Cleanup(func() { e.Close() })
 	w, _ := workloads.ByName("DC")
 	r1 := e.Run(w, KindBaseline)
 	r2 := e.Run(w, KindBaseline)
@@ -110,7 +123,7 @@ func TestFig7OrderingsAtQuickScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	e := checkedQuickEnv(t)
+	e := checkedQuickEnv
 	type speeds struct{ upei, gpim float64 }
 	got := map[string]speeds{}
 	for _, name := range []string{"BFS", "DC", "kCore", "TC"} {
@@ -147,7 +160,7 @@ func TestFig10MissRatesAtQuickScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	e := checkedQuickEnv(t)
+	e := checkedQuickEnv
 	ex, _ := ByID("fig10-missrate")
 	tb := ex.Run(e)
 	if len(tb.Rows) != len(workloads.EvalSet()) {
@@ -167,7 +180,7 @@ func TestFig16ModelWithinTolerance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	e := checkedQuickEnv(t)
+	e := checkedQuickEnv
 	ex, _ := ByID("fig16-model-validation")
 	tb := ex.Run(e)
 	last := tb.Rows[len(tb.Rows)-1]
@@ -180,7 +193,7 @@ func TestFig17RunsBothApps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	e := checkedQuickEnv(t)
+	e := checkedQuickEnv
 	ex, _ := ByID("fig17-realworld")
 	tb := ex.Run(e)
 	if len(tb.Rows) != 2 {
@@ -216,7 +229,7 @@ func TestExtDDRHostDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := ex.Run(checkedQuickEnv(t))
+	tb := ex.Run(checkedQuickEnv)
 	if len(tb.Rows) != len(workloads.EvalSet()) {
 		t.Fatalf("rows = %d, want %d", len(tb.Rows), len(workloads.EvalSet()))
 	}
@@ -239,7 +252,7 @@ func TestExtBackendShootoutStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := ex.Run(checkedQuickEnv(t))
+	tb := ex.Run(checkedQuickEnv)
 	if len(tb.Rows) != len(workloads.EvalSet())+1 {
 		t.Fatalf("rows = %d, want %d workloads + geomean", len(tb.Rows), len(workloads.EvalSet()))
 	}

@@ -326,7 +326,7 @@ func TestFaultInjectionDDRBusLane(t *testing.T) {
 	cfg.CheckInterval = 64
 	m := NewSource(cfg, sp, tr)
 	corruptAtTick(t, 400, func() { m.mem.(*channel.System).CorruptLaneForTest() })
-	f := expectFailure(t, "ddr", func() { m.Run(0) })
+	f := expectFailure(t, "ddr", func() { m.Run() })
 	if f.Cycle == 0 {
 		t.Fatalf("failure carries no cycle: %v", f)
 	}

@@ -535,9 +535,7 @@ var tickCore = func(c *cpu.Core, now, elapsed uint64) uint64 {
 	return c.Tick(now, elapsed)
 }
 
-// Run replays the trace to completion (or maxCycles, whichever first) and
-// returns the result. maxCycles <= 0 means no limit; Cycles never
-// exceeds maxCycles.
+// Run replays the trace to completion and returns the result.
 //
 // Run is the machine's only scheduler, a serial event loop: each core's
 // Tick returns the next cycle its state can change, and a wake table
@@ -549,7 +547,7 @@ var tickCore = func(c *cpu.Core, now, elapsed uint64) uint64 {
 // final flush tick at the last event time settles the cycle-attribution
 // counters for cores that went quiescent earlier (see DESIGN.md,
 // "Event-driven scheduler").
-func (m *Machine) Run(maxCycles uint64) Result {
+func (m *Machine) Run() Result {
 	n := len(m.cores)
 	wake := sim.NewWakeups(n)
 	lastTick := make([]uint64, n)
@@ -567,9 +565,6 @@ func (m *Machine) Run(maxCycles uint64) Result {
 			// or no core can ever make progress again.
 			m.releaseBarrier(wake, now, done, &parked)
 			continue
-		}
-		if maxCycles > 0 && t > maxCycles {
-			return m.truncate(maxCycles, lastTick)
 		}
 		now = t
 		m.stepAt(now, due, wake, lastTick, &done, &parked)
@@ -631,28 +626,6 @@ func (m *Machine) releaseBarrier(wake *sim.Wakeups, now uint64, done int, parked
 	m.ctr.barriers.Inc()
 }
 
-// truncate ends a maxCycles-limited run: settle attribution at the
-// cutoff itself, clamp the reported cycle count, and retire everything
-// complete by the cutoff. Both are scheduler-independent: every core's
-// next wake lies past the cutoff, so a tick at maxCycles sees the state
-// any denser clock would, and Core.DrainCompleted counts the whole
-// completed ROB prefix regardless of how often the core was ticked.
-func (m *Machine) truncate(maxCycles uint64, lastTick []uint64) Result {
-	now := maxCycles
-	m.flushTicks(now, lastTick)
-	for _, c := range m.cores {
-		c.DrainCompleted(now)
-	}
-	if m.checks != nil {
-		// End-of-run subsystem audits only: the loop's done/parked
-		// counters are intentionally stale after the truncation drain.
-		if f := m.checks.Final(now); f != nil {
-			panic(f)
-		}
-	}
-	return m.result(now)
-}
-
 // flushTicks advances every core that last ticked before now up to now,
 // attributing the trailing quiescent stretch to its standing stall
 // reason. The scan loop ticked all cores at every event, so its
@@ -690,11 +663,11 @@ func (m *Machine) result(now uint64) Result {
 // It remains for bench/ and as a test oracle; the program replays
 // through RunSource.
 func RunTrace(cfg Config, space *memmap.AddressSpace, tr *trace.Trace) Result {
-	return NewSource(cfg, space, tr).Run(0)
+	return NewSource(cfg, space, tr).Run()
 }
 
 // RunSource assembles a machine for cfg and replays src: the harness's
 // one replay call.
 func RunSource(cfg Config, space *memmap.AddressSpace, src trace.Source) Result {
-	return NewSource(cfg, space, src).Run(0)
+	return NewSource(cfg, space, src).Run()
 }

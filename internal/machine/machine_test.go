@@ -215,15 +215,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestMaxCyclesGuard(t *testing.T) {
-	sp, tr := synthWorkload(4, 5000, 1<<22, 10)
-	m := NewSource(Baseline(), sp, tr)
-	res := m.Run(1000)
-	if res.Cycles > 1000 {
-		t.Fatalf("maxCycles not honored: ran %d cycles past the 1000 limit", res.Cycles)
-	}
-}
-
 func TestNewPanicsOnTooManyThreads(t *testing.T) {
 	sp, tr := synthWorkload(17, 1, 64, 11)
 	defer func() {

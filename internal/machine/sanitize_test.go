@@ -33,19 +33,15 @@ func TestChecksCleanAndIdentityOnRandomTraces(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		sp, tr := randomTrace(r)
 		cfg := configs[trial%len(configs)]()
-		var maxCycles uint64
-		if trial%4 == 3 {
-			maxCycles = 100 + r.Uint64()%3000
-		}
-		plain := NewSource(cfg, sp, tr).Run(maxCycles)
+		plain := NewSource(cfg, sp, tr).Run()
 
 		audited := cfg
 		audited.Check = check.Periodic
 		audited.CheckInterval = 256
-		got := NewSource(audited, sp, tr).Run(maxCycles)
+		got := NewSource(audited, sp, tr).Run()
 		if !reflect.DeepEqual(plain, got) {
-			t.Fatalf("trial %d (%s, max=%d): audited run diverged from plain run\nplain:   %+v\naudited: %+v",
-				trial, cfg.Name, maxCycles, plain, got)
+			t.Fatalf("trial %d (%s): audited run diverged from plain run\nplain:   %+v\naudited: %+v",
+				trial, cfg.Name, plain, got)
 		}
 	}
 }
@@ -66,10 +62,10 @@ func TestLatencyMonotoneUnderLatencyIncrease(t *testing.T) {
 		sp, tr := randomTrace(r)
 		for which, apply := range bump {
 			base := Baseline()
-			baseRes := NewSource(base, sp, tr).Run(0)
+			baseRes := NewSource(base, sp, tr).Run()
 			slow := Baseline()
 			apply(&slow)
-			slowRes := NewSource(slow, sp, tr).Run(0)
+			slowRes := NewSource(slow, sp, tr).Run()
 			if slowRes.Cycles < baseRes.Cycles {
 				t.Fatalf("trial %d bump %d: slower caches finished earlier (%d < %d cycles)",
 					trial, which, slowRes.Cycles, baseRes.Cycles)
@@ -136,7 +132,7 @@ func TestFaultInjectionCacheDirectory(t *testing.T) {
 	m := checkedMachine(31)
 	corrupted := false
 	corruptAtTick(t, 400, func() { corrupted = m.cache.CorruptDirectoryForTest() })
-	f := expectFailure(t, "cache", func() { m.Run(0) })
+	f := expectFailure(t, "cache", func() { m.Run() })
 	if !corrupted {
 		t.Fatal("corruption never applied")
 	}
@@ -148,7 +144,7 @@ func TestFaultInjectionCacheDirectory(t *testing.T) {
 func TestFaultInjectionMSHRLeak(t *testing.T) {
 	m := checkedMachine(32)
 	corruptAtTick(t, 400, func() { m.cores[2].CorruptMSHRForTest() })
-	f := expectFailure(t, "cpu", func() { m.Run(0) })
+	f := expectFailure(t, "cpu", func() { m.Run() })
 	if f.Core != 2 {
 		t.Fatalf("MSHR leak on core 2 attributed to core %d: %v", f.Core, f)
 	}
@@ -160,7 +156,7 @@ func TestFaultInjectionMSHRLeak(t *testing.T) {
 func TestFaultInjectionLinkLaneOverReservation(t *testing.T) {
 	m := checkedMachine(33)
 	corruptAtTick(t, 400, func() { m.mem.(*hmc.Pool).CorruptLinkLaneForTest() })
-	f := expectFailure(t, "hmc", func() { m.Run(0) })
+	f := expectFailure(t, "hmc", func() { m.Run() })
 	if f.Cycle == 0 {
 		t.Fatalf("failure carries no cycle: %v", f)
 	}
@@ -172,7 +168,7 @@ func TestFaultInjectionLinkLaneOverReservation(t *testing.T) {
 func TestFaultInjectionHMCRowHits(t *testing.T) {
 	m := checkedMachine(37)
 	corruptAtTick(t, 400, func() { m.stats.Counter("hmc.dram.row_hits").Add(1) })
-	f := expectFailure(t, "hmc", func() { m.Run(0) })
+	f := expectFailure(t, "hmc", func() { m.Run() })
 	if f.Cycle == 0 || !strings.Contains(f.Error(), "row_hits") {
 		t.Fatalf("failure context: %v", f)
 	}
@@ -181,7 +177,7 @@ func TestFaultInjectionHMCRowHits(t *testing.T) {
 func TestFaultInjectionStatsSkew(t *testing.T) {
 	m := checkedMachine(34)
 	corruptAtTick(t, 400, func() { m.stats.Counter("cache.l1.miss").Add(1) })
-	expectFailure(t, "stats", func() { m.Run(0) })
+	expectFailure(t, "stats", func() { m.Run() })
 }
 
 // TestFaultInjectionLostWakeup drops one live core from the wake table
@@ -201,5 +197,5 @@ func TestFaultInjectionLostWakeup(t *testing.T) {
 		}
 		return next
 	}
-	expectFailure(t, "machine", func() { m.Run(0) })
+	expectFailure(t, "machine", func() { m.Run() })
 }

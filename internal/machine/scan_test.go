@@ -13,10 +13,8 @@ import "fmt"
 // The scan loop visits the union of all cores' wake times in ascending
 // order, ticking cores in id order within a step; Run's wake table
 // replays exactly that (time, id) order while skipping the no-op ticks
-// of cores whose wake time has not arrived. maxCycles clamping matches
-// Run: steps past the limit are not processed, every core is ticked at
-// the cutoff to settle attribution, and Cycles reports maxCycles.
-func (m *Machine) runScan(maxCycles uint64) Result {
+// of cores whose wake time has not arrived.
+func (m *Machine) runScan() Result {
 	var now, elapsed uint64
 	for {
 		minNext := ^uint64(0)
@@ -56,18 +54,6 @@ func (m *Machine) runScan(maxCycles uint64) Result {
 		if minNext <= now {
 			minNext = now + 1
 		}
-		if maxCycles > 0 && minNext > maxCycles {
-			if now < maxCycles {
-				for _, c := range m.cores {
-					tickCore(c, maxCycles, maxCycles-now)
-				}
-			}
-			now = maxCycles
-			for _, c := range m.cores {
-				c.DrainCompleted(now)
-			}
-			break
-		}
 		elapsed = minNext - now
 		now = minNext
 	}
@@ -75,12 +61,11 @@ func (m *Machine) runScan(maxCycles uint64) Result {
 }
 
 // runDense is the dense-clock oracle: it ticks every core at every cycle
-// from 0 to the end, applying barrier release and maxCycles truncation
-// exactly as runScan does. runScan only adds ticks at other cores' event
+// from 0 to the end, applying barrier release exactly as runScan does. runScan only adds ticks at other cores' event
 // times; the dense clock adds a tick at every cycle, so agreement with
 // Run proves each core's returned wake time needs no outside help — no
 // cycle between two wakes can change anything a tick would observe.
-func (m *Machine) runDense(maxCycles uint64) Result {
+func (m *Machine) runDense() Result {
 	var now, elapsed uint64
 	for {
 		allDone, stuck := true, true
@@ -113,13 +98,6 @@ func (m *Machine) runDense(maxCycles uint64) Result {
 		}
 		if stuck {
 			panic(fmt.Sprintf("machine: deadlock at cycle %d", now))
-		}
-		if maxCycles > 0 && now+1 > maxCycles {
-			now = maxCycles
-			for _, c := range m.cores {
-				c.DrainCompleted(now)
-			}
-			break
 		}
 		elapsed = 1
 		now++

@@ -97,7 +97,7 @@ func diffResults(t *testing.T, label string, got, want Result) {
 // cycle-attribution breakdown. Trials alternate machine
 // configurations so the host-atomic freeze path (Baseline), the UC
 // bypass path (GraphPIM), and the locality-check path (U-PEI) are all
-// exercised, and every third trial truncates with maxCycles.
+// exercised.
 func TestSchedulerEquivalence(t *testing.T) {
 	configs := []func() Config{
 		Baseline,
@@ -113,17 +113,11 @@ func TestSchedulerEquivalence(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		sp, tr := randomTrace(r)
 		cfg := configs[trial%len(configs)]()
-		var maxCycles uint64
-		if trial%3 == 2 {
-			maxCycles = 50 + r.Uint64()%5000
-		}
-		event := NewSource(cfg, sp, tr).Run(maxCycles)
-		scan := NewSource(cfg, sp, tr).runScan(maxCycles)
-		diffResults(t, fmt.Sprintf("trial %d (%s, max=%d) event vs scan", trial, cfg.Name, maxCycles),
-			event, scan)
-		dense := NewSource(cfg, sp, tr).runDense(maxCycles)
-		diffResults(t, fmt.Sprintf("trial %d (%s, max=%d) event vs dense", trial, cfg.Name, maxCycles),
-			event, dense)
+		event := NewSource(cfg, sp, tr).Run()
+		scan := NewSource(cfg, sp, tr).runScan()
+		diffResults(t, fmt.Sprintf("trial %d (%s) event vs scan", trial, cfg.Name), event, scan)
+		dense := NewSource(cfg, sp, tr).runDense()
+		diffResults(t, fmt.Sprintf("trial %d (%s) event vs dense", trial, cfg.Name), event, dense)
 	}
 }
 
@@ -186,27 +180,5 @@ func TestDeadlockPanics(t *testing.T) {
 			t.Fatal("stuck cores did not panic")
 		}
 	}()
-	m.Run(0)
-}
-
-// TestMaxCyclesClamped pins the truncation contract: a run cut off by
-// maxCycles reports exactly maxCycles, never an overshoot past it.
-func TestMaxCyclesClamped(t *testing.T) {
-	sp, tr := synthWorkload(4, 5000, 1<<22, 10)
-	const limit = 1000
-	res := NewSource(Baseline(), sp, tr).Run(limit)
-	if res.Cycles != limit {
-		t.Fatalf("truncated run reported %d cycles, want exactly %d", res.Cycles, limit)
-	}
-	if res.Instructions >= tr.TotalInstructions() {
-		t.Fatalf("run was not actually truncated: retired all %d instructions", res.Instructions)
-	}
-
-	// A run that finishes under the limit reports its natural length.
-	sp2, tr2 := synthWorkload(1, 2, 1<<10, 11)
-	free := NewSource(Baseline(), sp2, tr2).Run(0)
-	capped := NewSource(Baseline(), sp2, tr2).Run(free.Cycles + 100000)
-	if capped.Cycles != free.Cycles {
-		t.Fatalf("generous limit changed cycles: %d vs %d", capped.Cycles, free.Cycles)
-	}
+	m.Run()
 }

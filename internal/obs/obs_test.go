@@ -136,7 +136,6 @@ func TestLoadManifestErrors(t *testing.T) {
 func TestTextReporterProgress(t *testing.T) {
 	var b strings.Builder
 	r := NewTextReporter(&b)
-	r.ExperimentStart("fig7")
 	r.PlanReady("fig7", 2)
 	r.CellFinish("fig7", "BFS/Baseline", time.Millisecond)
 	r.CellFinish("fig7", "BFS/GraphPIM", time.Millisecond)

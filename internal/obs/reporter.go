@@ -35,8 +35,6 @@ type PhaseTiming struct {
 // completions come straight off the worker pool), so implementations
 // must be safe for concurrent use.
 type Reporter interface {
-	// ExperimentStart fires when an experiment begins executing.
-	ExperimentStart(id string)
 	// PlanReady fires after the recording pass with the number of
 	// cells the warm phase will fan out (0 when running serially or
 	// when recording failed).
@@ -44,8 +42,6 @@ type Reporter interface {
 	// CellFinish fires as each warmed cell completes, with its display
 	// label and simulation wall time.
 	CellFinish(id, cell string, d time.Duration)
-	// PhaseFinish fires as each engine phase completes.
-	PhaseFinish(id string, phase Phase, d time.Duration)
 	// ExperimentFinish fires when the table has been assembled, with
 	// the number of cells the experiment touched and its total wall
 	// time.
@@ -55,17 +51,11 @@ type Reporter interface {
 // Nop is the silent Reporter.
 type Nop struct{}
 
-// ExperimentStart implements Reporter.
-func (Nop) ExperimentStart(string) {}
-
 // PlanReady implements Reporter.
 func (Nop) PlanReady(string, int) {}
 
 // CellFinish implements Reporter.
 func (Nop) CellFinish(string, string, time.Duration) {}
-
-// PhaseFinish implements Reporter.
-func (Nop) PhaseFinish(string, Phase, time.Duration) {}
 
 // ExperimentFinish implements Reporter.
 func (Nop) ExperimentFinish(string, int, time.Duration) {}
@@ -91,9 +81,6 @@ func NewTextReporter(w io.Writer) *TextReporter {
 	}
 }
 
-// ExperimentStart implements Reporter.
-func (r *TextReporter) ExperimentStart(id string) {}
-
 // PlanReady implements Reporter.
 func (r *TextReporter) PlanReady(id string, cells int) {
 	r.mu.Lock()
@@ -108,9 +95,6 @@ func (r *TextReporter) CellFinish(id, cell string, d time.Duration) {
 	r.done[id]++
 	fmt.Fprintf(r.w, "\r%s: %d/%d cells", id, r.done[id], r.total[id])
 }
-
-// PhaseFinish implements Reporter.
-func (r *TextReporter) PhaseFinish(id string, phase Phase, d time.Duration) {}
 
 // ExperimentFinish implements Reporter.
 func (r *TextReporter) ExperimentFinish(id string, cells int, d time.Duration) {
