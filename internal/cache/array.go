@@ -133,7 +133,7 @@ func newArray(sizeBytes, ways, lineSize int, directory bool) *array {
 // array's set index a single time; evictions and back-invalidations in
 // between are seen, as they change the slots and set words themselves.
 func (a *array) probe(lineAddr memmap.Addr) (set, i int) {
-	set = int((uint64(lineAddr) >> 6) & a.setMask)
+	set = a.setOf(lineAddr)
 	base := set * a.ways
 	key := uint64(lineAddr) | 1
 	for w, k := range a.keys[base : base+a.ways] {
@@ -142,6 +142,11 @@ func (a *array) probe(lineAddr memmap.Addr) (set, i int) {
 		}
 	}
 	return set, -1
+}
+
+// setOf returns the set lineAddr maps to, without scanning it.
+func (a *array) setOf(lineAddr memmap.Addr) int {
+	return int((uint64(lineAddr) >> 6) & a.setMask)
 }
 
 // lookup returns the slot holding lineAddr, or -1.

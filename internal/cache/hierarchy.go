@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"graphpim/internal/mem"
 	"graphpim/internal/memmap"
@@ -180,11 +181,8 @@ func (h *Hierarchy) dropPrivate(core int, lineAddr memmap.Addr) (dirty bool) {
 func (h *Hierarchy) invalidateSharers(i, keep int) {
 	d := &h.l3.dir[i]
 	tag := h.l3.tag(i)
-	for c := 0; c < h.cfg.NumCores; c++ {
-		if c == keep || d.sharers&bit(c) == 0 {
-			continue
-		}
-		if h.dropPrivate(c, tag) {
+	for s := d.sharers &^ bit(keep); s != 0; s &= s - 1 {
+		if h.dropPrivate(bits.TrailingZeros32(s), tag) {
 			h.l3.meta[i].dirty = true
 		}
 		h.ctr.invalidations.Inc()
@@ -195,20 +193,11 @@ func (h *Hierarchy) invalidateSharers(i, keep int) {
 	}
 }
 
-// setOwner records core as the M/E owner of lineAddr in the directory.
-func (h *Hierarchy) setOwner(lineAddr memmap.Addr, core int) {
-	if i := h.l3.lookup(lineAddr); i >= 0 {
-		h.l3.dir[i].owner = int8(core)
-	}
-}
-
-// upgrade gives core exclusive ownership of lineAddr, invalidating every
-// other private copy (a write to a Shared line).
-func (h *Hierarchy) upgrade(lineAddr memmap.Addr, core int) {
-	if i := h.l3.lookup(lineAddr); i >= 0 {
-		h.invalidateSharers(i, core)
-		h.l3.dir[i] = dirEntry{sharers: bit(core), owner: int8(core)}
-	}
+// upgrade gives core exclusive ownership of the line in L3 slot i,
+// invalidating every other private copy (a write to a Shared line).
+func (h *Hierarchy) upgrade(i, core int) {
+	h.invalidateSharers(i, core)
+	h.l3.dir[i] = dirEntry{sharers: bit(core), owner: int8(core)}
 }
 
 // evictL1 handles an L1 victim: dirty data merges into the (inclusive) L2
@@ -255,11 +244,8 @@ func (h *Hierarchy) evictL3(ev line, now uint64) {
 		return
 	}
 	dirty := ev.dirty
-	for c := 0; c < h.cfg.NumCores; c++ {
-		if ev.sharers&bit(c) == 0 {
-			continue
-		}
-		if h.dropPrivate(c, ev.tag) {
+	for s := ev.sharers; s != 0; s &= s - 1 {
+		if h.dropPrivate(bits.TrailingZeros32(s), ev.tag) {
 			dirty = true
 		}
 		h.ctr.l3BackInval.Inc()
@@ -283,9 +269,15 @@ func (h *Hierarchy) fillPrivate(core, s1, s2 int, lineAddr memmap.Addr, st state
 // at addr. now is the absolute cycle at which the access starts, used for
 // backend timing.
 //
-// The walk is single-pass: each array's set index is resolved once
-// (probe), and the returned set is reused for touch, victim choice and
-// install on the way back up.
+// The directory steers the walk. The L3 is probed first: by inclusion,
+// core's L2 holds the line exactly when the L3 holds it with core's
+// sharer bit set, and its L1 holds it only then (CheckInvariants audits
+// both directions). So the L1 and L2 are scanned only when that bit is
+// set; otherwise their sets come from the address alone. Latencies and
+// counters still follow the L1 -> L2 -> L3 order of the level that
+// answers. Each array's set index is resolved once and reused for
+// touch, victim choice and install on the way back up, and the L3 slot
+// for every directory update.
 func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) AccessResult {
 	lineAddr := memmap.LineAddr(addr)
 	l1, l2, l3 := h.l1[core], h.l2[core], h.l3
@@ -293,8 +285,16 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 	res.Latency = h.cfg.L1Lat
 	h.ctr.l1Access.Inc()
 
-	// L1 probe.
-	s1, i1 := l1.probe(lineAddr)
+	s3, i3 := l3.probe(lineAddr)
+	s1, i1 := l1.setOf(lineAddr), -1
+	s2, i2 := l2.setOf(lineAddr), -1
+	if i3 >= 0 && l3.dir[i3].sharers&bit(core) != 0 {
+		if s1, i1 = l1.probe(lineAddr); i1 < 0 {
+			s2, i2 = l2.probe(lineAddr)
+		}
+	}
+
+	// L1.
 	if i1 >= 0 {
 		l1.touch(s1, i1)
 		h.ctr.l1Hit.Inc()
@@ -305,14 +305,14 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 		}
 		m1 := &l1.meta[i1]
 		if m1.st == stModified || m1.st == stExclusive {
-			h.setOwner(lineAddr, core)
+			l3.dir[i3].owner = int8(core)
 		} else {
 			// Write hit on a Shared line: directory upgrade.
 			up := h.cfg.L2Lat + h.cfg.L3Lat
 			res.Latency += up
 			res.CoherenceExtra += up
 			h.ctr.upgrades.Inc()
-			h.upgrade(lineAddr, core)
+			h.upgrade(i3, core)
 		}
 		m1.st = stModified
 		m1.dirty = true
@@ -324,10 +324,9 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 	}
 	h.ctr.l1Miss.Inc()
 
-	// L2 probe.
+	// L2.
 	res.Latency += h.cfg.L2Lat
 	h.ctr.l2Access.Inc()
-	s2, i2 := l2.probe(lineAddr)
 	if i2 >= 0 {
 		l2.touch(s2, i2)
 		h.ctr.l2Hit.Inc()
@@ -339,9 +338,9 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 				res.Latency += up
 				res.CoherenceExtra += up
 				h.ctr.upgrades.Inc()
-				h.upgrade(lineAddr, core)
+				h.upgrade(i3, core)
 			} else {
-				h.setOwner(lineAddr, core)
+				l3.dir[i3].owner = int8(core)
 			}
 			st = stModified
 			m2.st = stModified
@@ -355,10 +354,9 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 	}
 	h.ctr.l2Miss.Inc()
 
-	// L3 probe.
+	// L3.
 	res.Latency += h.cfg.L3Lat
 	h.ctr.l3Access.Inc()
-	s3, i3 := l3.probe(lineAddr)
 	if i3 >= 0 {
 		l3.touch(s3, i3)
 		h.ctr.l3Hit.Inc()
@@ -443,19 +441,20 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 
 // Probe reports whether lineAddr is present anywhere visible to core (its
 // own L1/L2 or the shared, inclusive L3) without changing any state. The
-// U-PEI configuration uses this as its ideal locality monitor.
+// U-PEI configuration uses this as its ideal locality monitor. Like
+// Access, it asks the directory before scanning a private cache.
 func (h *Hierarchy) Probe(core int, addr memmap.Addr) (Level, bool) {
 	lineAddr := memmap.LineAddr(addr)
-	if h.l1[core].lookup(lineAddr) >= 0 {
+	i3 := h.l3.lookup(lineAddr)
+	switch {
+	case i3 < 0:
+		return LevelMem, false
+	case h.l3.dir[i3].sharers&bit(core) == 0:
+		return LevelL3, true
+	case h.l1[core].lookup(lineAddr) >= 0:
 		return LevelL1, true
 	}
-	if h.l2[core].lookup(lineAddr) >= 0 {
-		return LevelL2, true
-	}
-	if h.l3.lookup(lineAddr) >= 0 {
-		return LevelL3, true
-	}
-	return LevelMem, false
+	return LevelL2, true
 }
 
 // checkPrivateSlot validates slot i of a private (L1 or L2) array: the

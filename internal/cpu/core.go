@@ -473,7 +473,7 @@ func (c *Core) attribute(now, elapsed uint64) {
 // issueTime computes when a memory instruction's operands are ready: a
 // dependent memory operation chains through the most recent load (pointer
 // chase / value flow); posted atomics never feed addresses.
-func (c *Core) issueTime(in trace.Instr, now uint64) uint64 {
+func (c *Core) issueTime(in *trace.Instr, now uint64) uint64 {
 	if in.DepPrev() {
 		return max(now, c.lastLoadDone)
 	}
@@ -581,8 +581,8 @@ func (c *Core) dispatch(now uint64) uint64 {
 
 dispatch:
 	for dispatched < c.cfg.IssueWidth {
-		in, ok := c.peek()
-		if !ok {
+		in := c.peek()
+		if in == nil {
 			reason = StallDrainOut
 			next = c.drainAt(now)
 			if c.Done() {
@@ -622,7 +622,7 @@ dispatch:
 				next = c.mshr.minT()
 				break dispatch
 			}
-			res := c.mem.Load(c.id, in, c.issueTime(in, now))
+			res := c.mem.Load(c.id, *in, c.issueTime(in, now))
 			if res.OffChip {
 				c.mshr.add(res.CompleteAt)
 			}
@@ -642,7 +642,7 @@ dispatch:
 				next = c.wb.minT()
 				break dispatch
 			}
-			res := c.mem.Store(c.id, in, c.issueTime(in, now))
+			res := c.mem.Store(c.id, *in, c.issueTime(in, now))
 			c.wb.add(res.CompleteAt)
 			// The store retires once buffered.
 			c.robPush(now + 1)
@@ -650,7 +650,7 @@ dispatch:
 			dispatched++
 
 		case trace.KindAtomic:
-			if c.mem.AtomicBlocking(c.id, in) {
+			if c.mem.AtomicBlocking(c.id, *in) {
 				// Host atomic: fence semantics. The write buffer
 				// drains and all older memory operations complete
 				// before the locked RMW issues; the pipeline freezes
@@ -662,7 +662,7 @@ dispatch:
 				// locked RMW itself count as atomic overhead.
 				naturalReady := c.issueTime(in, now)
 				fenceReady := max(naturalReady, c.wb.maxT(), c.lastMemDone)
-				res := c.mem.Atomic(c.id, in, fenceReady)
+				res := c.mem.Atomic(c.id, *in, fenceReady)
 				c.ctr.depWait.Add(naturalReady - now)
 				drain := fenceReady - naturalReady
 				c.ctr.atomicDrain.Add(drain)
@@ -696,7 +696,7 @@ dispatch:
 				next = c.atomq.minT()
 				break dispatch
 			}
-			res := c.mem.Atomic(c.id, in, c.issueTime(in, now))
+			res := c.mem.Atomic(c.id, *in, c.issueTime(in, now))
 			doneAt := res.AcceptedAt
 			if in.RetUsed() {
 				doneAt = res.CompleteAt
@@ -786,14 +786,20 @@ func (c *Core) runAhead(now uint64) uint64 {
 	return u
 }
 
-// peek returns the next instruction without consuming it. Compute batches
-// in progress report the current batch record.
-func (c *Core) peek() (trace.Instr, bool) {
+// batchRecord stands for a compute batch in progress: dispatch reads
+// only its Kind (the batch length is computeLeft). Never written.
+var batchRecord = trace.Instr{Kind: trace.KindCompute}
+
+// peek returns the next instruction in place, without consuming it, or
+// nil at end of stream: a pointer into the current window, or to
+// batchRecord while a compute batch is in progress. The record stays
+// valid until the next more call.
+func (c *Core) peek() *trace.Instr {
 	if c.computeLeft > 0 {
-		return trace.Instr{Kind: trace.KindCompute, N: uint16(c.computeLeft)}, true
+		return &batchRecord
 	}
 	if !c.more() {
-		return trace.Instr{}, false
+		return nil
 	}
-	return c.win[c.pc], true
+	return &c.win[c.pc]
 }

@@ -277,10 +277,6 @@ type Machine struct {
 	cores   []*cpu.Core
 	// ucFree is each core's next allowed UC issue time (UC ordering).
 	ucFree []uint64
-	// routed holds, per core, the decision AtomicBlocking made for the
-	// atomic that core is about to issue; Atomic consumes it so each
-	// atomic is routed once.
-	routed []routedAtomic
 	// checks is the sanitizer registry; nil when cfg.Check is Off.
 	checks *check.Registry
 }
@@ -338,7 +334,6 @@ func NewSource(cfg Config, space *memmap.AddressSpace, src trace.Source) *Machin
 	}
 	m.cache = cache.New(cfg.Cache, m.mem, st)
 	m.ucFree = make([]uint64, cfg.NumCores)
-	m.routed = make([]routedAtomic, cfg.NumCores)
 	for c := 0; c < cfg.NumCores; c++ {
 		cur := trace.SliceCursor(nil)
 		if c < src.NumThreads() {
@@ -389,33 +384,11 @@ func (m *Machine) Store(core int, in trace.Instr, now uint64) cpu.MemResult {
 	return cpu.MemResult{CompleteAt: now + r.Latency, OffChip: r.Level == cache.LevelMem}
 }
 
-// routedAtomic is a POU decision kept for the record it was made for.
-type routedAtomic struct {
-	in    trace.Instr
-	d     pou.Decision
-	valid bool
-}
-
-// AtomicBlocking implements cpu.MemorySystem. The decision is kept for
-// the Atomic call that issues the same record; a core stalled on a full
-// atomic queue asks again when it retries, which replaces it.
+// AtomicBlocking implements cpu.MemorySystem. Route is a pure function
+// of the record (see pou.Unit.Route), so Atomic routes the same record
+// again and gets the same decision.
 func (m *Machine) AtomicBlocking(core int, in trace.Instr) bool {
-	d := m.pou.Route(in)
-	m.routed[core] = routedAtomic{in: in, d: d, valid: true}
-	return d.Path == pou.PathHostAtomic
-}
-
-// route returns the POU decision for the atomic core issues: the one
-// AtomicBlocking kept if it was made for this record, a fresh one
-// otherwise. Either way nothing is left behind for a later atomic.
-func (m *Machine) route(core int, in trace.Instr) pou.Decision {
-	r := &m.routed[core]
-	kept := r.valid && r.in == in
-	r.valid = false
-	if kept {
-		return r.d
-	}
-	return m.pou.Route(in)
+	return m.pou.Route(in).Path == pou.PathHostAtomic
 }
 
 // probeLatency is the cache-walk cost of U-PEI's locality check.
@@ -433,7 +406,7 @@ func (m *Machine) probeLatency(lvl cache.Level) uint64 {
 
 // Atomic implements cpu.MemorySystem.
 func (m *Machine) Atomic(core int, in trace.Instr, now uint64) cpu.AtomicResult {
-	d := m.route(core, in)
+	d := m.pou.Route(in)
 	if d.Candidate {
 		m.ctr.candidates.Inc()
 	}
@@ -543,8 +516,10 @@ var tickCore = func(c *cpu.Core, now, elapsed uint64) uint64 {
 // loop ticks them in ascending id order, which replays events in (time,
 // core-id) order — the same order the reference scan loop visits cores
 // (runScan, the test-only oracle in scan_test.go), so the two are
-// cycle-identical. Cores are ticked only at their own wake times; a
-// final flush tick at the last event time settles the cycle-attribution
+// cycle-identical. A core due alone is re-ticked without a table pass
+// while its next wake comes strictly before every other core's (see
+// stepLone). Cores are ticked only at their own wake times; a final
+// flush tick at the last event time settles the cycle-attribution
 // counters for cores that went quiescent earlier (see DESIGN.md,
 // "Event-driven scheduler").
 func (m *Machine) Run() Result {
@@ -567,7 +542,16 @@ func (m *Machine) Run() Result {
 			continue
 		}
 		now = t
-		m.stepAt(now, due, wake, lastTick, &done, &parked)
+		if due&(due-1) == 0 {
+			now = m.stepLone(now, bits.TrailingZeros64(due), wake, lastTick, &done, &parked)
+		} else {
+			for ; due != 0; due &= due - 1 {
+				id := bits.TrailingZeros64(due)
+				if next := m.tick(id, now, lastTick, &done, &parked); next != never {
+					wake.Schedule(id, next)
+				}
+			}
+		}
 		if m.checks != nil && m.checks.Due(now) {
 			m.checkpoint(now, wake, done, parked, false)
 		}
@@ -580,32 +564,53 @@ func (m *Machine) Run() Result {
 	return m.result(now)
 }
 
-// stepAt ticks every core in due (a bitmask of core ids, all due at
-// cycle now) in ascending id order. A tick only ever schedules its own
-// core, at a strictly later time, so the set due at now is fixed before
-// the drain.
-func (m *Machine) stepAt(now, due uint64, wake *sim.Wakeups, lastTick []uint64, done, parked *int) {
-	for ; due != 0; due &= due - 1 {
-		id := bits.TrailingZeros64(due)
-		c := m.cores[id]
-		next := tickCore(c, now, now-lastTick[id])
-		lastTick[id] = now
-		switch {
-		case c.Done():
-			*done++
-		case c.WaitingBarrier():
-			*parked++
-		default:
-			if next != ^uint64(0) {
-				if next <= now {
-					next = now + 1
-				}
-				wake.Schedule(id, next)
-			}
-			// A live, unparked core returning no wake time is left
-			// unscheduled; the empty-table check reports the deadlock,
-			// as the scan loop did.
+// never is a core's wake time when it has none: done, parked at a
+// barrier, or (defensively) live but reporting none.
+const never = ^uint64(0)
+
+// tick advances core id to cycle now and returns the time to schedule
+// it at, or never. A tick only ever changes its own core's wake time,
+// at a strictly later cycle, so the set of cores due at now is fixed
+// before they are ticked.
+func (m *Machine) tick(id int, now uint64, lastTick []uint64, done, parked *int) uint64 {
+	c := m.cores[id]
+	next := tickCore(c, now, now-lastTick[id])
+	lastTick[id] = now
+	switch {
+	case c.Done():
+		*done++
+		return never
+	case c.WaitingBarrier():
+		*parked++
+		return never
+	}
+	// A live, unparked core returning no wake time is left unscheduled;
+	// the empty-table check reports the deadlock, as the scan loop did.
+	if next != never && next <= now {
+		next = now + 1
+	}
+	return next
+}
+
+// stepLone ticks core id, the only core due at now, and ticks it again
+// at each wake time it returns that is strictly earlier than every
+// other core's: PopDue would return exactly that time and that core, so
+// the table pass is skipped, not the event. It stops at the first wake
+// that is not earlier, or at a time a periodic checkpoint is due, and
+// schedules the core there, so a checkpoint sees every live core
+// scheduled. It returns the last time it ticked the core.
+func (m *Machine) stepLone(now uint64, id int, wake *sim.Wakeups, lastTick []uint64, done, parked *int) uint64 {
+	others, _ := wake.Min()
+	for {
+		next := m.tick(id, now, lastTick, done, parked)
+		if next == never {
+			return now
 		}
+		if next >= others || (m.checks != nil && m.checks.Due(now)) {
+			wake.Schedule(id, next)
+			return now
+		}
+		now = next
 	}
 }
 

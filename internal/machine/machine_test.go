@@ -225,11 +225,11 @@ func TestNewPanicsOnTooManyThreads(t *testing.T) {
 	NewSource(Baseline(), sp, tr)
 }
 
-// TestAtomicRoutedOnceWithoutStaleDecisions pins the route-once contract
-// between AtomicBlocking and Atomic: Atomic uses the decision kept for
-// the record it issues, and a decision kept for a record that was never
-// issued (a core stalled on a full atomic queue) is never applied to a
-// different record.
+// TestAtomicRoutedOnceWithoutStaleDecisions pins the contract between
+// AtomicBlocking and Atomic: Atomic's decision follows the record it
+// issues and the core issuing it, never a decision AtomicBlocking made
+// for a record that was not issued (a core stalled on a full atomic
+// queue) or on another core.
 func TestAtomicRoutedOnceWithoutStaleDecisions(t *testing.T) {
 	sp := memmap.NewAddressSpace()
 	meta := sp.AllocMeta(4096)
@@ -242,21 +242,19 @@ func TestAtomicRoutedOnceWithoutStaleDecisions(t *testing.T) {
 	if !m.AtomicBlocking(0, host) || m.AtomicBlocking(0, pim) {
 		t.Fatal("fixture records do not route to the host and to PIM")
 	}
-	// The kept decision is pim's: issuing host must still route host.
+	// The last decision asked for is pim's: issuing host must still
+	// route host.
 	m.AtomicBlocking(0, pim)
 	if res := m.Atomic(0, host, 10); !res.Blocking {
 		t.Fatal("host atomic issued with the decision kept for a PIM atomic")
 	}
-	// A decision kept for host and never issued must not survive an
-	// Atomic call for another record.
+	// A decision asked for host and never issued must not carry over to
+	// an Atomic call for another record.
 	m.AtomicBlocking(0, host)
 	if res := m.Atomic(0, pim, 20); res.Blocking {
 		t.Fatal("PIM atomic issued with the decision kept for a host atomic")
 	}
-	if m.routed[0].valid {
-		t.Fatal("Atomic left a kept decision behind")
-	}
-	// The decision kept on one core is not visible to another.
+	// A decision asked for on one core is not visible to another.
 	m.AtomicBlocking(0, pim)
 	if res := m.Atomic(1, host, 30); !res.Blocking {
 		t.Fatal("core 1 issued with core 0's kept decision")

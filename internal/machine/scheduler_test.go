@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"graphpim/internal/check"
 	"graphpim/internal/cpu"
 	"graphpim/internal/memmap"
 	"graphpim/internal/sim"
@@ -18,11 +19,15 @@ import (
 // and unused return values, CAS failures, FP accumulates, and global
 // barriers at random points.
 func randomTrace(r *sim.Rand) (*memmap.AddressSpace, *trace.Trace) {
+	return randomThreads(r, 1+r.Intn(6))
+}
+
+// randomThreads is randomTrace with a fixed thread count.
+func randomThreads(r *sim.Rand, threads int) (*memmap.AddressSpace, *trace.Trace) {
 	sp := memmap.NewAddressSpace()
 	meta := sp.AllocMeta(4096)
 	structure := sp.AllocStruct(1 << 16)
 	prop := sp.PMRMalloc(1 << 16)
-	threads := 1 + r.Intn(6)
 	b := trace.NewBuilder(sp, threads)
 	blocks := 1 + r.Intn(4)
 	for blk := 0; blk < blocks; blk++ {
@@ -98,6 +103,13 @@ func diffResults(t *testing.T, label string, got, want Result) {
 // configurations so the host-atomic freeze path (Baseline), the UC
 // bypass path (GraphPIM), and the locality-check path (U-PEI) are all
 // exercised.
+//
+// Further trials replay one- and two-thread traces on the 16-core
+// machine. The other cores are done after their first tick, so nearly
+// every event has one due core and the lone re-tick (stepLone) carries
+// the run. Each is replayed once more under the periodic sanitizer at a
+// short interval, which puts checkpoints inside lone stretches: the
+// loop audit must pass there and the result must not move.
 func TestSchedulerEquivalence(t *testing.T) {
 	configs := []func() Config{
 		Baseline,
@@ -119,6 +131,55 @@ func TestSchedulerEquivalence(t *testing.T) {
 		dense := NewSource(cfg, sp, tr).runDense()
 		diffResults(t, fmt.Sprintf("trial %d (%s) event vs dense", trial, cfg.Name), event, dense)
 	}
+	for trial := 0; trial < trials/3; trial++ {
+		threads := 1 + trial%2
+		sp, tr := randomThreads(r, threads)
+		cfg := configs[trial%len(configs)]()
+		label := fmt.Sprintf("lone trial %d (%d threads, %s)", trial, threads, cfg.Name)
+		event := NewSource(cfg, sp, tr).Run()
+		diffResults(t, label+" event vs scan", event, NewSource(cfg, sp, tr).runScan())
+		diffResults(t, label+" event vs dense", event, NewSource(cfg, sp, tr).runDense())
+		cfg.Check, cfg.CheckInterval = check.Periodic, 16
+		diffResults(t, label+" checked vs unchecked", runCheckpointed(t, label, cfg, sp, tr), event)
+	}
+}
+
+// runCheckpointed replays tr under cfg's periodic sanitizer and requires
+// each checkpoint to run at the first event time at or past its due
+// time, as when every event went through the wake table: a lone core's
+// re-ticks must not carry a checkpoint past the event where it was due.
+func runCheckpointed(t *testing.T, label string, cfg Config, sp *memmap.AddressSpace, tr *trace.Trace) Result {
+	t.Helper()
+	orig := tickCore
+	defer func() { tickCore = orig }()
+	var events, got []uint64
+	tickCore = func(c *cpu.Core, now, elapsed uint64) uint64 {
+		if len(events) == 0 || events[len(events)-1] != now {
+			events = append(events, now)
+		}
+		return orig(c, now, elapsed)
+	}
+	m := NewSource(cfg, sp, tr)
+	m.checks.Register("checkpoint-times", check.NoCore, func(now uint64) error {
+		got = append(got, now)
+		return nil
+	})
+	res := m.Run()
+	var want []uint64
+	due := cfg.CheckInterval
+	for _, now := range events {
+		if now >= due {
+			want = append(want, now)
+			for due <= now {
+				due += cfg.CheckInterval
+			}
+		}
+	}
+	want = append(want, res.Cycles) // the final sweep
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: checkpoints at %v, want %v", label, got, want)
+	}
+	return res
 }
 
 // TestMultipleBarriersRelease counts one release per global barrier and

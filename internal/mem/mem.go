@@ -113,8 +113,8 @@ type Config interface {
 // backend whose near-memory units are programmable cores (rather than
 // fixed-function atomic units) can execute an arbitrary read-modify-
 // write as a short instruction bundle, so even atomics with no HMC
-// command encoding offload. The POU negotiates the tier per command
-// (pou.BundleCaps mirrors CanOffloadBundle structurally); AtomicBundle
+// command encoding offload. The POU resolves the tier once, when it is
+// built (pou.BundleCaps mirrors CanOffloadBundle structurally); AtomicBundle
 // is only called after CanOffloadBundle reported true.
 type BundleBackend interface {
 	// CanOffloadBundle reports whether the backend accepts whole RMW

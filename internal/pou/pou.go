@@ -93,10 +93,11 @@ func UPEI(extended bool) Config {
 	}
 }
 
-// Caps is the memory backend's atomic-offload capability, consulted
-// during routing. It is declared here (rather than importing the mem
-// package) so the POU depends only on the negotiation, not on any
-// backend; mem.Backend satisfies it structurally.
+// Caps is the memory backend's atomic-offload capability, resolved per
+// command when a Unit is built. It is declared here (rather than
+// importing the mem package) so the POU depends only on the
+// negotiation, not on any backend; mem.Backend satisfies it
+// structurally.
 type Caps interface {
 	CanOffload(op hmcatomic.Op) bool
 }
@@ -147,7 +148,7 @@ func Negotiate(cfg Config, sub Substrate) Config {
 // BundleCaps is the optional second capability tier: a backend with
 // general-purpose near-memory cores (UPMEM-style vault processors)
 // accepts whole read-modify-write bundles for atomics that have no
-// fixed-function PIM command. Route probes for it per command;
+// fixed-function PIM command. NewWithCaps probes for it once;
 // mem.BundleBackend satisfies it structurally.
 type BundleCaps interface {
 	CanOffloadBundle() bool
@@ -157,7 +158,12 @@ type BundleCaps interface {
 type Unit struct {
 	cfg   Config
 	space *memmap.AddressSpace
-	caps  Caps
+	// can holds, per PIM command, whether the substrate executes it near
+	// memory, and bundle whether it has the bundle tier. Capabilities
+	// are fixed when the machine is built, so they are resolved once
+	// here and Route makes no capability call.
+	can    [hmcatomic.NumOps]bool
+	bundle bool
 }
 
 // New returns a POU routing against the given address space, assuming a
@@ -165,15 +171,23 @@ type Unit struct {
 // use). Machines assemble with NewWithCaps so routing respects the
 // actual substrate.
 func New(cfg Config, space *memmap.AddressSpace) *Unit {
-	return &Unit{cfg: cfg, space: space}
+	return NewWithCaps(cfg, space, nil)
 }
 
 // NewWithCaps returns a POU that negotiates offload capability with the
 // memory backend: an atomic whose PIM command the backend cannot
-// execute falls back to the host-atomic path. A nil caps means
-// all-capable.
+// execute falls back to the host-atomic path, and an unmappable atomic
+// offloads as a bundle when caps is a BundleCaps that accepts bundles.
+// A nil caps means every command and no bundle tier.
 func NewWithCaps(cfg Config, space *memmap.AddressSpace, caps Caps) *Unit {
-	return &Unit{cfg: cfg, space: space, caps: caps}
+	u := &Unit{cfg: cfg, space: space}
+	for op := range u.can {
+		u.can[op] = caps == nil || caps.CanOffload(hmcatomic.Op(op))
+	}
+	if bc, ok := caps.(BundleCaps); ok {
+		u.bundle = bc.CanOffloadBundle()
+	}
+	return u
 }
 
 // Config returns the unit's configuration.
@@ -205,7 +219,9 @@ func (u *Unit) inActivePMR(addr memmap.Addr) bool {
 	return u.cfg.PMRActive && u.space.InPMR(addr)
 }
 
-// Route decides the datapath for one instruction record.
+// Route decides the datapath for one instruction record. It reads only
+// the unit's own fixed state, so the same record always gets the same
+// decision.
 func (u *Unit) Route(in trace.Instr) Decision {
 	switch in.Kind {
 	case trace.KindLoad, trace.KindStore:
@@ -228,12 +244,12 @@ func (u *Unit) Route(in trace.Instr) Decision {
 			// the access falls back to the host path, which models the
 			// bus-lock degradation the paper warns about via the UC
 			// access cost in the machine layer.
-			if bc, isBundle := u.caps.(BundleCaps); isBundle && bc.CanOffloadBundle() {
+			if u.bundle {
 				return Decision{Path: PathPIM, Candidate: cand, Bundle: true}
 			}
 			return Decision{Path: PathHostAtomic, Candidate: cand}
 		}
-		if u.caps != nil && !u.caps.CanOffload(op) {
+		if !u.can[op] {
 			// The command maps, but the substrate cannot execute it
 			// near memory (no PIM units at all, or no FP unit for the
 			// extension commands): execute host-side, marked as a

@@ -165,6 +165,59 @@ func TestStreamingBuilderIdentity(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go in race-detector builds.
+var raceEnabled bool
+
+// TestStreamCursorsRecycleRings replays a stream whose barrier flushes
+// make chunks of many sizes several times, with the cursors of one
+// replay running concurrently, so rings a finished cursor returned are
+// reused by later ones. Every replay must yield the materialized
+// records, every cursor must keep its bounds after every window, and a
+// replay of a thread whose ring is pooled must not allocate one again.
+func TestStreamCursorsRecycleRings(t *testing.T) {
+	want, _ := materializedSample(5, 6, 90)
+	st := streamedSample(t, 5, 6, 90, 257)
+	for replay := 0; replay < 3; replay++ {
+		errs := make(chan error, st.NumThreads())
+		for th := 0; th < st.NumThreads(); th++ {
+			go func(th int) {
+				cur := st.Cursor(th)
+				var got []Instr
+				for w := cur.NextWindow(); w != nil; w = cur.NextWindow() {
+					got = append(got, w...)
+					if err := cur.(interface{ AuditBounds() error }).AuditBounds(); err != nil {
+						errs <- fmt.Errorf("replay %d thread %d: %v", replay, th, err)
+						return
+					}
+				}
+				if !reflect.DeepEqual(got, want.Threads[th]) {
+					errs <- fmt.Errorf("replay %d thread %d: records differ", replay, th)
+					return
+				}
+				errs <- nil
+			}(th)
+		}
+		for range st.NumThreads() {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	// A fresh ring is five allocations (ring, two slots, raw, cursor);
+	// a pooled one leaves only the cursor.
+	allocs := testing.AllocsPerRun(20, func() {
+		cur := st.Cursor(0)
+		for w := cur.NextWindow(); w != nil; w = cur.NextWindow() {
+		}
+	})
+	if allocs >= 3 {
+		t.Fatalf("a replay with a pooled ring made %.1f allocations", allocs)
+	}
+}
+
 // TestStreamCheckpoints verifies barrier checkpoints are replayable
 // seek points: the cursor at checkpoint cp must yield exactly the
 // records after the cp-th barrier of the materialized stream.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 
 	"graphpim/internal/memmap"
 )
@@ -472,7 +473,7 @@ func (w *StreamWriter) Finalize(space *memmap.AddressSpace) (*Stream, error) {
 	if !ok {
 		return nil, nil
 	}
-	st := &Stream{ra: ra, logIndex: w.logIndex}
+	st := &Stream{ra: ra, logIndex: w.logIndex, rings: ringsFor(w.chunkCap)}
 	if space != nil {
 		st.ranges = space.UCRanges()
 	}
@@ -486,6 +487,24 @@ func (w *StreamWriter) Finalize(space *memmap.AddressSpace) (*Stream, error) {
 type Stream struct {
 	ra io.ReaderAt
 	logIndex
+	// rings recycles decode rings (*decodeBufs) between the cursors of
+	// every stream with this stream's chunk bound (see ringsFor).
+	rings *sync.Pool
+}
+
+// ringPools maps a chunk bound to the sync.Pool of decode rings sized
+// for it. Rings are shared across streams, not kept per stream: most
+// traces are replayed a few times, far apart, while some replay starts
+// whenever another ends, so a ring a finished cursor returns is taken
+// again almost at once. The pool drops what stays idle across
+// collections, so no ring outlives the replays that use it.
+var ringPools sync.Map
+
+// ringsFor returns the ring pool for streams whose chunk bound is
+// chunkCap.
+func ringsFor(chunkCap int) *sync.Pool {
+	p, _ := ringPools.LoadOrStore(chunkCap, new(sync.Pool))
+	return p.(*sync.Pool)
 }
 
 // NumThreads returns the thread count.
@@ -587,45 +606,60 @@ func (s *Stream) cursorFrom(thread, chunk int) Cursor {
 
 // streamCursor walks one thread's chunks, decoding each into a two-slot
 // buffer ring: the window handed out stays valid while the next one is
-// decoded into the other slot, and steady-state replay allocates nothing.
+// decoded into the other slot. The ring comes from the stream's ring
+// pool at the first window and goes back at the end, so steady-state
+// replay allocates nothing.
 type streamCursor struct {
 	s     *Stream
 	refs  []chunkRef
 	next  int
 	total Counts
-	bufs  [2][]Instr
+	b     *decodeBufs
 	flip  int
+}
+
+// decodeBufs is one cursor's decode ring and raw chunk buffer. Each slot
+// is sized once to the stream's chunk bound (ref.count was validated at
+// open to stay within it), so no chunk reallocates it; raw grows to the
+// largest encoded chunk the ring has read.
+type decodeBufs struct {
+	slots [2][]Instr
 	raw   []byte
 }
 
 func (c *streamCursor) NextWindow() []Instr {
 	if c.next >= len(c.refs) {
+		if c.b != nil {
+			// The Cursor contract ends the last window's validity
+			// here, so the ring can serve another cursor.
+			c.s.rings.Put(c.b)
+			c.b = nil
+		}
 		return nil
 	}
-	ref := c.refs[c.next]
-	if cap(c.raw) < int(ref.bytes) {
-		c.raw = make([]byte, ref.bytes)
+	if c.b == nil {
+		c.b, _ = c.s.rings.Get().(*decodeBufs)
+		if c.b == nil {
+			n := c.s.chunkCap + 8
+			c.b = &decodeBufs{slots: [2][]Instr{make([]Instr, 0, n), make([]Instr, 0, n)}}
+		}
 	}
-	raw := c.raw[:ref.bytes]
+	ref := c.refs[c.next]
+	if cap(c.b.raw) < int(ref.bytes) {
+		c.b.raw = make([]byte, ref.bytes)
+	}
+	raw := c.b.raw[:ref.bytes]
 	if _, err := c.s.ra.ReadAt(raw, ref.off); err != nil {
 		// The log was fully validated at open (or produced by our own
 		// writer); a failing read of an immutable backing file is not
 		// recoverable mid-replay.
 		panic(fmt.Sprintf("trace: stream chunk read at %d: %v", ref.off, err))
 	}
-	// Size the slot up front: growing through append would overshoot
-	// geometrically (4096 records land at cap 5120) and trip the decode
-	// ring's AuditBounds invariant. ref.count was validated at open to
-	// stay within the chunk bound, so this never exceeds it either.
-	dst := c.bufs[c.flip]
-	if cap(dst) < int(ref.count) {
-		dst = make([]Instr, 0, ref.count)
-	}
-	buf, err := decodeChunk(dst[:0], raw, int(ref.count))
+	buf, err := decodeChunk(c.b.slots[c.flip][:0], raw, int(ref.count))
 	if err != nil {
 		panic(fmt.Sprintf("trace: stream chunk at %d: %v", ref.off, err))
 	}
-	c.bufs[c.flip] = buf
+	c.b.slots[c.flip] = buf
 	c.flip ^= 1
 	c.next++
 	return buf
@@ -641,13 +675,16 @@ func (c *streamCursor) AuditBounds() error {
 	if c.next < 0 || c.next > len(c.refs) {
 		return fmt.Errorf("chunk position %d outside [0, %d]", c.next, len(c.refs))
 	}
-	for i, b := range c.bufs {
+	if c.b == nil {
+		return nil
+	}
+	for i, b := range c.b.slots {
 		if cap(b) > c.s.chunkCap+8 {
 			return fmt.Errorf("decode buffer %d capacity %d exceeds chunk bound %d", i, cap(b), c.s.chunkCap)
 		}
 	}
-	if cap(c.raw) > c.s.chunkCap*maxRecordBytes {
-		return fmt.Errorf("raw buffer capacity %d exceeds encoded chunk bound %d", cap(c.raw), c.s.chunkCap*maxRecordBytes)
+	if cap(c.b.raw) > c.s.chunkCap*maxRecordBytes {
+		return fmt.Errorf("raw buffer capacity %d exceeds encoded chunk bound %d", cap(c.b.raw), c.s.chunkCap*maxRecordBytes)
 	}
 	return nil
 }
@@ -869,5 +906,5 @@ func OpenStream(ra io.ReaderAt) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{ra: ra, logIndex: *ix}, nil
+	return &Stream{ra: ra, logIndex: *ix, rings: ringsFor(ix.chunkCap)}, nil
 }
