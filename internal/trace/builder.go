@@ -32,9 +32,9 @@ func NewBuilder(space *memmap.AddressSpace, numThreads int) *Builder {
 }
 
 // NewStreamingBuilder returns a Builder that spills records to sw in
-// chunks instead of materializing the trace: per-thread buffers flush as
-// chunks at sw's chunk size, and Barrier force-flushes every thread and
-// marks a checkpoint. The record sequence is byte-identical to what a
+// chunks instead of materializing the trace: each thread's buffer
+// flushes as a chunk when it reaches sw's chunk size, barriers included
+// like any other record. The record sequence is byte-identical to what a
 // materializing Builder fed the same emissions produces — flushes retain
 // a trailing coalescible compute record so Compute merges across chunk
 // boundaries exactly as it does in a flat slice.
@@ -99,16 +99,7 @@ func (b *Builder) Thread(t int) *Emitter {
 // barrier stall until all threads arrive.
 func (b *Builder) Barrier() {
 	for t := range b.threads {
-		b.threads[t] = append(b.threads[t], Instr{Kind: KindBarrier})
-	}
-	if b.sw != nil {
-		// Barriers are checkpoint boundaries: flush everything (the
-		// barrier is last, so nothing coalescible is pending) and mark
-		// the per-thread positions in the log.
-		for t := range b.threads {
-			b.flush(t, false)
-		}
-		b.sw.checkpoint()
+		b.Thread(t).push(Instr{Kind: KindBarrier})
 	}
 }
 

@@ -40,11 +40,6 @@ func (c *Counts) add(in Instr) {
 	}
 }
 
-// sub returns c minus b (a suffix count given a cumulative prefix).
-func (c Counts) sub(b Counts) Counts {
-	return Counts{Records: c.Records - b.Records, Instrs: c.Instrs - b.Instrs, Atomics: c.Atomics - b.Atomics}
-}
-
 // CountRecords tallies a record slice.
 func CountRecords(recs []Instr) Counts {
 	var c Counts

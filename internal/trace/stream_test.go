@@ -124,7 +124,8 @@ func diffRecords(t *testing.T, label string, got, want []Instr) {
 // TestStreamingBuilderIdentity is the core streaming contract: a
 // streaming Builder fed the same emissions as a materializing one must
 // reproduce the exact record sequence — chunk flushes, compute-tail
-// retention, and barrier checkpoints must be invisible in the output.
+// retention, and barriers falling mid-chunk must be invisible in the
+// output.
 func TestStreamingBuilderIdentity(t *testing.T) {
 	for _, chunk := range []int{32, 257, DefaultChunkRecords} {
 		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
@@ -168,8 +169,8 @@ func TestStreamingBuilderIdentity(t *testing.T) {
 // raceEnabled is set by race_test.go in race-detector builds.
 var raceEnabled bool
 
-// TestStreamCursorsRecycleRings replays a stream whose barrier flushes
-// make chunks of many sizes several times, with the cursors of one
+// TestStreamCursorsRecycleRings replays a stream whose full, tail-keeping
+// and final chunks differ in size several times, with the cursors of one
 // replay running concurrently, so rings a finished cursor returned are
 // reused by later ones. Every replay must yield the materialized
 // records, every cursor must keep its bounds after every window, and a
@@ -215,52 +216,6 @@ func TestStreamCursorsRecycleRings(t *testing.T) {
 	})
 	if allocs >= 3 {
 		t.Fatalf("a replay with a pooled ring made %.1f allocations", allocs)
-	}
-}
-
-// TestStreamCheckpoints verifies barrier checkpoints are replayable
-// seek points: the cursor at checkpoint cp must yield exactly the
-// records after the cp-th barrier of the materialized stream.
-func TestStreamCheckpoints(t *testing.T) {
-	const epochs = 4
-	want, _ := materializedSample(11, epochs, 60)
-	st := streamedSample(t, 11, epochs, 60, 64)
-
-	if st.NumCheckpoints() != epochs {
-		t.Fatalf("checkpoints %d, want %d", st.NumCheckpoints(), epochs)
-	}
-	// afterBarrier[t][cp] is the record index just past the cp-th barrier.
-	for cp := 0; cp < epochs; cp++ {
-		for th := range want.Threads {
-			seen, pos := 0, len(want.Threads[th])
-			for i, in := range want.Threads[th] {
-				if in.Kind == KindBarrier {
-					if seen == cp {
-						pos = i + 1
-						break
-					}
-					seen++
-				}
-			}
-			cur, err := st.CursorAt(th, cp)
-			if err != nil {
-				t.Fatalf("CursorAt(%d, %d): %v", th, cp, err)
-			}
-			suffix := want.Threads[th][pos:]
-			if got := cur.Counts(); got != CountRecords(suffix) {
-				t.Fatalf("cursor(%d, %d) counts %+v != %+v", th, cp, got, CountRecords(suffix))
-			}
-			diffRecords(t, fmt.Sprintf("thread %d from cp %d", th, cp), drain(cur), suffix)
-		}
-	}
-	if _, err := st.CursorAt(0, epochs); err == nil {
-		t.Fatal("out-of-range checkpoint accepted")
-	}
-	if _, err := st.CursorAt(-1, 0); err == nil {
-		t.Fatal("negative thread accepted")
-	}
-	if _, err := st.CursorAt(st.NumThreads(), 0); err == nil {
-		t.Fatal("out-of-range thread accepted")
 	}
 }
 
@@ -322,11 +277,74 @@ func TestOpenStreamMatchesBuilder(t *testing.T) {
 			t.Fatalf("thread %d counts %+v != %+v", th, got, CountRecords(tr.Threads[th]))
 		}
 	}
-	if st.NumCheckpoints() != 2 {
-		t.Fatalf("checkpoints %d, want 2 (one per barrier)", st.NumCheckpoints())
-	}
 	if !reflect.DeepEqual(st.Space().UCRanges(), trSpace.UCRanges()) {
 		t.Fatalf("UC ranges %v != %v", st.Space().UCRanges(), trSpace.UCRanges())
+	}
+}
+
+// TestOpenStreamReadsCheckpointLogs opens a log that an earlier
+// streaming builder wrote (chunk size 40, emitSample seed 13, 3 epochs
+// of 30 ops), when every barrier force-flushed all threads and left a
+// 0x02 checkpoint tag in the chunk log. Such logs must still replay to
+// the records a materializing Builder holds, and the footer's count of
+// those tags is still checked against the log.
+func TestOpenStreamReadsCheckpointLogs(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy-checkpoints.gpimtrc2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStream(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("legacy log rejected: %v", err)
+	}
+	want, wantSpace := materializedSample(13, 3, 30)
+	if st.NumThreads() != want.NumThreads() {
+		t.Fatalf("threads %d != %d", st.NumThreads(), want.NumThreads())
+	}
+	for th := range want.Threads {
+		diffRecords(t, fmt.Sprintf("thread %d", th), drain(st.Cursor(th)), want.Threads[th])
+	}
+	if !reflect.DeepEqual(st.Space().UCRanges(), wantSpace.UCRanges()) {
+		t.Fatalf("UC ranges %v != %v", st.Space().UCRanges(), wantSpace.UCRanges())
+	}
+
+	// The footer's checkpoint count is the one-byte uvarint just before
+	// the 8-byte end magic; the log holds 3 tags.
+	at := len(data) - len(traceMagicV2End) - 1
+	if data[at] != 3 {
+		t.Fatalf("footer checkpoint count %d, want 3", data[at])
+	}
+	for _, n := range []byte{0, 2, 4} {
+		bad := append([]byte(nil), data...)
+		bad[at] = n
+		if _, err := OpenStream(bytes.NewReader(bad)); err == nil {
+			t.Fatalf("footer claiming %d checkpoints accepted", n)
+		}
+	}
+}
+
+// TestChunkSizeBelowTwoRejected pins the chunk-size floor on both
+// sides: at a threshold of 1 a flush that keeps its trailing compute
+// record could write a 2-record chunk, past the bound readers size
+// decode windows by.
+func TestChunkSizeBelowTwoRejected(t *testing.T) {
+	if _, err := NewStreamWriter(&bytes.Buffer{}, 1, 1); err == nil {
+		t.Fatal("NewStreamWriter accepted chunk size 1")
+	}
+	// A one-record log, so only the header's chunk size is wrong.
+	sp := memmap.NewAddressSpace()
+	b := NewBuilder(sp, 1)
+	b.Thread(0).Load(sp.AllocMeta(64), 8, false)
+	var buf bytes.Buffer
+	if err := WriteV2(&buf, b.Build(), sp); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStream(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	data := mutateRange(buf.Bytes(), 12, []byte{1, 0, 0, 0})
+	if _, err := OpenStream(bytes.NewReader(data)); err == nil {
+		t.Fatal("OpenStream accepted a header chunk size of 1")
 	}
 }
 

@@ -18,26 +18,24 @@ import (
 // batch lengths as varints), interleaved in emission order. The
 // chunk log is what makes streaming work in bounded memory: the producer
 // spills chunks as threads fill them, and replay decodes one bounded
-// window per thread at a time. Checkpoint tags mark barrier boundaries —
-// every thread's position at a checkpoint falls on one of its chunk
-// boundaries (the writer force-flushes at barriers), so a replay can
-// seek to any barrier without decoding the prefix.
+// window per thread at a time. Barriers are ordinary records inside
+// the chunks; chunk boundaries carry no meaning for replay.
 //
 // Layout (little endian):
 //
 //	magic        [8]byte  "GPIMTRC2"
 //	threads      uint32
-//	chunkRecords uint32               // writer's flush threshold; bounds decode windows
+//	chunkRecords uint32               // writer's flush threshold, >= 2; bounds every chunk's count
 //	chunk log: repeated
 //	  tag 0x01: uvarint thread, uvarint count, uvarint bytes, payload
-//	  tag 0x02: checkpoint (barrier boundary; no operands)
+//	  tag 0x02: legacy checkpoint (no operands); read, never written
 //	  tag 0x00: end of log
 //	footer:
 //	  uvarint ranges, ranges x { uvarint base, uvarint size }   // PMR ranges
 //	  threads x { uvarint records, uvarint instrs, uvarint atomics }
 //	  5 x uvarint                     // record counts per Kind
 //	  9 x uvarint                     // atomic records per HostAtomic form
-//	  uvarint checkpoints
+//	  uvarint checkpoints             // number of 0x02 tags; 0 from current writers
 //	  magic [8]byte "GPIMTRCE"
 //
 // Payload record encoding: a lead byte kind|flags<<3, then per kind:
@@ -57,7 +55,7 @@ var (
 const (
 	tagEnd        = 0x00
 	tagChunk      = 0x01
-	tagCheckpoint = 0x02
+	tagCheckpoint = 0x02 // legacy: read from older logs, never written
 
 	// numAtomicForms sizes the per-HostAtomic count arrays (footer and
 	// chunk-log tallies); it must track the end of the HostAtomic enum.
@@ -200,26 +198,23 @@ func decodeChunk(dst []Instr, payload []byte, count int) ([]Instr, error) {
 	return dst, nil
 }
 
-// chunkRef locates one chunk in the backing file, with cumulative counts
-// at its start so suffix cursors (checkpoint seeks) know their totals.
+// chunkRef locates one chunk in the backing file.
 type chunkRef struct {
-	off   int64  // payload offset
-	bytes int32  // payload length
-	count int32  // records in the chunk
-	start Counts // cumulative thread counts before this chunk
+	off   int64 // payload offset
+	bytes int32 // payload length
+	count int32 // records in the chunk
 }
 
 // logIndex is everything a replay needs of a v2 log besides its bytes:
-// chunk locations, totals, checkpoints and PMR ranges. The writer builds
-// it as it encodes, and OpenStream rebuilds it by scanning a file.
+// chunk locations, totals and PMR ranges. The writer builds it as it
+// encodes, and OpenStream rebuilds it by scanning a file.
 type logIndex struct {
-	chunkCap    int
-	chunks      [][]chunkRef
-	counts      []Counts
-	checkpoints [][]uint64
-	kinds       [5]uint64
-	atomics     [numAtomicForms]uint64
-	ranges      [][2]memmap.Addr
+	chunkCap int
+	chunks   [][]chunkRef
+	counts   []Counts
+	kinds    [5]uint64
+	atomics  [numAtomicForms]uint64
+	ranges   [][2]memmap.Addr
 }
 
 func newLogIndex(threads, chunkCap int) logIndex {
@@ -237,7 +232,6 @@ func (ix *logIndex) addChunk(tid int, off int64, nbytes int, recs []Instr) {
 		off:   off,
 		bytes: int32(nbytes),
 		count: int32(len(recs)),
-		start: ix.counts[tid],
 	})
 	for _, in := range recs {
 		ix.counts[tid].add(in)
@@ -248,22 +242,11 @@ func (ix *logIndex) addChunk(tid int, off int64, nbytes int, recs []Instr) {
 	}
 }
 
-// markCheckpoint records every thread's current position as a barrier
-// checkpoint.
-func (ix *logIndex) markCheckpoint() {
-	pos := make([]uint64, len(ix.counts))
-	for t := range pos {
-		pos[t] = ix.counts[t].Records
-	}
-	ix.checkpoints = append(ix.checkpoints, pos)
-}
-
 // chunkMsg travels from the producing (workload) goroutine to the encoder
-// goroutine. A nil recs with checkpoint set marks a barrier boundary.
+// goroutine.
 type chunkMsg struct {
-	tid        int
-	recs       []Instr
-	checkpoint bool
+	tid  int
+	recs []Instr
 }
 
 // StreamWriter encodes a v2 chunk log as chunks arrive. Encoding and IO
@@ -293,7 +276,9 @@ type StreamWriter struct {
 
 // NewStreamWriter starts a v2 writer over w for numThreads threads.
 // chunkRecords is the flush threshold readers will size decode windows
-// by (0 selects DefaultChunkRecords); it must match the builder's.
+// by (0 selects DefaultChunkRecords); it must match the builder's. It
+// must be at least 2: a flush keeps its trailing compute record, so at a
+// threshold of 1 a chunk could hold 2 records.
 func NewStreamWriter(w io.Writer, numThreads, chunkRecords int) (*StreamWriter, error) {
 	if numThreads <= 0 || numThreads > 1024 {
 		return nil, fmt.Errorf("trace: implausible thread count %d", numThreads)
@@ -301,8 +286,8 @@ func NewStreamWriter(w io.Writer, numThreads, chunkRecords int) (*StreamWriter, 
 	if chunkRecords == 0 {
 		chunkRecords = DefaultChunkRecords
 	}
-	if chunkRecords < 0 || chunkRecords > maxChunkRecords {
-		return nil, fmt.Errorf("trace: chunk size %d outside (0, %d]", chunkRecords, maxChunkRecords)
+	if chunkRecords < 2 || chunkRecords > maxChunkRecords {
+		return nil, fmt.Errorf("trace: chunk size %d outside [2, %d]", chunkRecords, maxChunkRecords)
 	}
 	sw := &StreamWriter{
 		threads:  numThreads,
@@ -332,7 +317,7 @@ func (w *StreamWriter) buffer() []Instr {
 	case b := <-w.free:
 		return b[:0]
 	default:
-		return make([]Instr, 0, w.chunkCap+8)
+		return make([]Instr, 0, w.chunkCap)
 	}
 }
 
@@ -345,13 +330,6 @@ func (w *StreamWriter) chunk(tid int, recs []Instr) {
 	w.ch <- chunkMsg{tid: tid, recs: recs}
 }
 
-// checkpoint marks a barrier boundary in the chunk log. The caller must
-// have flushed every thread completely first, so each thread's position
-// is a chunk boundary.
-func (w *StreamWriter) checkpoint() {
-	w.ch <- chunkMsg{checkpoint: true}
-}
-
 // encodeLoop is the encoder goroutine: it drains the ring, encodes each
 // chunk, and appends it to the log. After the first error it keeps
 // draining (so the producer never blocks) but writes nothing more.
@@ -360,10 +338,6 @@ func (w *StreamWriter) encodeLoop() {
 	for msg := range w.ch {
 		if w.err != nil {
 			w.recycle(msg.recs)
-			continue
-		}
-		if msg.checkpoint {
-			w.err = w.writeCheckpoint()
 			continue
 		}
 		w.err = w.writeChunk(msg.tid, msg.recs)
@@ -376,9 +350,6 @@ func (w *StreamWriter) encodeLoop() {
 }
 
 func (w *StreamWriter) recycle(recs []Instr) {
-	if recs == nil {
-		return
-	}
 	select {
 	case w.free <- recs:
 	default:
@@ -419,11 +390,6 @@ func (w *StreamWriter) writeChunk(tid int, recs []Instr) error {
 	return w.write(raw)
 }
 
-func (w *StreamWriter) writeCheckpoint() error {
-	w.markCheckpoint()
-	return w.write([]byte{tagCheckpoint})
-}
-
 func (w *StreamWriter) writeFooter() error {
 	if err := w.write([]byte{tagEnd}); err != nil {
 		return err
@@ -449,7 +415,7 @@ func (w *StreamWriter) writeFooter() error {
 	for _, n := range w.atomics {
 		buf = binary.AppendUvarint(buf, n)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(w.checkpoints)))
+	buf = binary.AppendUvarint(buf, 0) // checkpoints: none written
 	buf = append(buf, traceMagicV2End[:]...)
 	if err := w.write(buf); err != nil {
 		return err
@@ -538,9 +504,6 @@ func (s *Stream) AtomicsByKind() map[HostAtomic]uint64 {
 	return m
 }
 
-// NumCheckpoints returns the number of barrier checkpoints in the log.
-func (s *Stream) NumCheckpoints() int { return len(s.checkpoints) }
-
 // Space rebuilds an address space carrying the stream's PMR ranges.
 func (s *Stream) Space() *memmap.AddressSpace {
 	space := memmap.NewAddressSpace()
@@ -556,52 +519,7 @@ func (s *Stream) Cursor(thread int) Cursor {
 	if thread < 0 || thread >= len(s.chunks) {
 		return &sliceCursor{}
 	}
-	return s.cursorFrom(thread, 0)
-}
-
-// CursorAt returns a cursor over thread t starting at barrier checkpoint
-// cp (0-based): the replayable suffix from that barrier on. Checkpoint
-// positions always coincide with chunk boundaries, which is what makes
-// the seek O(log chunks) instead of a prefix decode.
-func (s *Stream) CursorAt(thread, cp int) (Cursor, error) {
-	if cp < 0 || cp >= len(s.checkpoints) {
-		return nil, fmt.Errorf("trace: checkpoint %d of %d", cp, len(s.checkpoints))
-	}
-	if thread < 0 || thread >= len(s.chunks) {
-		return nil, fmt.Errorf("trace: thread %d of %d", thread, len(s.chunks))
-	}
-	pos := s.checkpoints[cp][thread]
-	refs := s.chunks[thread]
-	// Binary search for the chunk starting at pos.
-	lo, hi := 0, len(refs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if refs[mid].start.Records < pos {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(refs) && refs[lo].start.Records != pos {
-		return nil, fmt.Errorf("trace: checkpoint %d position %d is not a chunk boundary of thread %d", cp, pos, thread)
-	}
-	if lo == len(refs) && pos != s.counts[thread].Records {
-		return nil, fmt.Errorf("trace: checkpoint %d position %d past thread %d end", cp, pos, thread)
-	}
-	return s.cursorFrom(thread, lo), nil
-}
-
-func (s *Stream) cursorFrom(thread, chunk int) Cursor {
-	refs := s.chunks[thread][chunk:]
-	total := s.counts[thread]
-	if chunk > 0 || len(refs) == 0 {
-		base := total
-		if len(refs) > 0 {
-			base = refs[0].start
-		}
-		total = total.sub(base)
-	}
-	return &streamCursor{s: s, refs: refs, total: total}
+	return &streamCursor{s: s, refs: s.chunks[thread], total: s.counts[thread]}
 }
 
 // streamCursor walks one thread's chunks, decoding each into a two-slot
@@ -640,7 +558,7 @@ func (c *streamCursor) NextWindow() []Instr {
 	if c.b == nil {
 		c.b, _ = c.s.rings.Get().(*decodeBufs)
 		if c.b == nil {
-			n := c.s.chunkCap + 8
+			n := c.s.chunkCap
 			c.b = &decodeBufs{slots: [2][]Instr{make([]Instr, 0, n), make([]Instr, 0, n)}}
 		}
 	}
@@ -679,7 +597,7 @@ func (c *streamCursor) AuditBounds() error {
 		return nil
 	}
 	for i, b := range c.b.slots {
-		if cap(b) > c.s.chunkCap+8 {
+		if cap(b) > c.s.chunkCap {
 			return fmt.Errorf("decode buffer %d capacity %d exceeds chunk bound %d", i, cap(b), c.s.chunkCap)
 		}
 	}
@@ -689,8 +607,8 @@ func (c *streamCursor) AuditBounds() error {
 	return nil
 }
 
-// WriteV2 serializes a materialized trace in format v2. Chunk boundaries
-// in a converted file are size-based (no checkpoint tags). It remains for
+// WriteV2 serializes a materialized trace in format v2, cutting each
+// thread into DefaultChunkRecords-record chunks. It remains for
 // bench/ and as a test oracle; the program itself writes traces through a
 // streaming Builder.
 func WriteV2(w io.Writer, tr *Trace, space *memmap.AddressSpace) error {
@@ -753,10 +671,11 @@ func scanV2(r io.Reader) (*logIndex, error) {
 	if threads == 0 || threads > 1024 {
 		return nil, fmt.Errorf("trace: implausible thread count %d", threads)
 	}
-	if chunkCap == 0 || chunkCap > maxChunkRecords {
+	if chunkCap < 2 || chunkCap > maxChunkRecords {
 		return nil, fmt.Errorf("trace: implausible chunk size %d", chunkCap)
 	}
 	sc := newLogIndex(int(threads), int(chunkCap))
+	var checkpoints uint64 // legacy 0x02 tags, which older writers put at barriers
 	var raw []byte
 	var recs []Instr
 	for {
@@ -769,7 +688,7 @@ func scanV2(r io.Reader) (*logIndex, error) {
 		}
 		switch tag {
 		case tagCheckpoint:
-			sc.markCheckpoint()
+			checkpoints++
 		case tagChunk:
 			at := cr.off - 1
 			tid, err := cr.uvarint()
@@ -787,9 +706,7 @@ func scanV2(r io.Reader) (*logIndex, error) {
 			if err != nil {
 				return nil, fmt.Errorf("trace: chunk at offset %d: length: %w", at, err)
 			}
-			// A chunk may exceed chunkCap by the handful of records a
-			// barrier flush adds past the threshold.
-			if count == 0 || count > uint64(chunkCap)+8 {
+			if count == 0 || count > uint64(chunkCap) {
 				return nil, fmt.Errorf("trace: chunk at offset %d: implausible record count %d (chunk size %d)", at, count, chunkCap)
 			}
 			if nbytes > count*maxRecordBytes {
@@ -812,13 +729,15 @@ func scanV2(r io.Reader) (*logIndex, error) {
 			return nil, fmt.Errorf("trace: unknown tag 0x%02x at offset %d", tag, cr.off-1)
 		}
 	}
-	if err := sc.readFooter(cr); err != nil {
+	if err := sc.readFooter(cr, checkpoints); err != nil {
 		return nil, err
 	}
 	return &sc, nil
 }
 
-func (sc *logIndex) readFooter(cr *countingReader) error {
+// readFooter reads the footer and checks its totals against the scanned
+// log; checkpoints is the number of legacy 0x02 tags the log held.
+func (sc *logIndex) readFooter(cr *countingReader, checkpoints uint64) error {
 	nranges, err := cr.uvarint()
 	if err != nil {
 		return fmt.Errorf("trace: footer ranges: %w", err)
@@ -873,8 +792,8 @@ func (sc *logIndex) readFooter(cr *countingReader) error {
 	if err != nil {
 		return fmt.Errorf("trace: footer checkpoint count: %w", err)
 	}
-	if ncp != uint64(len(sc.checkpoints)) {
-		return fmt.Errorf("trace: footer claims %d checkpoints, chunk log has %d", ncp, len(sc.checkpoints))
+	if ncp != checkpoints {
+		return fmt.Errorf("trace: footer claims %d checkpoints, chunk log has %d", ncp, checkpoints)
 	}
 	var end [8]byte
 	if err := cr.readFull(end[:]); err != nil {

@@ -188,6 +188,53 @@ func RefPRank(g *graph.Graph, iterations int) []float64 {
 	return rank
 }
 
+// RefBC returns Brandes betweenness centrality summed over BC's sampled
+// sources, (s*7919) % n for s < min(sources, n): path counts flow
+// forward along out-edges in BFS order, dependencies flow back along
+// in-edges in reverse BFS order, and a source adds nothing to its own
+// score.
+func RefBC(g *graph.Graph, sources int) []float64 {
+	n := g.NumVertices()
+	score := make([]float64, n)
+	if sources > n {
+		sources = n
+	}
+	for s := 0; s < sources; s++ {
+		src := graph.VID((s * 7919) % n)
+		sigma := make([]float64, n)
+		delta := make([]float64, n)
+		depth := make([]int, n)
+		for i := range depth {
+			depth[i] = -1
+		}
+		sigma[src], depth[src] = 1, 0
+		order := []graph.VID{src}
+		for i := 0; i < len(order); i++ {
+			u := order[i]
+			for _, v := range g.OutNeighbors(u) {
+				if depth[v] == -1 {
+					depth[v] = depth[u] + 1
+					order = append(order, v)
+				}
+				if depth[v] == depth[u]+1 {
+					sigma[v] += sigma[u]
+				}
+			}
+		}
+		// order[0] is the source; every later vertex is reached.
+		for i := len(order) - 1; i > 0; i-- {
+			v := order[i]
+			for _, u := range g.InNeighbors(v) {
+				if depth[u] == depth[v]-1 {
+					delta[u] += sigma[u] / sigma[v] * (1 + delta[v])
+				}
+			}
+			score[v] += delta[v]
+		}
+	}
+	return score
+}
+
 // RefTC returns the total directed-triangle count under the same
 // orientation convention as TC (u < x < y, edges u->x, u->y, x->y).
 func RefTC(g *graph.Graph) uint64 {

@@ -158,6 +158,32 @@ func TestBCProducesPositiveCentrality(t *testing.T) {
 	}
 }
 
+// TestBCMatchesReference pins BC's centrality to a sequential Brandes
+// over the same sources. Per-thread frontiers reorder the floating-point
+// sums, so scores agree to 1e-9 relative, not bit for bit.
+func TestBCMatchesReference(t *testing.T) {
+	g := testGraph()
+	want := RefBC(g, 4)
+	var positive int
+	for _, s := range want {
+		if s > 0 {
+			positive++
+		}
+	}
+	if positive == 0 {
+		t.Fatal("reference centrality is zero everywhere")
+	}
+	for _, threads := range []int{1, 4, 16} {
+		res, _ := runOn(t, NewBC(4), g, threads)
+		got := res.Output.(BCOutput).Centrality
+		for v := range want {
+			if math.Abs(got[v]-want[v]) > 1e-9*math.Abs(want[v]) {
+				t.Fatalf("%d threads: centrality[%d] = %v, want %v", threads, v, got[v], want[v])
+			}
+		}
+	}
+}
+
 func TestGibbsConverges(t *testing.T) {
 	g := testGraph()
 	res, _ := runOn(t, NewGibbs(2), g, 4)

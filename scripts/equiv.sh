@@ -16,7 +16,13 @@
 #          reach every cell, the extensions' own traces included), and
 #          `graph gen -kind ldbc -vertices 4096` to stdout followed by
 #          `graph info` on the base build's generated file (the edge-list
-#          bytes, the in+out degree percentiles and the CSR footprint).
+#          bytes, the in+out degree percentiles and the CSR footprint),
+#          and trace compatibility: each build saves
+#          `trace -vertices 1024 -save F W` for W in BFS, BC, and each
+#          build replays both builds' files with `trace -replay F -config
+#          graphpim`; the four replays of a workload must print the same
+#          bytes, and the two saves the same composition (file sizes may
+#          differ: where chunks break is the writer's choice).
 #   all    (default) quick, plus `workload` at default scale for
 #          {BFS,PRank,SpMV} x {baseline,upei,graphpim}, BFS with
 #          -policy auto, -mem vault, -mem ddr and -quick, and
@@ -78,6 +84,17 @@ check() {
 	fi
 }
 
+# compare NAME A B reports whether files A and B are identical.
+compare() {
+	if cmp -s "$2" "$3"; then
+		echo "equiv: same   $1"
+	else
+		diff -u "$2" "$3" || true
+		echo "equiv: DIFFER $1"
+		fail=1
+	fi
+}
+
 check list graphpim list
 for id in $("$dir/base/graphpim" list | awk '{print $1}'); do
 	check "run-$id" graphpim run -quick -q -format json "$id"
@@ -93,6 +110,20 @@ check run-mem-ddr-extras graphpim run -quick -q -format json -mem ddr \
 	$("$dir/base/graphpim" list | awk '$2 == "extra" {print $1}')
 check graph-gen graphpim graph gen -kind ldbc -vertices 4096
 check graph-info graphpim graph info "$dir/out/graph-gen.base.out"
+for w in BFS BC; do
+	for side in base head; do
+		"$dir/$side/graphpim" trace -vertices 1024 -save "$dir/out/trace-$w.$side.trc" "$w" |
+			grep -v '^saved:' >"$dir/out/trace-save-$w.$side.out"
+	done
+	compare "trace-save-$w" "$dir/out/trace-save-$w.base.out" "$dir/out/trace-save-$w.head.out"
+	# The replay prints the file's path, so both files replay from one.
+	for from in base head; do
+		cp "$dir/out/trace-$w.$from.trc" "$dir/out/trace-$w.trc"
+		check "trace-replay-$w-$from-file" graphpim trace -replay "$dir/out/trace-$w.trc" -config graphpim
+	done
+	compare "trace-replay-$w-files" "$dir/out/trace-replay-$w-base-file.base.out" \
+		"$dir/out/trace-replay-$w-head-file.base.out"
+done
 
 if [ "$scope" = all ]; then
 	for w in BFS PRank SpMV; do
